@@ -366,6 +366,16 @@ def random_comb(
                 f"tooth {k}: no isometry from dim {a} into dim {b}; "
                 f"increase memory_dims[{k}]"
             )
+        # Linking contracts mem_prev away, so the largest operators built are
+        # the new chain (open wires so far, this tooth's wires, mem_next)
+        # and the tooth itself, which is larger when mem_prev exceeds the
+        # open wires so far.
+        work_dim = max(open_dim, m_prev) * in_w.dim * out_w.dim * m_next
+        if work_dim > MAX_DIM:
+            raise DimOverflowError(
+                f"assembling tooth {k} needs dimension {work_dim}, "
+                f"over the cap {MAX_DIM}"
+            )
         mem_next = Wire(_fresh_label(f"mem{k}", taken), m_next)
         taken.add(mem_next.label)
 
@@ -373,14 +383,6 @@ def random_comb(
         wires = (out_w, mem_next) + ((mem_prev, in_w) if mem_prev else (in_w,))
         tooth = LabeledVector(wires, v.reshape(-1)).outer()
 
-        # The contraction pads to the union of wires before tracing the
-        # shared memory, so the working dimension includes both memories.
-        union_dim = open_dim * m_prev * in_w.dim * out_w.dim * m_next
-        if union_dim > MAX_DIM:
-            raise DimOverflowError(
-                f"assembling tooth {k} needs dimension {union_dim}, "
-                f"over the cap {MAX_DIM}"
-            )
         open_dim *= in_w.dim * out_w.dim
         assembled = tooth if assembled is None else link_product(assembled, tooth)
         mem_prev = mem_next

@@ -49,6 +49,35 @@ def _meta_scalar(v) -> str:
     )
 
 
+def _entries_to_complex(entries: list) -> np.ndarray:
+    """Parse a list of [re, im] pairs of JSON numbers into a complex vector."""
+    try:
+        pairs = np.array(entries)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if (
+        pairs is not None
+        and pairs.shape == (len(entries), 2)
+        and pairs.dtype.kind in "biuf"
+    ):
+        # Same arithmetic as the scan below, so both give identical bits;
+        # non-finite entries are rejected by the OperatorFile constructor.
+        with np.errstate(invalid="ignore"):
+            return pairs[:, 0] + 1j * pairs[:, 1]
+    # Some entry is malformed (or an integer too large for int64, which numpy
+    # keeps as an object): scan for it and name its index.
+    flat = np.empty(len(entries), dtype=np.complex128)
+    for i, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) for v in pair)
+        ):
+            raise OperatorFileError(f"entry {i} is not an [re, im] pair: {pair!r}")
+        flat[i] = pair[0] + 1j * pair[1]
+    return flat
+
+
 @dataclass(eq=False)
 class OperatorFile:
     """A dense operator with its wire layout and free-form metadata.
@@ -148,15 +177,7 @@ class OperatorFile:
             raise OperatorFileError(
                 f"entries has {n} pairs, expected {d * d} for total dimension {d}"
             )
-        flat = np.empty(d * d, dtype=np.complex128)
-        for i, pair in enumerate(entries):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
-                raise OperatorFileError(f"entry {i} is not an [re, im] pair: {pair!r}")
-            flat[i] = pair[0] + 1j * pair[1]
+        flat = _entries_to_complex(entries)
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise OperatorFileError("metadata must be an object")

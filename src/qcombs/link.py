@@ -4,7 +4,9 @@ Two operators compose by tracing out the wires they share, with a partial
 transpose applied to the first operator's copy of the shared wires.  With
 Choi operators this reproduces channel composition: connecting an output
 wire of one circuit fragment to the equally labeled input wire of another
-yields the fragment obtained by plugging them together.
+yields the fragment obtained by plugging them together.  The trace is taken
+by contracting the shared indices directly, so no operator on the union of
+both wire sets is ever formed.
 
 The contraction is symmetric (up to wire reordering) and associative over
 networks where every label occurs in at most two parts, so a network of
@@ -13,6 +15,7 @@ fragments can be assembled pairwise in any order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,79 +39,38 @@ def _shared_labels(a: LabeledOperator, b: LabeledOperator) -> list[str]:
 def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Contract two labeled operators over their shared wires.
 
+    Computes A * B = Tr_s[A^{T_s} B] as one einsum over the operands' own
+    tensor views, never padding either side with identities: on every
+    shared wire s, a's row index is summed against b's row index and a's
+    column index against b's column index.
+
     Disjoint label sets degenerate to the tensor product; fully shared
     label sets produce a scalar operator (empty wire tuple).
 
     The result carries the surviving wires in the order: wires only on
     ``a``, then wires only on ``b``.
     """
-    shared = _shared_labels(a, b)
+    shared = set(_shared_labels(a, b))
     a_only = [lbl for lbl in a.labels if lbl not in shared]
     b_only = [lbl for lbl in b.labels if lbl not in shared]
 
-    # Pad each side with identities on the other's private wires, align the
-    # wire order, transpose the first factor's shared wires, multiply, and
-    # trace the shared wires out.
-    order = a_only + shared + b_only
-    b_pad_wires = tuple(a.wire(lbl) for lbl in a_only)
-    a_pad_wires = tuple(b.wire(lbl) for lbl in b_only)
-    a_full = a if not a_pad_wires else a.tensor(LabeledOperator.identity(a_pad_wires))
-    b_full = b if not b_pad_wires else LabeledOperator.identity(b_pad_wires).tensor(b)
-    a_full = a_full.permuted(order).ptranspose(shared)
-    b_full = b_full.permuted(order)
-    prod = a_full @ b_full
-    return prod.ptrace(shared)
+    # One (row, column) pair of einsum axis ids per label; a shared label
+    # gets the same pair on both sides, so both of its indices contract.
+    axis = {lbl: 2 * i for i, lbl in enumerate(dict.fromkeys(a.labels + b.labels))}
 
+    def subscripts(labels):
+        return [axis[lbl] for lbl in labels] + [axis[lbl] + 1 for lbl in labels]
 
-def _link_einsum(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Same contraction as :func:`link_product` without identity padding.
-
-    Internal alternative used to cross-check the padded route; contracts
-    the shared wires directly.
-    """
-    shared = _shared_labels(a, b)
-    a_only = [lbl for lbl in a.labels if lbl not in shared]
-    b_only = [lbl for lbl in b.labels if lbl not in shared]
-
-    na = len(a.wires)
-    nb = len(b.wires)
-    a_view = a.matrix.reshape(a.dims + a.dims)
-    b_view = b.matrix.reshape(b.dims + b.dims)
-
-    # Subscript plan: every wire slot gets an integer axis id.  For a wire j
-    # shared between the factors, the transpose-then-trace rule contracts
-    # a's row index of j with b's column index of j, and a's column index
-    # of j with b's row index of j.
-    next_id = 0
-
-    def fresh():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    a_row = {}
-    a_col = {}
-    for w in a.wires:
-        a_row[w.label] = fresh()
-        a_col[w.label] = fresh()
-    b_row = {}
-    b_col = {}
-    for w in b.wires:
-        if w.label in shared:
-            b_row[w.label] = a_col[w.label]
-            b_col[w.label] = a_row[w.label]
-        else:
-            b_row[w.label] = fresh()
-            b_col[w.label] = fresh()
-
-    a_subs = [a_row[w.label] for w in a.wires] + [a_col[w.label] for w in a.wires]
-    b_subs = [b_row[w.label] for w in b.wires] + [b_col[w.label] for w in b.wires]
-    out_rows = [a_row[lbl] for lbl in a_only] + [b_row[lbl] for lbl in b_only]
-    out_cols = [a_col[lbl] for lbl in a_only] + [b_col[lbl] for lbl in b_only]
-
-    res = np.einsum(a_view, a_subs, b_view, b_subs, out_rows + out_cols)
+    res = np.einsum(
+        a.matrix.reshape(a.dims + a.dims),
+        subscripts(a.labels),
+        b.matrix.reshape(b.dims + b.dims),
+        subscripts(b.labels),
+        subscripts(a_only + b_only),
+        optimize=True,
+    )
     wires = tuple(a.wire(lbl) for lbl in a_only) + tuple(b.wire(lbl) for lbl in b_only)
-    d = int(np.prod([w.dim for w in wires], dtype=np.int64)) if wires else 1
+    d = math.prod(w.dim for w in wires)
     return LabeledOperator(wires, res.reshape(d, d))
 
 

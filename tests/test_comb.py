@@ -146,6 +146,13 @@ def test_random_comb_argument_errors():
         random_comb(big, [4, 4], 0)
 
 
+def test_random_comb_caps_a_tooth_wider_than_the_chain():
+    # A 32-dim memory makes the second tooth 8192-dim while the linked
+    # chain stays at 1024; the cap must refuse before building the tooth.
+    with pytest.raises(DimOverflowError, match="tooth 1 needs dimension 8192"):
+        random_comb(S2222, [32], 0)
+
+
 # ---------------------------------------------------------------------------
 # Supermap action
 

@@ -96,6 +96,25 @@ def test_loads_rejects_malformed_documents(mangle):
         OperatorFile.loads(mangle(doc))
 
 
+@pytest.mark.parametrize(
+    "index, value",
+    [(0, 1.5), (3, [1.0, 2.0, 3.0]), (35, [0.0, "x"]), (17, [[1.0, 2.0], 0.0])],
+)
+def test_loads_names_the_malformed_entry(index, value):
+    doc = json.loads(sample_file().dumps())
+    with pytest.raises(OperatorFileError, match=rf"^entry {index} is not an \[re, im\] pair"):
+        OperatorFile.loads(_set_entry(doc, index, value))
+
+
+def test_loads_accepts_integer_and_boolean_components():
+    doc = json.loads(sample_file().dumps())
+    doc["entries"] = [[i, -i] for i in range(35)] + [[True, False]]
+    g = OperatorFile.loads(json.dumps(doc))
+    expected = np.array([i - 1j * i for i in range(35)] + [1], dtype=complex)
+    assert np.array_equal(g.matrix.ravel(), expected)
+    assert OperatorFile.loads(g.dumps()).dumps() == g.dumps()
+
+
 def _drop_key(doc, key):
     doc.pop(key)
     return json.dumps(doc)

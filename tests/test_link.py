@@ -49,6 +49,40 @@ def test_commutative():
         assert diff < 1e-12
 
 
+def padded_link(a, b):
+    """Tr_s[(A (x) I_b)^{T_s} (I_a (x) B)]: the definition, with each side
+    padded by identities up to the union of both wire sets."""
+    shared = [lbl for lbl in a.labels if lbl in b.labels]
+    a_only = [w for w in a.wires if w.label not in shared]
+    b_only = [w for w in b.wires if w.label not in shared]
+    order = [w.label for w in a_only] + shared + [w.label for w in b_only]
+    a_full = a.tensor(LabeledOperator.identity(b_only)).permuted(order)
+    b_full = LabeledOperator.identity(a_only).tensor(b).permuted(order)
+    return (a_full.ptranspose(shared) @ b_full).ptrace(shared)
+
+
+@pytest.mark.parametrize(
+    "n_shared, n_a, n_b",
+    [(0, 2, 2), (1, 1, 2), (2, 2, 1), (2, 0, 1), (3, 0, 0)],
+)
+def test_matches_padded_definition(n_shared, n_a, n_b):
+    rng = np.random.default_rng(100 + 10 * n_shared + n_a)
+    pick = lambda tag, n: [
+        Wire(f"{tag}{i}", int(rng.integers(1, 4))) for i in range(n)
+    ]
+    for _ in range(10):
+        shared = pick("s", n_shared)
+        a_wires = shared + pick("a", n_a)
+        b_wires = shared + pick("b", n_b)
+        # Shared wires sit at independent positions on each side.
+        a = rand_op([a_wires[i] for i in rng.permutation(len(a_wires))], rng)
+        b = rand_op([b_wires[i] for i in rng.permutation(len(b_wires))], rng)
+        ref = padded_link(a, b)
+        got = link_product(a, b)
+        assert got.labels == ref.labels
+        assert (got - ref).norm() <= 1e-12 * ref.norm()
+
+
 def test_disjoint_labels_is_tensor_product():
     rng = np.random.default_rng(1)
     a = rand_op([Wire("x", 2)], rng)
