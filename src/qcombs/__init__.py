@@ -48,6 +48,7 @@ from .errors import (
     OperatorFileError,
     QCombsError,
     SlotArityMismatchError,
+    TooManyWiresError,
     TripleLabelError,
     UnknownLabelError,
     UnsupportedError,
@@ -111,6 +112,7 @@ __all__ = [
     "SdpSolution",
     "SlotArityMismatchError",
     "TOL_VERIFY",
+    "TooManyWiresError",
     "TripleLabelError",
     "TwirlSpec",
     "UnknownLabelError",

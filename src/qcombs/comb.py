@@ -35,7 +35,7 @@ from .errors import (
     SlotArityMismatchError,
 )
 from .haar import haar_isometry
-from .labeled import LabeledOperator, LabeledVector, Wire
+from .labeled import LabeledOperator, LabeledVector, Wire, _real_if_exact
 from .link import link_product
 
 #: Hard cap on any operator dimension materialized while generating or
@@ -507,6 +507,13 @@ def _affine_projection(
     return out
 
 
+def _psd_part(mat: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clip)."""
+    h = (mat + mat.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def project_to_comb(
     X: LabeledOperator,
     structure: CombStructure,
@@ -527,15 +534,14 @@ def project_to_comb(
         )
     dims = structure.dims
     wires = structure.wires
-    z = X.permuted(structure.labels).hermitized().matrix.copy()
+    z = _real_if_exact(X.permuted(structure.labels).hermitized().matrix)
     trace_value = float(structure.trace_value)
 
     gap = np.inf
     for it in range(1, iters + 1):
         y = _affine_projection(z, dims, trace_value)
         y = (y + y.conj().T) / 2.0
-        w_eig, v = np.linalg.eigh(y)
-        z_new = (v * np.clip(w_eig, 0.0, None)) @ v.conj().T
+        z_new = _psd_part(y)
         z_new = (z_new + z_new.conj().T) / 2.0
         gap = float(np.linalg.norm(z_new - y))
         z = z_new

@@ -51,6 +51,10 @@ class DimOverflowError(QCombsError):
     """Total dimension exceeds the supported dense-storage cap."""
 
 
+class TooManyWiresError(QCombsError):
+    """A contraction spans more wires than one einsum call can index."""
+
+
 class IndexOutOfRangeError(QCombsError):
     """A tooth index lies outside the comb's range."""
 

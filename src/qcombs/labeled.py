@@ -23,11 +23,16 @@ from .errors import (
     DuplicateLabelError,
     NotAPermutationError,
     NotHermitianError,
+    TooManyWiresError,
     UnknownLabelError,
 )
 
 # Relative Frobenius tolerance below which a matrix counts as Hermitian.
 EPS_HERMITIAN = 1e-9
+
+#: Most wires one einsum contraction can index: numpy has 52 axis ids, and
+#: every wire takes two of them (its row and its column index).
+MAX_EINSUM_WIRES = 26
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,19 @@ def _check_wires(wires: Sequence[Wire]) -> tuple[Wire, ...]:
 
 def _total_dim(wires: Sequence[Wire]) -> int:
     return math.prod(w.dim for w in wires)
+
+
+def _check_einsum_wires(n: int) -> None:
+    if n > MAX_EINSUM_WIRES:
+        raise TooManyWiresError(
+            f"a contraction over {n} distinct wires exceeds the limit of "
+            f"{MAX_EINSUM_WIRES}"
+        )
+
+
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """``mat`` in float64 if its imaginary part is exactly zero, else as is."""
+    return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -223,6 +241,7 @@ class LabeledOperator:
         if not traced:
             return self
         n = len(self.wires)
+        _check_einsum_wires(n)
         dims = self.dims
         view = self.matrix.reshape(dims + dims)
         row_sub = list(range(n))
@@ -331,8 +350,9 @@ class LabeledOperator:
         return LabeledOperator(self.wires, (v * wc) @ v.conj().T)
 
     def min_eigenvalue(self) -> float:
-        w, _ = self.eigh()
-        return float(w[0])
+        self._require_hermitian()
+        h = 0.5 * (self.matrix + self.matrix.conj().T)
+        return float(np.linalg.eigvalsh(_real_if_exact(h))[0])
 
 
 class LabeledVector:

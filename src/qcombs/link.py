@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, TripleLabelError
-from .labeled import LabeledOperator
+from .labeled import LabeledOperator, _check_einsum_wires
 
 
 def _shared_labels(a: LabeledOperator, b: LabeledOperator) -> list[str]:
@@ -56,7 +56,9 @@ def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
     # One (row, column) pair of einsum axis ids per label; a shared label
     # gets the same pair on both sides, so both of its indices contract.
-    axis = {lbl: 2 * i for i, lbl in enumerate(dict.fromkeys(a.labels + b.labels))}
+    union = dict.fromkeys(a.labels + b.labels)
+    _check_einsum_wires(len(union))
+    axis = {lbl: 2 * i for i, lbl in enumerate(union)}
 
     def subscripts(labels):
         return [axis[lbl] for lbl in labels] + [axis[lbl] + 1 for lbl in labels]

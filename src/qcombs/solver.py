@@ -22,6 +22,11 @@ optimum <= alpha * trace_value.  The scaled ADMM dual variable converges
 to Omega - T for the optimal T; projecting it back into the constraint
 range and shifting along the identity until T - Omega is positive repairs
 it into a valid certificate at any accuracy.
+
+The comb constraints commute with complex conjugation, so when Omega has
+an imaginary part of exactly zero, Re X is a comb of the same value as X,
+and the solve and the dual-bound re-check run in float64 with no loss;
+any other Omega runs in complex128.  R_star is complex either way.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .comb import (
     QuantumComb,
     _affine_projection,
     _fresh_label,
+    _psd_part,
     verify_causality,
 )
 from .errors import (
@@ -45,7 +51,7 @@ from .errors import (
     InvalidBranchSumError,
     LabelMismatchError,
 )
-from .labeled import LabeledOperator, Wire
+from .labeled import LabeledOperator, Wire, _real_if_exact
 from .objective import PerformanceOperator
 
 # Dense ADMM with one eigendecomposition per iteration; past this the
@@ -131,12 +137,6 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
-def _psd_part(mat: np.ndarray) -> np.ndarray:
-    h = (mat + mat.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
 def _polish(x: np.ndarray, mixed: np.ndarray, floor: float) -> np.ndarray:
     """Mix an affine-exact iterate toward the maximally mixed comb until
     positive.  Affine combinations stay on the affine set, and the mixing
@@ -205,7 +205,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     dims = structure.dims
     tv = float(structure.trace_value)
     om = p.omega.omega.permuted(structure.labels).matrix
-    om = (om + om.conj().T) / 2.0
+    om = _real_if_exact((om + om.conj().T) / 2.0)
 
     eye = np.eye(D)
     mixed = (tv / D) * eye
@@ -213,7 +213,7 @@ def solve(p: SdpProblem) -> SdpSolution:
 
     x = mixed.copy()
     z = mixed.copy()
-    u = np.zeros((D, D), dtype=complex)
+    u = np.zeros((D, D), dtype=om.dtype)
     rho = 1.0
 
     best_mat = mixed
@@ -239,7 +239,8 @@ def solve(p: SdpProblem) -> SdpSolution:
         r_rel = r / scale
         s_rel = s / (1.0 + rho * float(np.linalg.norm(u)))
 
-        if k == 1 or k % _POLISH_EVERY == 0 or k == p.max_iters:
+        polished = k == 1 or k % _POLISH_EVERY == 0 or k == p.max_iters
+        if polished:
             cand = _polish(x, mixed, floor)
             val = _pair(cand, om)
             if val > best_val:
@@ -266,11 +267,12 @@ def solve(p: SdpProblem) -> SdpSolution:
                 rho /= 2.0
                 u *= 2.0
 
-    cand = _polish(x, mixed, floor)
-    val = _pair(cand, om)
-    if val > best_val:
-        best_val = val
-        best_mat = cand
+    if not polished:
+        cand = _polish(x, mixed, floor)
+        val = _pair(cand, om)
+        if val > best_val:
+            best_val = val
+            best_mat = cand
 
     cert, bound = _build_certificate(om, rho * u, dims, tv)
     gap = None if bound is None else max(bound - best_val, 0.0)
@@ -307,10 +309,11 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
         raise BoundUnavailableError("the candidate carries no dual certificate")
     if not np.all(np.isfinite(cert)):
         raise BoundUnavailableError("the dual certificate is not finite")
+    cert = _real_if_exact(cert)
     structure = p.structure
     D = structure.dim
     om = p.omega.omega.permuted(structure.labels).matrix
-    om = (om + om.conj().T) / 2.0
+    om = _real_if_exact((om + om.conj().T) / 2.0)
     scale = 1.0 + float(np.linalg.norm(cert))
     tol = 1e-8 * scale
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:

@@ -9,6 +9,7 @@ from qcombs import (
     LabeledVector,
     NotAPermutationError,
     NotHermitianError,
+    TooManyWiresError,
     UnknownLabelError,
     Wire,
     ginibre,
@@ -109,6 +110,15 @@ def test_ptrace():
     assert s.trace() == pytest.approx(x.trace() * y.trace())
     with pytest.raises(UnknownLabelError):
         t.ptrace(["nope"])
+
+
+def test_ptrace_names_the_wire_limit():
+    # Every wire takes two of numpy's 52 einsum axis ids.
+    wide = LabeledOperator.identity([Wire(f"w{i}", 1) for i in range(30)])
+    with pytest.raises(TooManyWiresError, match="30 .* 26"):
+        wide.ptrace(["w0"])
+    edge = LabeledOperator.identity([Wire(f"w{i}", 1) for i in range(26)])
+    assert edge.ptrace(["w0"]).dim == 1
 
 
 def test_ptranspose_involution_and_spectrum():

@@ -8,6 +8,7 @@ from qcombs import (
     KrausMap,
     LabeledOperator,
     Network,
+    TooManyWiresError,
     TripleLabelError,
     Wire,
     assemble,
@@ -81,6 +82,18 @@ def test_matches_padded_definition(n_shared, n_a, n_b):
         got = link_product(a, b)
         assert got.labels == ref.labels
         assert (got - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_link_names_the_wire_limit():
+    def ident(labels):
+        return LabeledOperator.identity([Wire(lbl, 1) for lbl in labels])
+
+    a = ident([f"a{i}" for i in range(14)])
+    with pytest.raises(TooManyWiresError, match="28 .* 26"):
+        link_product(a, ident([f"b{i}" for i in range(14)]))
+    # Shared wires count once: 14 + 14 wires, two of them shared, are 26.
+    b = ident([f"a{i}" for i in range(2)] + [f"b{i}" for i in range(12)])
+    assert link_product(a, b).labels == a.labels[2:] + b.labels[2:]
 
 
 def test_disjoint_labels_is_tensor_product():

@@ -180,3 +180,35 @@ def test_probabilistic_argument_errors():
     other = cloning_objective(1, 1, 2)
     with pytest.raises(LabelMismatchError):
         solve_probabilistic([other], po.structure)
+
+
+def test_imaginary_objective_is_solved_over_complex_combs():
+    # Omega = I (x) sigma_y scores 0 on every real comb; the channel that
+    # prepares the +1 eigenstate of sigma_y scores 2, the optimum.
+    s = CombStructure.standard([2, 2])
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    omega = PerformanceOperator(LabeledOperator(s.wires, np.kron(np.eye(2), sigma_y)), s)
+    p = SdpProblem(omega, s)
+    sol = solve(p)
+    bound = dual_bound(p, sol)
+    assert sol.value - 1e-12 <= 2.0 <= bound + 1e-12
+    assert sol.value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_real_objective_matches_its_complex_twin():
+    po = learning_objective(1, 2)
+    # Averaging leaves rounding in the imaginary part, so po stays complex.
+    assert po.omega.matrix.imag.any()
+    real = PerformanceOperator(
+        LabeledOperator(po.omega.wires, po.omega.matrix.real), po.structure
+    )
+    sols = []
+    for q in (po, real):
+        p = problem_for(q)
+        sol = solve(p)
+        assert sol.value - 1e-12 <= 0.5 <= dual_bound(p, sol) + 1e-12
+        sols.append(sol)
+    cplx, re = sols
+    assert re.iterations == cplx.iterations
+    assert re.value == pytest.approx(cplx.value, abs=1e-9)
+    assert re.dual_certificate.dtype == np.float64
