@@ -263,6 +263,12 @@ class CausalityReport:
     hermiticity: float
     tol: float
 
+    @property
+    def violation(self) -> float:
+        """Worst of the level residuals, the negative part of the smallest
+        eigenvalue and the hermiticity: 0 on an exact comb."""
+        return max(*self.residuals, -self.min_eigenvalue, 0.0, self.hermiticity)
+
     def __str__(self):
         worst = max(self.residuals) if self.residuals else 0.0
         status = "pass" if self.passed else "FAIL"
@@ -471,13 +477,6 @@ def supermap_apply(
     return ChoiOperator(result, out_labels, in_labels)
 
 
-def _tail_depolarized(mat: np.ndarray, head_dim: int, tail_dim: int) -> np.ndarray:
-    """Replace the trailing tensor factor by its maximally mixed marginal."""
-    x = mat.reshape(head_dim, tail_dim, head_dim, tail_dim)
-    head = np.einsum("aibi->ab", x)
-    return np.kron(head, np.eye(tail_dim)) / tail_dim
-
-
 def _affine_projection(
     mat: np.ndarray, dims: Sequence[int], trace_value: float
 ) -> np.ndarray:
@@ -491,19 +490,32 @@ def _affine_projection(
     smaller one), so projecting onto their joint kernel just subtracts every
     G_n(X), and the trace constraint shifts along the identity, which the
     G_n annihilate.
+
+    With M_w = Tr_{wires w..}[X], t_w the dimension of those wires and
+    M_2T = X, Delta_w(X) = M_w / t_w (x) I, so the projection before the
+    trace shift is sum_w (-1)^w M_w / t_w (x) I over w = 0..2T.  Each M_w is
+    a partial trace of M_{w+1}, and the sum is accumulated in Horner form,
+    adding the running sum to the diagonal blocks of the next term, so no
+    Kronecker product is built.
     """
     D = mat.shape[0]
-    # Delta_w for every cut position w = 0..2T-1; w = 0 is full depolarization.
-    deltas = {}
-    tail = 1
-    for w in range(len(dims) - 1, -1, -1):
-        tail *= dims[w]
-        deltas[w] = _tail_depolarized(mat, D // tail, tail)
-    total = np.zeros_like(mat)
-    for n in range(len(dims) // 2):
-        total += deltas[2 * n + 1] - deltas[2 * n]
-    out = mat - total
-    out += (trace_value - np.trace(out).real) / D * np.eye(D)
+    marg = [mat]
+    for d in reversed(dims):
+        h = marg[-1].shape[0] // d
+        marg.append(np.einsum("aibi->ab", marg[-1].reshape(h, d, h, d)))
+    marg.reverse()
+
+    out = marg[0] / D
+    tail = D
+    for w, d in enumerate(dims, start=1):
+        tail //= d
+        nxt = ((-1) ** w / tail) * marg[w]
+        h = nxt.shape[0] // d
+        blocks = nxt.reshape(h, d, h, d)
+        for j in range(d):
+            blocks[:, j, :, j] += out
+        out = nxt
+    out.flat[:: D + 1] += (trace_value - np.trace(out).real) / D
     return out
 
 

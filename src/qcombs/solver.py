@@ -23,6 +23,11 @@ to Omega - T for the optimal T; projecting it back into the constraint
 range and shifting along the identity until T - Omega is positive repairs
 it into a valid certificate at any accuracy.
 
+The solve stops on that certificate, as SCS does: every checkpoint
+polishes, repairs the current dual variable into a certificate and stops
+as soon as bound - value <= tol_gap * (1 + |value|).  The polished point
+is exactly feasible, so feasibility needs no stopping test of its own.
+
 The comb constraints commute with complex conjugation, so when Omega has
 an imaginary part of exactly zero, Re X is a comb of the same value as X,
 and the solve and the dual-bound re-check run in float64 with no loss;
@@ -61,15 +66,17 @@ SOLVE_DIM_CAP = 1024
 _OVER_RELAXATION = 1.6
 _POLISH_EVERY = 10
 _BALANCE_EVERY = 100
-_WINDOW = 50
 
 
 @dataclass(frozen=True)
 class SdpProblem:
     """A linear objective over the combs of a fixed structure.
 
-    seed is stored for interface stability; the splitting backend is
-    deterministic and does not consume randomness.
+    tol_gap is the stopping tolerance of solve.  tol_feas does not change
+    when solve stops, because every value it reports comes from an exactly
+    feasible comb; solve_probabilistic verifies its branch sum with it, and
+    the command line sets both from --tol.  seed is stored for interface
+    stability; the splitting backend is deterministic and uses no randomness.
     """
 
     omega: PerformanceOperator
@@ -94,7 +101,8 @@ class SdpSolution:
     R_star is exactly feasible (it passes verify_causality far inside
     tol_feas); value = Tr[R_star Omega].  gap_bound, when present, is the
     difference between a verified dual upper bound and value, so the true
-    optimum lies in [value, value + gap_bound].  trace_log holds one
+    optimum lies in [value, value + gap_bound].  converged means the solve
+    stopped on gap_bound <= tol_gap * (1 + |value|).  trace_log holds one
     (best feasible value, relative primal residual) row per iteration.
     """
 
@@ -163,12 +171,12 @@ def _dual_range_projection(mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 
 def _build_certificate(
-    om: np.ndarray, u_scaled: np.ndarray, dims: Sequence[int], trace_value: float
+    om: np.ndarray, u_scaled: np.ndarray, dims: Sequence[int], tv: float, flat: float
 ):
     """Repair the ADMM dual variable into a valid upper-bound certificate.
 
-    Returns (T, bound) with T in the constraint range and T - Omega >= 0,
-    or (None, None) if the arithmetic degenerated.
+    flat is lambda_max(Omega).  Returns (T, bound) with T in the constraint
+    range and T - Omega >= 0, or (None, None) if the arithmetic degenerated.
     """
     D = om.shape[0]
     cand = om - u_scaled
@@ -176,14 +184,13 @@ def _build_certificate(
     lo = float(np.linalg.eigvalsh(cand - om)[0])
     if lo < 0.0:
         cand = cand + (-lo) * np.eye(D)
-    bound = float(np.trace(cand).real) * trace_value / D
+    bound = float(np.trace(cand).real) * tv / D
 
     # The flat certificate lambda_max(Omega) * I is always valid; keep
     # whichever is tighter.
-    flat = float(np.linalg.eigvalsh(om)[-1])
-    if flat * trace_value < bound:
+    if flat * tv < bound:
         cand = flat * np.eye(D)
-        bound = flat * trace_value
+        bound = flat * tv
     if not np.isfinite(bound):
         return None, None
     return cand, bound
@@ -192,7 +199,8 @@ def _build_certificate(
 def solve(p: SdpProblem) -> SdpSolution:
     """Maximize Tr[R Omega] over deterministic combs on p.structure.
 
-    Deterministic: identical problems produce identical trace logs.  On
+    Deterministic: identical problems produce identical trace logs.  Stops
+    at the first checkpoint whose certified gap is within tol_gap; on
     hitting max_iters the best feasible iterate is still returned, with
     converged = False.
     """
@@ -207,9 +215,9 @@ def solve(p: SdpProblem) -> SdpSolution:
     om = p.omega.omega.permuted(structure.labels).matrix
     om = _real_if_exact((om + om.conj().T) / 2.0)
 
-    eye = np.eye(D)
-    mixed = (tv / D) * eye
+    mixed = (tv / D) * np.eye(D)
     floor = tv / D
+    flat = float(np.linalg.eigvalsh(om)[-1])
 
     x = mixed.copy()
     z = mixed.copy()
@@ -218,11 +226,11 @@ def solve(p: SdpProblem) -> SdpSolution:
 
     best_mat = mixed
     best_val = _pair(mixed, om)
-    best_vals: list[float] = []
     trace_log: list[tuple[float, float]] = []
     converged = False
-    k = 0
 
+    # max_iters >= 1 and the last iteration is a checkpoint, so the loop
+    # always leaves k, cert and gap set by its final checkpoint.
     for k in range(1, p.max_iters + 1):
         w_in = z - u + om / rho
         w_in = (w_in + w_in.conj().T) / 2.0
@@ -237,27 +245,22 @@ def solve(p: SdpProblem) -> SdpSolution:
         s = rho * float(np.linalg.norm(z - z_prev))
         scale = 1.0 + max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
         r_rel = r / scale
-        s_rel = s / (1.0 + rho * float(np.linalg.norm(u)))
 
-        polished = k == 1 or k % _POLISH_EVERY == 0 or k == p.max_iters
-        if polished:
+        checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
+        if k == 1 or checkpoint:
             cand = _polish(x, mixed, floor)
             val = _pair(cand, om)
             if val > best_val:
                 best_val = val
                 best_mat = cand
-        best_vals.append(best_val)
         trace_log.append((best_val, r_rel))
 
-        if (
-            k > _WINDOW
-            and r_rel <= p.tol_feas
-            and s_rel <= p.tol_feas
-            and best_vals[-1] - best_vals[-1 - _WINDOW]
-            <= p.tol_gap * (1.0 + abs(best_vals[-1]))
-        ):
-            converged = True
-            break
+        if checkpoint:
+            cert, bound = _build_certificate(om, rho * u, dims, tv, flat)
+            gap = None if bound is None else max(bound - best_val, 0.0)
+            if gap is not None and gap <= p.tol_gap * (1.0 + abs(best_val)):
+                converged = True
+                break
 
         if k % _BALANCE_EVERY == 0:
             if r > 10.0 * s and rho < 1e4:
@@ -267,27 +270,11 @@ def solve(p: SdpProblem) -> SdpSolution:
                 rho /= 2.0
                 u *= 2.0
 
-    if not polished:
-        cand = _polish(x, mixed, floor)
-        val = _pair(cand, om)
-        if val > best_val:
-            best_val = val
-            best_mat = cand
-
-    cert, bound = _build_certificate(om, rho * u, dims, tv)
-    gap = None if bound is None else max(bound - best_val, 0.0)
-
     R_star = QuantumComb(LabeledOperator(structure.wires, best_mat), structure)
-    report = verify_causality(R_star.op, structure)
-    feas = max(
-        max(report.residuals),
-        max(0.0, -report.min_eigenvalue),
-        report.hermiticity,
-    )
     return SdpSolution(
         R_star=R_star,
         value=best_val,
-        feas_residual=feas,
+        feas_residual=verify_causality(R_star.op, structure).violation,
         gap_bound=gap,
         iterations=k,
         converged=converged,

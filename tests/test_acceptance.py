@@ -99,7 +99,7 @@ def test_two_use_learning_reference_value():
 
 @pytest.mark.skipif(
     not os.environ.get("QCOMBS_STRETCH"),
-    reason="qutrit cloning run (about 10 minutes) not attempted; "
+    reason="qutrit cloning run (about 40 seconds) not attempted; "
     "set QCOMBS_STRETCH=1 to run it",
 )
 def test_qutrit_cloning_fidelity():

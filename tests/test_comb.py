@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qcombs import (
     CombStructure,
@@ -27,6 +27,7 @@ from qcombs import (
     supermap_apply,
     verify_causality,
 )
+from qcombs.comb import _affine_projection
 from conftest import rand_hermitian, rand_kraus, sample_sequential_network
 
 S22 = CombStructure.standard([2, 2])
@@ -220,6 +221,56 @@ def test_projection_of_perturbed_comb_is_comb():
     noise = LabeledOperator(comb.op.wires, 0.05 * rand_hermitian(16, rng))
     out = project_to_comb(comb.op + noise, S2222)
     assert out.verify(tol=1e-8).passed
+
+
+def _depolarize_each_tail(mat, dims, trace_value):
+    """The affine projection as defined: subtract Delta_{2n+1}(X) -
+    Delta_{2n}(X) for every tooth n, each Delta_w built as a full-size
+    Kronecker product of the head marginal with the maximally mixed tail."""
+    D = mat.shape[0]
+    deltas = {}
+    tail = 1
+    for w in range(len(dims) - 1, -1, -1):
+        tail *= dims[w]
+        head = D // tail
+        marginal = np.einsum("aibi->ab", mat.reshape(head, tail, head, tail))
+        deltas[w] = np.kron(marginal, np.eye(tail)) / tail
+    out = mat.copy()
+    for n in range(len(dims) // 2):
+        out -= deltas[2 * n + 1] - deltas[2 * n]
+    out += (trace_value - np.trace(out).real) / D * np.eye(D)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (2, 2),
+        (1, 3),
+        (3, 1),
+        (2, 3, 1, 2),
+        (3, 3, 3, 3),
+        (2, 2, 2, 2, 2, 2, 2, 2),
+        (2, 1, 3, 2, 1, 2, 2, 1, 2, 1),
+    ],
+)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_affine_projection_matches_its_definition(dims, field):
+    rng = np.random.default_rng(len(dims))
+    structure = CombStructure.standard(dims)
+    D = structure.dim
+    x = rand_hermitian(D, rng)
+    if field == "real":
+        x = x.real.copy()
+    tv = float(structure.trace_value)
+    before = x.copy()
+    got = _affine_projection(x, dims, tv)
+    assert_array_equal(x, before)
+    assert got.dtype == x.dtype
+    assert_allclose(got, _depolarize_each_tail(x, dims, tv), atol=1e-12)
+    assert_allclose(_affine_projection(got, dims, tv), got, atol=1e-12)
+    report = verify_causality(LabeledOperator(structure.wires, got), structure)
+    assert max(report.residuals) < 1e-12
 
 
 def test_projection_budget_exhaustion():

@@ -242,6 +242,25 @@ def test_learn_json_record(capsys):
     assert rec.backend == "projection-splitting"
 
 
+def test_learn_quotes_the_true_qubit_constant(capsys):
+    code = main(["learn", "--uses", "2", "--json"])
+    rec = ResultRecord.from_json(capsys.readouterr().out)
+    assert code == 0
+    assert rec.reference_source == "stored-constant"
+    assert rec.reference_value == pytest.approx(np.cos(np.pi / 5) ** 2, abs=1e-15)
+    assert rec.value - 1e-12 <= rec.reference_value <= rec.value + rec.gap_bound + 1e-12
+
+
+def test_unconverged_output_prints_the_certified_interval(capsys):
+    assert main(["clone", "--n", "1", "--m", "2", "--max-iters", "5"]) == 3
+    rows = dict(
+        line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+    )
+    low, high = (float(v) for v in rows["certified"].strip("[]").split(","))
+    assert float(rows["value"]) == low
+    assert low <= (2 + np.sqrt(3)) / 8 <= high
+
+
 def test_invalid_parameters_exit_2(capsys):
     assert main(["clone", "--n", "0", "--m", "2"]) == 2
     assert main(["clone", "--n", "1", "--m", "2", "--dim", "1"]) == 2

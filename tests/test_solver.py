@@ -121,6 +121,27 @@ def test_budget_exhaustion_returns_best_feasible():
     assert sol.value <= (2 + np.sqrt(3)) / 8 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 2),
+        lambda: learning_objective(1, 2),
+        lambda: learning_objective(2, 2),
+    ],
+    ids=["clone12", "learn1", "learn2"],
+)
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_converged_means_certified_gap(build, tol):
+    p = problem_for(build(), tol_feas=tol, tol_gap=tol)
+    sol = solve(p)
+    assert sol.converged
+    assert sol.gap_bound <= p.tol_gap * (1.0 + abs(sol.value))
+    assert dual_bound(p, sol) - sol.value <= p.tol_gap * (1.0 + abs(sol.value))
+    short = solve(dataclasses.replace(p, max_iters=40))
+    assert not short.converged
+    assert short.gap_bound > p.tol_gap * (1.0 + abs(short.value))
+
+
 def test_dimension_cap():
     wires = tuple(Wire(str(i), d) for i, d in enumerate([8, 8, 8, 4]))
     structure = CombStructure(((wires[0], wires[1]), (wires[2], wires[3])))
