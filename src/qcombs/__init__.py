@@ -34,7 +34,6 @@ from .comb import (
 )
 from .errors import (
     BoundUnavailableError,
-    DesignInsufficientError,
     DimMismatchError,
     DimOverflowError,
     DuplicateLabelError,
@@ -60,7 +59,6 @@ from .link import Network, assemble, link_product
 from .objective import (
     PerformanceOperator,
     TwirlSpec,
-    clifford_group,
     cloning_objective,
     estimation_reference,
     haar_average,
@@ -82,7 +80,6 @@ __all__ = [
     "CausalityReport",
     "ChoiOperator",
     "CombStructure",
-    "DesignInsufficientError",
     "DimMismatchError",
     "DimOverflowError",
     "DuplicateLabelError",
@@ -121,7 +118,6 @@ __all__ = [
     "apply_choi",
     "assemble",
     "choi_to_kraus",
-    "clifford_group",
     "cloning_objective",
     "dual_bound",
     "estimation_reference",

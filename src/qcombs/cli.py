@@ -135,43 +135,23 @@ def _int_list(text: str, what: str) -> list[int]:
     return vals
 
 
-def _run_solve(po, tol: float, seed: int, max_iters: int):
+def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int:
+    """Solve po, write --out if asked, and emit the result record of task.
+
+    params holds the task's own parameters; the record adds tol and seed,
+    and the operator file's metadata adds the seed, value and converged.
+    """
+    tol = args.tol if args.tol is not None else 1e-6
     problem = SdpProblem(
-        po, po.structure, tol_feas=tol, tol_gap=tol, max_iters=max_iters, seed=seed
+        po, po.structure, tol_feas=tol, tol_gap=tol, max_iters=args.max_iters
     )
     t0 = time.perf_counter()
     sol = solve(problem)
-    return sol, time.perf_counter() - t0
-
-
-# ---------------------------------------------------------------------------
-# Commands
-
-
-def cmd_clone(args) -> int:
-    if args.n < 1 or args.m < 1 or args.dim < 2:
-        raise _CliInputError("need --n >= 1, --m >= 1, --dim >= 2")
-    tol = args.tol if args.tol is not None else 1e-6
-    po = cloning_objective(args.n, args.m, args.dim)
-    sol, wall = _run_solve(po, tol, args.seed, args.max_iters)
-
-    d = args.dim
-    reference, source = None, "none"
-    extra = []
-    if (args.n, args.m) == (1, 2):
-        reference = (d + math.sqrt(d * d - 1)) / d**3
-        source = "paper-closed-form"
-        extra.append(("estimation", f"{estimation_reference(1, 2, d):.12g}"))
+    wall = time.perf_counter() - t0
 
     record = ResultRecord(
-        task="clone",
-        parameters={
-            "n": args.n,
-            "m": args.m,
-            "dim": args.dim,
-            "tol": tol,
-            "seed": args.seed,
-        },
+        task=task,
+        parameters={**params, "tol": tol, "seed": args.seed},
         value=sol.value,
         reference_value=reference,
         reference_source=source,
@@ -183,29 +163,43 @@ def cmd_clone(args) -> int:
         converged=sol.converged,
     )
     if args.out:
-        _write_and_recheck(
-            sol.R_star,
-            {
-                "task": "clone",
-                "n": args.n,
-                "m": args.m,
-                "dim": args.dim,
-                "seed": args.seed,
-                "value": sol.value,
-                "converged": sol.converged,
-            },
-            args,
-        )
-    _emit_record(record, args, extra)
+        metadata = {
+            "task": task,
+            **params,
+            "seed": args.seed,
+            "value": sol.value,
+            "converged": sol.converged,
+        }
+        _write_and_recheck(sol.R_star, metadata, args)
+    _emit_record(record, args, extra_rows)
     return EXIT_OK if sol.converged else EXIT_NOCONV
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def cmd_clone(args) -> int:
+    if args.n < 1 or args.m < 1 or args.dim < 2:
+        raise _CliInputError("need --n >= 1, --m >= 1, --dim >= 2")
+    po = cloning_objective(args.n, args.m, args.dim)
+
+    d = args.dim
+    reference, source = None, "none"
+    extra = []
+    if (args.n, args.m) == (1, 2):
+        reference = (d + math.sqrt(d * d - 1)) / d**3
+        source = "paper-closed-form"
+        extra.append(("estimation", f"{estimation_reference(1, 2, d):.12g}"))
+
+    params = {"n": args.n, "m": args.m, "dim": args.dim}
+    return _solve_task(args, "clone", po, params, reference, source, extra)
 
 
 def cmd_learn(args) -> int:
     if args.uses < 1 or args.dim < 2:
         raise _CliInputError("need --uses >= 1, --dim >= 2")
-    tol = args.tol if args.tol is not None else 1e-6
     po = learning_objective(args.uses, args.dim)
-    sol, wall = _run_solve(po, tol, args.seed, args.max_iters)
 
     d = args.dim
     reference, source = None, "none"
@@ -219,39 +213,8 @@ def cmd_learn(args) -> int:
     elif args.uses == 2:
         reference, source = 3.0 / d**2, "paper-closed-form"
 
-    record = ResultRecord(
-        task="learn",
-        parameters={
-            "uses": args.uses,
-            "dim": args.dim,
-            "tol": tol,
-            "seed": args.seed,
-        },
-        value=sol.value,
-        reference_value=reference,
-        reference_source=source,
-        feas_residual=sol.feas_residual,
-        gap_bound=sol.gap_bound,
-        iterations=sol.iterations,
-        wall_time=wall,
-        backend=SOLVER_BACKEND,
-        converged=sol.converged,
-    )
-    if args.out:
-        _write_and_recheck(
-            sol.R_star,
-            {
-                "task": "learn",
-                "uses": args.uses,
-                "dim": args.dim,
-                "seed": args.seed,
-                "value": sol.value,
-                "converged": sol.converged,
-            },
-            args,
-        )
-    _emit_record(record, args)
-    return EXIT_OK if sol.converged else EXIT_NOCONV
+    params = {"uses": args.uses, "dim": args.dim}
+    return _solve_task(args, "learn", po, params, reference, source)
 
 
 def _parse_teeth(spec: str, op) -> CombStructure:

@@ -569,6 +569,30 @@ def project_to_comb(
     )
 
 
+def _register_merge(
+    ops: Sequence[LabeledOperator], structure: CombStructure
+) -> tuple[LabeledOperator, CombStructure]:
+    """sum_i ops[i] (x) |i><i|, with the register merged into the last output.
+
+    Returns the merged operator and its structure, which is structure with
+    the last output widened to dim(out_N) * len(ops); the merged wire keeps
+    the last output's label, and the register is its fastest index.
+    """
+    k = len(ops)
+    last_in, last_out = structure.teeth[-1]
+    reg = Wire(_fresh_label("reg", set(structure.labels)), k)
+    merged_wire = Wire(last_out.label, last_out.dim * k)
+
+    acc = None
+    for i, op in enumerate(ops):
+        proj = np.zeros((k, k))
+        proj[i, i] = 1.0
+        term = op.permuted(structure.labels).tensor(LabeledOperator((reg,), proj))
+        acc = term if acc is None else acc + term
+    merged = acc.merge_wires([last_out.label, reg.label], merged_wire)
+    return merged, CombStructure(structure.teeth[:-1] + ((last_in, merged_wire),))
+
+
 def register_comb(p: ProbabilisticComb) -> QuantumComb:
     """Absorb the outcomes into a classical register on the last output.
 
@@ -577,20 +601,5 @@ def register_comb(p: ProbabilisticComb) -> QuantumComb:
     output has dimension dim(out_N) * (number of branches).  Linking with
     the register projector onto outcome i recovers branch i exactly.
     """
-    structure = p.structure
-    k = len(p.branches)
-    last_in, last_out = structure.teeth[-1]
-    reg = Wire(_fresh_label("reg", set(structure.labels)), k)
-    merged_wire = Wire(last_out.label, last_out.dim * k)
-
-    acc = None
-    for i, (oid, op) in enumerate(p.branches):
-        proj = np.zeros((k, k), dtype=complex)
-        proj[i, i] = 1.0
-        term = op.tensor(LabeledOperator((reg,), proj))
-        acc = term if acc is None else acc + term
-    merged = acc.merge_wires([last_out.label, reg.label], merged_wire)
-
-    new_teeth = structure.teeth[:-1] + ((last_in, merged_wire),)
-    new_structure = CombStructure(new_teeth)
-    return QuantumComb(merged, new_structure)
+    merged, structure = _register_merge([op for _, op in p.branches], p.structure)
+    return QuantumComb(merged, structure)

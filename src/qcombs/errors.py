@@ -21,12 +21,12 @@ class NotAPermutationError(QCombsError):
     """A wire reordering does not name every wire exactly once."""
 
 
-class DimMismatchError(QCombsError):
-    """Two wires with the same label disagree on dimension."""
-
-
 class LabelMismatchError(QCombsError):
     """An operator's wire set does not match the expected structure."""
+
+
+class DimMismatchError(LabelMismatchError):
+    """Two wires with the same label disagree on dimension."""
 
 
 class NotHermitianError(QCombsError):
@@ -65,11 +65,6 @@ class InvalidBranchSumError(QCombsError):
 
 class UnsupportedError(QCombsError):
     """The requested closed-form reference value is not available."""
-
-
-class DesignInsufficientError(QCombsError):
-    """The requested averaging scheme cannot reproduce the Haar average
-    exactly at the required polynomial degree."""
 
 
 class BoundUnavailableError(QCombsError):

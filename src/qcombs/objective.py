@@ -9,14 +9,11 @@ a Haar average of a sandwich between product vectors built from |U⟩⟩ and
 for a fixed Hermitian operator Omega, and maximizing F over causal combs
 is a linear objective over a convex set.
 
-The average is computed exactly, never by Monte-Carlo: the integrand is a
-balanced polynomial of degree t in the entries of U and of its conjugate,
-so averaging over any unitary t-design equals the Haar average.  For
-qubits with t <= 3 the single-qubit Clifford group (24 elements, a
-3-design) is summed directly; for every other case the twirl is evaluated
-as the orthogonal projection onto the span of (partially transposed)
-permutation operators, which is the image of the Haar twirl in any
-dimension and degree.
+The average is computed exactly, never by Monte-Carlo: the Haar twirl is
+the orthogonal projection onto the span of the (partially transposed)
+permutation operators, its fixed-point algebra, in any dimension and
+degree.  That span has real matrix entries, so a real base operator, which
+every task objective here is, averages to an exactly real Omega.
 """
 
 from __future__ import annotations
@@ -28,9 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .comb import MAX_DIM, CombStructure
+from .comb import MAX_DIM, CombStructure, _check_labels
 from .errors import (
-    DesignInsufficientError,
     DimOverflowError,
     LabelMismatchError,
     NotHermitianError,
@@ -42,41 +38,7 @@ TAGS = ("U", "U*", "none")
 
 
 # ---------------------------------------------------------------------------
-# Averaging designs
-
-
-@lru_cache(maxsize=None)
-def clifford_group() -> tuple[np.ndarray, ...]:
-    """The 24 single-qubit Clifford unitaries, one per phase class.
-
-    Generated by breadth-first products of the Hadamard and phase gates,
-    deduplicated after fixing the global phase against the first entry of
-    largest magnitude.
-    """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-    def canon(u: np.ndarray) -> bytes:
-        k = int(np.argmax(np.abs(u).ravel() > 0.1))
-        i, j = divmod(k, 2)
-        v = np.round(u / (u[i, j] / abs(u[i, j])), 6) + (0.0 + 0.0j)
-        return v.tobytes()
-
-    found = {canon(np.eye(2)): np.eye(2, dtype=complex)}
-    frontier = [np.eye(2, dtype=complex)]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for gen in (h, s):
-                cand = gen @ g
-                key = canon(cand)
-                if key not in found:
-                    found[key] = cand
-                    fresh.append(cand)
-        frontier = fresh
-    group = tuple(found.values())
-    assert len(group) == 24
-    return group
+# Commutant of the mixed twirl
 
 
 def _permutation_operator(perm: Sequence[int], d: int) -> np.ndarray:
@@ -148,13 +110,11 @@ class TwirlSpec:
     "U" or "U*" applies the unitary or its entrywise conjugate as a
     copies-fold tensor power on that wire (whose dimension must then be
     d**copies).  Wires absent from the pattern, or tagged "none", are left
-    alone.  design selects the averaging scheme: "clifford" (qubits, degree
-    at most 3), "commutant" (any dimension and degree), or "auto".
+    alone.
     """
 
     d: int
     pattern: tuple[tuple[str, str, int], ...]
-    design: str = "auto"
 
     def __post_init__(self):
         if self.d < 2:
@@ -168,28 +128,6 @@ class TwirlSpec:
             if label in seen:
                 raise ValueError(f"wire {label!r} repeats in the pattern")
             seen.add(label)
-        if self.design not in ("auto", "clifford", "commutant"):
-            raise ValueError(f"unknown design {self.design!r}")
-
-    @property
-    def degree(self) -> int:
-        """Total polynomial degree t = a + b of the twirl."""
-        return sum(c for _, tag, c in self.pattern if tag != "none")
-
-    def resolved_design(self) -> str:
-        if self.design == "auto":
-            return "clifford" if (self.d == 2 and self.degree <= 3) else "commutant"
-        if self.design == "clifford":
-            if self.d != 2:
-                raise DesignInsufficientError(
-                    f"the Clifford design averages qubits only, got d = {self.d}"
-                )
-            if self.degree > 3:
-                raise DesignInsufficientError(
-                    f"the Clifford group is a 3-design; degree {self.degree} "
-                    "needs the commutant scheme"
-                )
-        return self.design
 
 
 @dataclass(frozen=True)
@@ -203,13 +141,8 @@ class PerformanceOperator:
     def __post_init__(self):
         if not self.omega.is_hermitian():
             raise NotHermitianError("a performance operator must be Hermitian")
-        if self.structure is not None and set(self.omega.labels) != set(
-            self.structure.labels
-        ):
-            raise LabelMismatchError(
-                f"operator wires {sorted(self.omega.labels)} do not match the "
-                f"structure wires {sorted(self.structure.labels)}"
-            )
+        if self.structure is not None:
+            _check_labels(self.omega, self.structure)
 
     def value(self, R: LabeledOperator) -> float:
         """Tr[R Omega] as a real number."""
@@ -248,8 +181,9 @@ def _split_pattern_wires(base: LabeledOperator, spec: TwirlSpec):
 def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     """E_U[ W(U) base W(U)^dagger ] with W(U) the per-wire action of spec.
 
-    The average is exact (design summation or commutant projection, chosen
-    by spec.design) and fixes precisely the operators commuting with every
+    The average is the exact projection onto the commutant of the twirl,
+    spanned by the partially transposed permutation operators on the unit
+    factors, so it fixes precisely the operators commuting with every
     W(U); in particular it is idempotent and Hermiticity-preserving.
     """
     for label, _, _ in spec.pattern:
@@ -258,7 +192,6 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
 
-    design = spec.resolved_design()
     op, units, merges = _split_pattern_wires(base, spec)
     if not units:
         return PerformanceOperator(base.hermitized())
@@ -273,23 +206,13 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     dr = op.dim // dt
     x4 = op.matrix.reshape(dt, dr, dt, dr)
 
-    if design == "clifford":
-        acc = np.zeros_like(op.matrix)
-        for g in clifford_group():
-            w = np.ones((1, 1), dtype=complex)
-            for _, conj in units:
-                w = np.kron(w, g.conj() if conj else g)
-            rot = np.kron(w, np.eye(dr))
-            acc += rot @ op.matrix @ rot.conj().T
-        avg = acc / len(clifford_group())
-    else:
-        conj_positions = tuple(i for i, (_, c) in enumerate(units) if c)
-        basis, gram_pinv = _commutant_basis(d, t, conj_positions)
-        overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
-        avg = np.zeros_like(op.matrix)
-        for i, b in enumerate(basis):
-            coeff = sum(gram_pinv[i, j] * overlaps[j] for j in range(len(basis)))
-            avg += np.kron(b, coeff)
+    conj_positions = tuple(i for i, (_, c) in enumerate(units) if c)
+    basis, gram_pinv = _commutant_basis(d, t, conj_positions)
+    overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
+    avg = np.zeros_like(op.matrix)
+    for i, b in enumerate(basis):
+        coeff = sum(gram_pinv[i, j] * overlaps[j] for j in range(len(basis)))
+        avg += np.kron(b, coeff)
 
     out = LabeledOperator(op.wires, avg).hermitized()
     for labels, wire in merges:

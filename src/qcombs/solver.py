@@ -30,8 +30,10 @@ is exactly feasible, so feasibility needs no stopping test of its own.
 
 The comb constraints commute with complex conjugation, so when Omega has
 an imaginary part of exactly zero, Re X is a comb of the same value as X,
-and the solve and the dual-bound re-check run in float64 with no loss;
-any other Omega runs in complex128.  R_star is complex either way.
+and the solve and the dual-bound re-check run in float64 with no loss.
+Every cloning and learning objective is exactly real, because the twirl
+projects onto a span of real permutation operators; an Omega with a
+nonzero imaginary part runs in complex128.  R_star is complex either way.
 """
 
 from __future__ import annotations
@@ -46,17 +48,13 @@ from .comb import (
     ProbabilisticComb,
     QuantumComb,
     _affine_projection,
-    _fresh_label,
+    _check_labels,
     _psd_part,
+    _register_merge,
     verify_causality,
 )
-from .errors import (
-    BoundUnavailableError,
-    DimOverflowError,
-    InvalidBranchSumError,
-    LabelMismatchError,
-)
-from .labeled import LabeledOperator, Wire, _real_if_exact
+from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
+from .labeled import LabeledOperator, _real_if_exact
 from .objective import PerformanceOperator
 
 # Dense ADMM with one eigendecomposition per iteration; past this the
@@ -75,8 +73,7 @@ class SdpProblem:
     tol_gap is the stopping tolerance of solve.  tol_feas does not change
     when solve stops, because every value it reports comes from an exactly
     feasible comb; solve_probabilistic verifies its branch sum with it, and
-    the command line sets both from --tol.  seed is stored for interface
-    stability; the splitting backend is deterministic and uses no randomness.
+    the command line sets both from --tol.
     """
 
     omega: PerformanceOperator
@@ -84,10 +81,9 @@ class SdpProblem:
     tol_feas: float = 1e-6
     tol_gap: float = 1e-6
     max_iters: int = 50000
-    seed: int = 0
 
     def __post_init__(self):
-        _check_wires(self.omega, self.structure)
+        _check_labels(self.omega.omega, self.structure)
         if not (self.tol_feas > 0 and self.tol_gap > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
@@ -124,20 +120,11 @@ class SdpSolution:
         )
 
 
-def _check_wires(omega: PerformanceOperator, structure: CombStructure) -> None:
-    got = set(omega.omega.labels)
-    want = set(structure.labels)
-    if got != want:
-        raise LabelMismatchError(
-            f"objective wires {sorted(got)} do not match the structure wires "
-            f"{sorted(want)}"
-        )
-    for w in structure.wires:
-        if omega.omega.wire(w.label).dim != w.dim:
-            raise LabelMismatchError(
-                f"wire {w.label!r} has dim {omega.omega.wire(w.label).dim} on "
-                f"the objective but {w.dim} in the structure"
-            )
+def _objective_matrix(p: SdpProblem) -> np.ndarray:
+    """Omega in the structure's wire order, hermitized, and in float64 when
+    its imaginary part is exactly zero."""
+    om = p.omega.omega.permuted(p.structure.labels).matrix
+    return _real_if_exact((om + om.conj().T) / 2.0)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
@@ -212,8 +199,7 @@ def solve(p: SdpProblem) -> SdpSolution:
         )
     dims = structure.dims
     tv = float(structure.trace_value)
-    om = p.omega.omega.permuted(structure.labels).matrix
-    om = _real_if_exact((om + om.conj().T) / 2.0)
+    om = _objective_matrix(p)
 
     mixed = (tv / D) * np.eye(D)
     floor = tv / D
@@ -299,8 +285,7 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     cert = _real_if_exact(cert)
     structure = p.structure
     D = structure.dim
-    om = p.omega.omega.permuted(structure.labels).matrix
-    om = _real_if_exact((om + om.conj().T) / 2.0)
+    om = _objective_matrix(p)
     scale = 1.0 + float(np.linalg.norm(cert))
     tol = 1e-8 * scale
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:
@@ -325,7 +310,6 @@ def solve_probabilistic(
     tol_feas: float = 1e-6,
     tol_gap: float = 1e-6,
     max_iters: int = 50000,
-    seed: int = 0,
 ) -> ProbabilisticComb:
     """Maximize sum_i Tr[R_i Omega_i] over comb-shaped instruments.
 
@@ -339,37 +323,23 @@ def solve_probabilistic(
     if not omegas:
         raise InvalidBranchSumError("need at least one branch objective")
     for po in omegas:
-        _check_wires(po, structure)
+        _check_labels(po.omega, structure)
     k = len(omegas)
 
-    last_in, last_out = structure.teeth[-1]
-    reg = Wire(_fresh_label("reg", set(structure.labels)), k)
-    merged_wire = Wire(last_out.label, last_out.dim * k)
-
-    acc = None
-    for i, po in enumerate(omegas):
-        proj = np.zeros((k, k), dtype=complex)
-        proj[i, i] = 1.0
-        term = po.omega.permuted(structure.labels).tensor(
-            LabeledOperator((reg,), proj)
-        )
-        acc = term if acc is None else acc + term
-    merged = acc.merge_wires([last_out.label, reg.label], merged_wire)
-
-    big_structure = CombStructure(structure.teeth[:-1] + ((last_in, merged_wire),))
+    merged, big_structure = _register_merge([po.omega for po in omegas], structure)
     problem = SdpProblem(
-        PerformanceOperator(merged.permuted(big_structure.labels), big_structure),
+        PerformanceOperator(merged, big_structure),
         big_structure,
         tol_feas=tol_feas,
         tol_gap=tol_gap,
         max_iters=max_iters,
-        seed=seed,
     )
     sol = solve(problem)
 
     mat = sol.R_star.op.matrix
-    rest = structure.dim // last_out.dim
-    x6 = mat.reshape(rest, last_out.dim, k, rest, last_out.dim, k)
+    out_dim = structure.teeth[-1][1].dim
+    rest = structure.dim // out_dim
+    x6 = mat.reshape(rest, out_dim, k, rest, out_dim, k)
     branches = []
     for i in range(k):
         block = x6[:, :, i, :, :, i].reshape(structure.dim, structure.dim)

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the Monte-Carlo fidelity oracle composes circuits through link_product
-and plain matrix sandwiches (never through the twirl construction), and
-the brute-force channel search parameterizes Stinespring isometries
-directly (never through the solver).
+and plain matrix sandwiches (never through the twirl construction), the
+Clifford twirl sums explicit conjugations over a finite group (never
+through the commutant projection), and the brute-force channel search
+parameterizes Stinespring isometries directly (never through the solver).
 """
 
 from __future__ import annotations
@@ -86,6 +87,56 @@ def learning_conjugation(base: LabeledOperator, U: np.ndarray, n: int):
     for k in range(1, n + 1):
         mats[str(2 * k)] = U.conj()
     return conjugation_operator(base, mats)
+
+
+def clifford_group() -> list[np.ndarray]:
+    """The 24 single-qubit Clifford unitaries, one per phase class.
+
+    Breadth-first products of the Hadamard and phase gates, deduplicated
+    after fixing the global phase against the first entry of magnitude
+    above 0.1.
+    """
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    s = np.diag([1, 1j])
+
+    def canon(u: np.ndarray) -> bytes:
+        z = u.ravel()[int(np.argmax(np.abs(u).ravel() > 0.1))]
+        return (np.round(u / (z / abs(z)), 6) + 0j).tobytes()
+
+    found = {canon(np.eye(2)): np.eye(2, dtype=complex)}
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for gen in (h, s):
+                cand = gen @ g
+                key = canon(cand)
+                if key not in found:
+                    found[key] = cand
+                    fresh.append(cand)
+        frontier = fresh
+    group = list(found.values())
+    assert len(group) == 24
+    return group
+
+
+def clifford_twirl(base: LabeledOperator, pattern) -> LabeledOperator:
+    """Average of W(g) base W(g)^dag over the single-qubit Clifford group.
+
+    pattern is a TwirlSpec pattern of single copies: g acts on "U" wires
+    and conj(g) on "U*" wires.  The group is a unitary 3-design, so up to
+    three twirled qubit wires this equals the Haar average.
+    """
+    assert all(copies == 1 for _, _, copies in pattern)
+    group = clifford_group()
+    acc = None
+    for g in group:
+        w = conjugation_operator(
+            base, {lbl: g if tag == "U" else g.conj() for lbl, tag, _ in pattern}
+        )
+        term = w @ base @ w.adjoint()
+        acc = term if acc is None else acc + term
+    return acc * (1.0 / len(group))
 
 
 def mc_gate_fidelity(

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcombs import (
-    DesignInsufficientError,
+    CombStructure,
+    DimMismatchError,
     DimOverflowError,
     LabeledOperator,
     NotHermitianError,
@@ -11,7 +12,6 @@ from qcombs import (
     TwirlSpec,
     UnsupportedError,
     Wire,
-    clifford_group,
     cloning_objective,
     estimation_reference,
     haar_average,
@@ -21,6 +21,7 @@ from qcombs import (
     random_comb,
 )
 from conftest import (
+    clifford_twirl,
     cloning_conjugation,
     learning_conjugation,
     learning_memory,
@@ -30,50 +31,19 @@ from conftest import (
 
 
 # ---------------------------------------------------------------------------
-# Averaging designs
-
-
-def test_clifford_group_is_a_group_of_24():
-    group = clifford_group()
-    assert len(group) == 24
-    for u in group:
-        assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-
-    def phase_canonical(u):
-        k = int(np.argmax(np.abs(u).ravel() > 0.1))
-        z = u.ravel()[k]
-        return np.round(u / (z / abs(z)), 8) + 0.0
-
-    canon = {phase_canonical(u).tobytes() for u in group}
-    assert len(canon) == 24
-    for u in group[:6]:
-        for v in group[:6]:
-            assert phase_canonical(u @ v).tobytes() in canon
+# Exact averaging
 
 
 def test_clifford_matches_commutant_average():
-    # Two independent exact-averaging backends must agree wherever both
-    # apply (qubits, degree <= 3).
+    # The Clifford group is a unitary 3-design, so its finite sum is an
+    # independent oracle for the commutant projection on qubits, degree 3.
     rng = np.random.default_rng(0)
     wires = (Wire("a", 2), Wire("b", 2), Wire("c", 2))
     base = LabeledOperator(wires, rand_hermitian(8, rng))
     pattern = (("a", "U", 1), ("b", "U*", 1), ("c", "U", 1))
-    out = {}
-    for design in ("clifford", "commutant"):
-        spec = TwirlSpec(2, pattern, design)
-        out[design] = haar_average(spec, base).omega
-    assert (out["clifford"] - out["commutant"]).norm() < 1e-12
-
-
-def test_design_availability():
-    spec = TwirlSpec(3, (("a", "U", 1),), "clifford")
-    with pytest.raises(DesignInsufficientError):
-        spec.resolved_design()
-    spec = TwirlSpec(2, (("a", "U", 2), ("b", "U*", 2)), "clifford")
-    with pytest.raises(DesignInsufficientError):
-        spec.resolved_design()
-    assert TwirlSpec(2, (("a", "U", 1),), "auto").resolved_design() == "clifford"
-    assert TwirlSpec(3, (("a", "U", 1),), "auto").resolved_design() == "commutant"
+    avg = haar_average(TwirlSpec(2, pattern), base).omega
+    oracle = clifford_twirl(base, pattern)
+    assert (avg - oracle).norm() < 1e-12
 
 
 def test_single_wire_twirl_depolarizes():
@@ -152,6 +122,11 @@ def test_performance_operator_validation():
         PerformanceOperator(
             LabeledOperator((Wire("a", 2),), np.array([[0, 1], [0, 0]]))
         )
+    # the structure's labels with a different dimension on one wire
+    po = cloning_objective(1, 1, 2)
+    wider = CombStructure.standard([2, 2, 2, 4])
+    with pytest.raises(DimMismatchError):
+        PerformanceOperator(po.omega, wider)
 
 
 def test_cloning_objective_shape_and_trace():

@@ -20,6 +20,7 @@ from qcombs import (
     solve,
     solve_probabilistic,
 )
+from conftest import conjugation_operator
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
 
@@ -217,19 +218,40 @@ def test_imaginary_objective_is_solved_over_complex_combs():
 
 
 def test_real_objective_matches_its_complex_twin():
+    # W = diag(1, i) on wire "2" is wire-local and unitary, so it maps the
+    # comb set onto itself and W Omega W^dag is a complex objective with
+    # the same optimum; the solve of the real Omega runs in float64.
     po = learning_objective(1, 2)
-    # Averaging leaves rounding in the imaginary part, so po stays complex.
-    assert po.omega.matrix.imag.any()
-    real = PerformanceOperator(
-        LabeledOperator(po.omega.wires, po.omega.matrix.real), po.structure
-    )
+    assert not po.omega.matrix.imag.any()
+    w = conjugation_operator(po.omega, {"2": np.diag([1.0, 1j])})
+    twin = PerformanceOperator(w @ po.omega @ w.adjoint(), po.structure)
+    assert twin.omega.matrix.imag.any()
     sols = []
-    for q in (po, real):
+    for q in (po, twin):
         p = problem_for(q)
         sol = solve(p)
         assert sol.value - 1e-12 <= 0.5 <= dual_bound(p, sol) + 1e-12
         sols.append(sol)
-    cplx, re = sols
+    re, cplx = sols
     assert re.iterations == cplx.iterations
     assert re.value == pytest.approx(cplx.value, abs=1e-9)
     assert re.dual_certificate.dtype == np.float64
+    assert cplx.dual_certificate.dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 2),
+        lambda: cloning_objective(1, 2, 3),
+        lambda: learning_objective(1, 2),
+        lambda: learning_objective(2, 2),
+        lambda: learning_objective(3, 2),
+    ],
+    ids=["clone12-d2", "clone12-d3", "learn1", "learn2", "learn3"],
+)
+def test_task_objectives_are_exactly_real(build):
+    po = build()
+    assert not po.omega.matrix.imag.any()
+    sol = solve(problem_for(po, max_iters=10))
+    assert sol.dual_certificate.dtype == np.float64
