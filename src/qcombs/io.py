@@ -1,17 +1,19 @@
 """Operator files and result records.
 
-Both formats are JSON with a fixed canonical layout: floats are printed
-with 17 significant digits (lowercase scientific when needed), which is
-enough to reconstruct every IEEE double exactly, so parse -> serialize is
-bit-identical on canonical files.  Reading uses the stdlib JSON parser and
-accepts any formatting; only writing is canonical.
+Both formats are JSON written by one canonical writer, `_render`: floats
+are printed with 17 significant digits (lowercase scientific when
+needed), which is enough to reconstruct every IEEE double exactly, so
+parse -> serialize is bit-identical on canonical files.  The top-level
+object and its blocks take one item per line; deeper containers go
+inline.  Reading uses the stdlib JSON parser and accepts any formatting;
+only writing is canonical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -26,12 +28,11 @@ OPERATOR_FORMAT_VERSION = 1
 PROVENANCE_TAGS = ("paper-closed-form", "stored-constant", "none")
 
 
-def _fmt(x: float) -> str:
-    """Canonical float rendering: 17 significant digits, lowercase."""
-    return format(float(x), ".17g")
+# Canonical float rendering: 17 significant digits, lowercase.
+_FLOAT = "%.17g"
 
 
-def _meta_scalar(v) -> str:
+def _scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
@@ -42,11 +43,41 @@ def _meta_scalar(v) -> str:
         return str(v)
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise OperatorFileError(f"metadata value {v!r} is not finite")
-        return _fmt(v)
-    raise OperatorFileError(
-        f"metadata values must be scalars, got {type(v).__name__}"
-    )
+            raise OperatorFileError(f"value {v!r} is not finite")
+        return _FLOAT % v
+    raise OperatorFileError(f"values must be scalars, got {type(v).__name__}")
+
+
+def _render(v, depth: int = 0) -> str:
+    """Canonical JSON text of v.
+
+    Containers at depth 0 and 1 take one item per line, deeper ones go
+    inline.  Objects below the top level hold only scalars.  A complex
+    array is a list of [re, im] pairs, rendered by one format call.
+    """
+    inline = depth > 1
+    sep = ", " if inline else ",\n" + "  " * (depth + 1)
+    if isinstance(v, np.ndarray):
+        parts = np.asarray(v, dtype=np.complex128).ravel().view(np.float64)
+        body = sep.join([f"[{_FLOAT}, {_FLOAT}]"] * v.size) % tuple(parts.tolist())
+        brackets = "[]"
+    elif isinstance(v, dict):
+        body = sep.join(
+            f"{json.dumps(str(k))}: {_scalar(x) if depth else _render(x, 1)}"
+            for k, x in v.items()
+        )
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)):
+        body = sep.join(_render(x, depth + 1) for x in v)
+        brackets = "[]"
+    else:
+        return _scalar(v)
+    if inline:
+        return brackets[0] + body + brackets[1]
+    pad = "\n" + "  " * depth
+    if body:
+        body = pad + "  " + body
+    return brackets[0] + body + pad + brackets[1]
 
 
 def _entries_to_complex(entries: list) -> np.ndarray:
@@ -115,30 +146,13 @@ class OperatorFile:
     # -- canonical serialization ------------------------------------------------
 
     def dumps(self) -> str:
-        lines = ["{"]
-        lines.append(f'  "format_version": {self.format_version},')
-        lines.append('  "wires": [')
-        for i, w in enumerate(self.wires):
-            comma = "," if i < len(self.wires) - 1 else ""
-            lines.append(
-                f'    {{"label": {json.dumps(w.label)}, "dim": {w.dim}}}{comma}'
-            )
-        lines.append("  ],")
-        lines.append('  "entries": [')
-        flat = self.matrix.ravel()
-        last = flat.size - 1
-        for i, z in enumerate(flat):
-            comma = "," if i < last else ""
-            lines.append(f"    [{_fmt(z.real)}, {_fmt(z.imag)}]{comma}")
-        lines.append("  ],")
-        lines.append('  "metadata": {')
-        items = sorted(self.metadata.items())
-        for i, (k, v) in enumerate(items):
-            comma = "," if i < len(items) - 1 else ""
-            lines.append(f"    {json.dumps(str(k))}: {_meta_scalar(v)}{comma}")
-        lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        doc = {
+            "format_version": self.format_version,
+            "wires": [{"label": w.label, "dim": w.dim} for w in self.wires],
+            "entries": self.matrix,
+            "metadata": dict(sorted(self.metadata.items())),
+        }
+        return _render(doc) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "OperatorFile":
@@ -231,40 +245,11 @@ class ResultRecord:
             )
 
     def to_json(self) -> str:
-        def val(v):
-            if v is None:
-                return "null"
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return _fmt(v)
-            if isinstance(v, int):
-                return str(v)
-            return json.dumps(v)
-
-        lines = ["{"]
-        lines.append(f'  "task": {json.dumps(self.task)},')
-        lines.append('  "parameters": {')
-        items = sorted(self.parameters.items())
-        for i, (k, v) in enumerate(items):
-            comma = "," if i < len(items) - 1 else ""
-            lines.append(f"    {json.dumps(str(k))}: {val(v)}{comma}")
-        lines.append("  },")
-        for name in (
-            "value",
-            "reference_value",
-            "reference_source",
-            "feas_residual",
-            "gap_bound",
-            "iterations",
-            "wall_time",
-            "backend",
-            "converged",
-        ):
-            comma = "," if name != "converged" else ""
-            lines.append(f'  "{name}": {val(getattr(self, name))}{comma}')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        """Canonical JSON text; OperatorFileError on a non-finite number
+        or a non-scalar parameter."""
+        doc ={f.name: getattr(self, f.name) for f in fields(self)}
+        doc["parameters"] = dict(sorted(self.parameters.items()))
+        return _render(doc) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":

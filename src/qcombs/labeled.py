@@ -415,8 +415,3 @@ class LabeledVector:
         spec = ", ".join(f"{w.label}:{w.dim}" for w in self.wires)
         return f"LabeledVector([{spec}])"
 
-
-def hs_inner(a: LabeledOperator, b: LabeledOperator) -> complex:
-    """Hilbert-Schmidt inner product ``Tr[a^dagger b]``, aligning wire order."""
-    b = b.permuted(a.labels)
-    return complex(np.vdot(a.matrix, b.matrix))

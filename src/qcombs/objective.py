@@ -147,35 +147,8 @@ class PerformanceOperator:
     def value(self, R: LabeledOperator) -> float:
         """Tr[R Omega] as a real number."""
         aligned = R.permuted(self.omega.labels)
-        return float(np.trace(aligned.matrix @ self.omega.matrix).real)
-
-
-def _split_pattern_wires(base: LabeledOperator, spec: TwirlSpec):
-    """Split copies-fold wires into unit factors of dimension d.
-
-    Returns the split operator, the list of (unit label, conjugated?) in
-    order, and instructions to undo the split.
-    """
-    op = base
-    units: list[tuple[str, bool]] = []
-    merges: list[tuple[list[str], Wire]] = []
-    for label, tag, copies in spec.pattern:
-        if tag == "none":
-            continue
-        wire = op.wire(label)
-        if wire.dim != spec.d**copies:
-            raise LabelMismatchError(
-                f"wire {label!r} has dim {wire.dim}, but the pattern promises "
-                f"{spec.d}**{copies}"
-            )
-        if copies == 1:
-            units.append((label, tag == "U*"))
-            continue
-        parts = [Wire(f"{label}#{i}", spec.d) for i in range(copies)]
-        op = op.split_wire(label, parts)
-        units.extend((p.label, tag == "U*") for p in parts)
-        merges.append(([p.label for p in parts], wire))
-    return op, units, merges
+        # Omega is Hermitian, so Tr[R Omega] = Tr[Omega^dagger R].
+        return float(np.vdot(self.omega.matrix, aligned.matrix).real)
 
 
 def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
@@ -192,21 +165,30 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
 
-    op, units, merges = _split_pattern_wires(base, spec)
-    if not units:
+    twirled, conj = [], []
+    for label, tag, copies in spec.pattern:
+        if tag == "none":
+            continue
+        dim = base.wire(label).dim
+        if dim != spec.d**copies:
+            raise LabelMismatchError(
+                f"wire {label!r} has dim {dim}, but the pattern promises "
+                f"{spec.d}**{copies}"
+            )
+        # A wire of dimension d**copies is copies consecutive factors of d.
+        twirled.append(label)
+        conj += [tag == "U*"] * copies
+    if not twirled:
         return PerformanceOperator(base.hermitized())
 
-    unit_labels = [lbl for lbl, _ in units]
-    rest_labels = [lbl for lbl in op.labels if lbl not in set(unit_labels)]
-    op = op.permuted(unit_labels + rest_labels)
-
+    op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
     d = spec.d
-    t = len(units)
+    t = len(conj)
     dt = d**t
     dr = op.dim // dt
     x4 = op.matrix.reshape(dt, dr, dt, dr)
 
-    conj_positions = tuple(i for i, (_, c) in enumerate(units) if c)
+    conj_positions = tuple(i for i, c in enumerate(conj) if c)
     basis, gram_pinv = _commutant_basis(d, t, conj_positions)
     overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
     avg = np.zeros_like(op.matrix)
@@ -215,12 +197,6 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
         avg += np.kron(b, coeff)
 
     out = LabeledOperator(op.wires, avg).hermitized()
-    for labels, wire in merges:
-        first = out.labels.index(labels[0])
-        order = list(out.labels[:first]) + labels + [
-            lbl for lbl in out.labels[first:] if lbl not in labels
-        ]
-        out = out.permuted(order).merge_wires(labels, wire)
     return PerformanceOperator(out.permuted(base.labels))
 
 

@@ -61,6 +61,59 @@ def test_constructor_validation():
         OperatorFile(W2, bad)
 
 
+GOLDEN_FILE = """\
+{
+  "format_version": 1,
+  "wires": [
+    {"label": "\\u03c8", "dim": 2}
+  ],
+  "entries": [
+    [0.33333333333333331, 0],
+    [-0, 1e-300],
+    [0.10000000000000001, -2.2204460492503131e-16],
+    [123456789.12345679, -0]
+  ],
+  "metadata": {
+    "f": false,
+    "i": -7,
+    "n": null,
+    "s": "say \\"hi\\"",
+    "t": true,
+    "x": 0.10000000000000001,
+    "z": -0
+  }
+}
+"""
+
+GOLDEN_FILE_NO_METADATA = """\
+{
+  "format_version": 1,
+  "wires": [
+    {"label": "a", "dim": 1},
+    {"label": "b", "dim": 1}
+  ],
+  "entries": [
+    [1e+22, 0]
+  ],
+  "metadata": {
+  }
+}
+"""
+
+
+def test_operator_file_golden_bytes():
+    mat = np.array(
+        [
+            [1 / 3, complex(-0.0, 1e-300)],
+            [complex(0.1, -(2**-52)), complex(123456789.123456789, -0.0)],
+        ]
+    )
+    meta = {"s": 'say "hi"', "t": True, "f": False, "i": -7, "x": 0.1, "z": -0.0, "n": None}
+    assert OperatorFile((Wire("ψ", 2),), mat, meta).dumps() == GOLDEN_FILE
+    wires = (Wire("a", 1), Wire("b", 1))
+    assert OperatorFile(wires, np.array([[1e22]])).dumps() == GOLDEN_FILE_NO_METADATA
+
+
 def test_metadata_rejects_non_scalars():
     f = sample_file(metadata={"bad": [1, 2]})
     with pytest.raises(OperatorFileError):
@@ -184,6 +237,88 @@ def test_record_tag_validation():
         make_record(reference_value=None)  # tag still claims a source
     rec = make_record(reference_value=None, reference_source="none")
     assert ResultRecord.from_json(rec.to_json()).reference_value is None
+
+
+GOLDEN_RECORD = """\
+{
+  "task": "clone",
+  "parameters": {
+    "file": "\\u00fc.json",
+    "n": 1,
+    "none": null,
+    "ok": true,
+    "seed": 0,
+    "tol": 9.9999999999999995e-07
+  },
+  "value": 0.46650635094610965,
+  "reference_value": -0,
+  "reference_source": "stored-constant",
+  "feas_residual": 1e-300,
+  "gap_bound": 2.4999999999999999e-07,
+  "iterations": 487,
+  "wall_time": 0.40999999999999998,
+  "backend": "projection-splitting",
+  "converged": true
+}
+"""
+
+GOLDEN_RECORD_NULLS = """\
+{
+  "task": "verify",
+  "parameters": {
+  },
+  "value": null,
+  "reference_value": null,
+  "reference_source": "none",
+  "feas_residual": null,
+  "gap_bound": null,
+  "iterations": null,
+  "wall_time": 0.5,
+  "backend": "verification",
+  "converged": false
+}
+"""
+
+
+def test_result_record_golden_bytes():
+    params = {"tol": 1e-06, "n": 1, "seed": 0, "ok": True, "file": "ü.json", "none": None}
+    rec = make_record(
+        parameters=params,
+        value=0.46650635094610965,
+        reference_value=-0.0,
+        reference_source="stored-constant",
+        feas_residual=1e-300,
+        gap_bound=2.5e-7,
+    )
+    assert rec.to_json() == GOLDEN_RECORD
+    nulls = make_record(
+        task="verify",
+        parameters={},
+        value=None,
+        reference_value=None,
+        reference_source="none",
+        feas_residual=None,
+        gap_bound=None,
+        iterations=None,
+        wall_time=0.5,
+        backend="verification",
+        converged=False,
+    )
+    assert nulls.to_json() == GOLDEN_RECORD_NULLS
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"value": float("nan")},
+        {"gap_bound": float("inf")},
+        {"parameters": {"tol": float("-inf")}},
+        {"parameters": {"dims": [2, 2]}},
+    ],
+)
+def test_record_rejects_non_finite_values(kw):
+    with pytest.raises(OperatorFileError):
+        make_record(**kw).to_json()
 
 
 # ---------------------------------------------------------------------------
