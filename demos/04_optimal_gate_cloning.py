@@ -8,6 +8,9 @@ solver handles directly, with a dual certificate bounding how far from
 optimal the answer can be.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from qcombs import (
@@ -41,6 +44,7 @@ print(f"estimate-and-prepare ceiling {estimation_reference(1, 2, 2):.6f}")
 f = OperatorFile.from_operator(
     sol.R_star.op, {"task": "clone", "value": sol.value}
 )
-path = f.save("/tmp/cloning_board.json", force=True)
-back = OperatorFile.load(path).to_operator()
-print("\nsaved to", path, "| reload gap:", (back - sol.R_star.op).norm())
+with tempfile.TemporaryDirectory() as tmp:
+    path = f.save(os.path.join(tmp, "cloning_board.json"))
+    back = OperatorFile.load(path).to_operator()
+    print("\nsaved to", path.name, "| reload gap:", (back - sol.R_star.op).norm())

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
-from .labeled import LabeledOperator, LabeledVector, Wire
+from .labeled import LabeledOperator, LabeledVector, Wire, _total_dim
+from .link import link_product
 
 # Eigenvalues below this absolute threshold are dropped when extracting
 # Kraus operators from a Choi operator.
@@ -91,17 +92,11 @@ class ChoiOperator:
 
     @property
     def out_dim(self) -> int:
-        d = 1
-        for lbl in self.out_labels:
-            d *= self.op.wire(lbl).dim
-        return d
+        return _total_dim(self.op.wire(lbl) for lbl in self.out_labels)
 
     @property
     def in_dim(self) -> int:
-        d = 1
-        for lbl in self.in_labels:
-            d *= self.op.wire(lbl).dim
-        return d
+        return _total_dim(self.op.wire(lbl) for lbl in self.in_labels)
 
     def __repr__(self):
         return f"ChoiOperator(out={self.out_labels}, in={self.in_labels})"
@@ -109,13 +104,11 @@ class ChoiOperator:
 
 def kraus_to_choi(kmap: KrausMap) -> ChoiOperator:
     """Choi operator of a Kraus map on the wire pair ``(out, in)``."""
-    d_in = kmap.in_wire.dim
-    omega = np.eye(d_in).reshape(-1)
-    mat = np.zeros(
-        (kmap.out_wire.dim * d_in, kmap.out_wire.dim * d_in), dtype=np.complex128
-    )
+    d = kmap.out_wire.dim * kmap.in_wire.dim
+    mat = np.zeros((d, d), dtype=np.complex128)
     for k in kmap.kraus:
-        v = (np.kron(k, np.eye(d_in)) @ omega).reshape(-1)
+        # (K (x) I) sum_n |n>|n> has entry K[a, n] at index (a, n).
+        v = k.reshape(-1)
         mat += np.outer(v, v.conj())
     op = LabeledOperator((kmap.out_wire, kmap.in_wire), mat)
     return ChoiOperator(op, (kmap.out_wire.label,), (kmap.in_wire.label,))
@@ -125,14 +118,13 @@ def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
     """Act with a channel, given its Choi operator, on a density matrix."""
     rho = np.asarray(rho, dtype=np.complex128)
     d_in = choi.in_dim
-    d_out = choi.out_dim
     if rho.shape != (d_in, d_in):
         raise DimMismatchError(
             f"state shape {rho.shape} does not match input dimension {d_in}"
         )
-    c = choi.op.matrix.reshape(d_out, d_in, d_out, d_in)
-    # Tr_in[(I_out (x) rho^T) C] with C indexed as (out, in, out', in').
-    return np.einsum("ij,ajbi->ab", rho.T, c)
+    # Tr_in[(I_out (x) rho^T) C] is the link product of rho with C.
+    in_wires = tuple(choi.op.wire(lbl) for lbl in choi.in_labels)
+    return link_product(LabeledOperator(in_wires, rho), choi.op).matrix
 
 
 def choi_to_kraus(choi: ChoiOperator, threshold: float = KRAUS_EIG_THRESHOLD) -> KrausMap:

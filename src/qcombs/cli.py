@@ -290,7 +290,10 @@ def cmd_random_comb(args) -> int:
         raise _CliInputError("random-comb needs --out PATH")
     t0 = time.perf_counter()
     structure = CombStructure.standard(dims)
-    comb = random_comb(structure, memory, args.seed)
+    try:
+        comb = random_comb(structure, memory, args.seed)
+    except ValueError as e:
+        raise _CliInputError(str(e)) from None
     params = {"dims": args.dims, "memory": args.memory or "", "seed": args.seed}
     report = _write_and_recheck(comb, {"task": "random-comb", **params}, args)
     wall = time.perf_counter() - t0

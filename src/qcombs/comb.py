@@ -35,7 +35,15 @@ from .errors import (
     SlotArityMismatchError,
 )
 from .haar import haar_isometry
-from .labeled import LabeledOperator, LabeledVector, Wire, _real_if_exact
+from .labeled import (
+    LabeledOperator,
+    LabeledVector,
+    Wire,
+    _Wired,
+    _check_wires,
+    _real_if_exact,
+    _total_dim,
+)
 from .link import link_product
 
 #: Hard cap on any operator dimension materialized while generating or
@@ -47,7 +55,7 @@ TOL_VERIFY = 1e-9
 
 
 @dataclass(frozen=True)
-class CombStructure:
+class CombStructure(_Wired):
     """Wire layout of a comb: an ordered tuple of (input, output) teeth."""
 
     teeth: tuple[tuple[Wire, Wire], ...]
@@ -55,12 +63,7 @@ class CombStructure:
     def __post_init__(self):
         if not self.teeth:
             raise ValueError("a comb needs at least one tooth")
-        seen = set()
-        for pair in self.teeth:
-            for w in pair:
-                if w.label in seen:
-                    raise DuplicateLabelError(f"wire label {w.label!r} repeats")
-                seen.add(w.label)
+        _check_wires(self.wires)
 
     @classmethod
     def standard(cls, dims: Sequence[int]) -> "CombStructure":
@@ -83,27 +86,13 @@ class CombStructure:
         return tuple(w for pair in self.teeth for w in pair)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(w.label for w in self.wires)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(w.dim for w in self.wires)
-
-    @property
     def dim(self) -> int:
-        d = 1
-        for w in self.wires:
-            d *= w.dim
-        return d
+        return _total_dim(self.wires)
 
     @property
     def trace_value(self) -> int:
         """Trace forced on any causal comb: the product of input dims."""
-        d = 1
-        for in_w, _ in self.teeth:
-            d *= in_w.dim
-        return d
+        return _total_dim(in_w for in_w, _ in self.teeth)
 
     @property
     def slots(self) -> tuple[tuple[Wire, Wire], ...]:
@@ -342,11 +331,11 @@ def random_comb(
     T = structure.n_teeth
     memory_dims = tuple(int(m) for m in memory_dims)
     if len(memory_dims) != T - 1:
-        raise DimMismatchError(
+        raise ValueError(
             f"need {T - 1} memory dims for {T} teeth, got {len(memory_dims)}"
         )
     if any(m < 1 for m in memory_dims):
-        raise DimMismatchError(f"memory dims must be >= 1, got {memory_dims}")
+        raise ValueError(f"memory dims must be >= 1, got {memory_dims}")
     if structure.dim > MAX_DIM:
         raise DimOverflowError(
             f"comb dimension {structure.dim} exceeds the cap {MAX_DIM}"
@@ -368,7 +357,7 @@ def random_comb(
         a = m_prev * in_w.dim
         b = out_w.dim * m_next
         if b < a:
-            raise DimMismatchError(
+            raise ValueError(
                 f"tooth {k}: no isometry from dim {a} into dim {b}; "
                 f"increase memory_dims[{k}]"
             )

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import OperatorFileError
-from .labeled import LabeledOperator, Wire
+from .labeled import LabeledOperator, Wire, _total_dim
 
 OPERATOR_FORMAT_VERSION = 1
 
@@ -124,7 +124,7 @@ class OperatorFile:
 
     def __post_init__(self):
         self.wires = tuple(self.wires)
-        d = math.prod(w.dim for w in self.wires)
+        d = _total_dim(self.wires)
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
         if self.matrix.shape != (d, d):
             raise OperatorFileError(
@@ -171,8 +171,9 @@ class OperatorFile:
                 f"expected {OPERATOR_FORMAT_VERSION}"
             )
         raw_wires = doc["wires"]
-        if not isinstance(raw_wires, list) or not raw_wires:
-            raise OperatorFileError("wires must be a non-empty list")
+        # An empty list is the scalar operator on no wires.
+        if not isinstance(raw_wires, list):
+            raise OperatorFileError("wires must be a list")
         wires = []
         for entry in raw_wires:
             if (
@@ -184,7 +185,7 @@ class OperatorFile:
                     f"each wire needs a string label and an integer dim, got {entry!r}"
                 )
             wires.append(Wire(entry["label"], entry["dim"]))
-        d = math.prod(w.dim for w in wires)
+        d = _total_dim(wires)
         entries = doc["entries"]
         if not isinstance(entries, list) or len(entries) != d * d:
             n = len(entries) if isinstance(entries, list) else "non-list"

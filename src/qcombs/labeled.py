@@ -61,8 +61,19 @@ def _check_wires(wires: Sequence[Wire]) -> tuple[Wire, ...]:
     return wires
 
 
-def _total_dim(wires: Sequence[Wire]) -> int:
+def _total_dim(wires: Iterable[Wire]) -> int:
     return math.prod(w.dim for w in wires)
+
+
+def _check_order(order: Sequence[str], labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``order`` as a tuple, checked to list every one of ``labels`` once."""
+    order = tuple(order)
+    if sorted(order) != sorted(labels):
+        for lbl in order:
+            if lbl not in labels:
+                raise UnknownLabelError(f"no wire labeled {lbl!r}")
+        raise NotAPermutationError(f"{order} is not a permutation of {labels}")
+    return order
 
 
 def _check_einsum_wires(n: int) -> None:
@@ -84,7 +95,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-class LabeledOperator:
+class _Wired:
+    """Label and dimension views of an ordered ``wires`` tuple."""
+
+    __slots__ = ()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(w.label for w in self.wires)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(w.dim for w in self.wires)
+
+
+class LabeledOperator(_Wired):
     """A dense operator acting on an ordered tuple of labeled wires.
 
     Args:
@@ -126,19 +151,8 @@ class LabeledOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(w.label for w in self.wires)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(w.dim for w in self.wires)
-
     def wire(self, label: str) -> Wire:
-        for w in self.wires:
-            if w.label == label:
-                return w
-        raise UnknownLabelError(f"no wire labeled {label!r}")
+        return self.wires[self._position(label)]
 
     def _position(self, label: str) -> int:
         for i, w in enumerate(self.wires):
@@ -207,14 +221,7 @@ class LabeledOperator:
 
     def permuted(self, order: Sequence[str]) -> "LabeledOperator":
         """Reorder wires to ``order``, which must list every label exactly once."""
-        order = tuple(order)
-        if sorted(order) != sorted(self.labels):
-            for lbl in order:
-                if lbl not in self.labels:
-                    raise UnknownLabelError(f"no wire labeled {lbl!r}")
-            raise NotAPermutationError(
-                f"{order} is not a permutation of {self.labels}"
-            )
+        order = _check_order(order, self.labels)
         if order == self.labels:
             return self
         n = len(self.wires)
@@ -309,10 +316,10 @@ class LabeledOperator:
                 f"{labels} are not consecutive wires in order {self.labels}"
             )
         i = positions[0]
-        dims = [self.wires[p].dim for p in positions]
-        if merged.dim != math.prod(dims):
+        total = _total_dim(self.wires[p] for p in positions)
+        if merged.dim != total:
             raise DimMismatchError(
-                f"merged wire dim {merged.dim} != product of parts {math.prod(dims)}"
+                f"merged wire dim {merged.dim} != product of parts {total}"
             )
         new_wires = _check_wires(
             self.wires[:i] + (merged,) + self.wires[i + len(labels) :]
@@ -355,7 +362,7 @@ class LabeledOperator:
         return float(np.linalg.eigvalsh(_real_if_exact(h))[0])
 
 
-class LabeledVector:
+class LabeledVector(_Wired):
     """A state vector over an ordered tuple of labeled wires."""
 
     __slots__ = ("wires", "vector")
@@ -374,14 +381,6 @@ class LabeledVector:
     def __setattr__(self, name, value):
         raise AttributeError("LabeledVector is immutable")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(w.label for w in self.wires)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(w.dim for w in self.wires)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
@@ -393,12 +392,7 @@ class LabeledVector:
         return LabeledVector(wires, np.kron(self.vector, other.vector))
 
     def permuted(self, order: Sequence[str]) -> "LabeledVector":
-        order = tuple(order)
-        if sorted(order) != sorted(self.labels):
-            for lbl in order:
-                if lbl not in self.labels:
-                    raise UnknownLabelError(f"no wire labeled {lbl!r}")
-            raise NotAPermutationError(f"{order} is not a permutation of {self.labels}")
+        order = _check_order(order, self.labels)
         if order == self.labels:
             return self
         pos = {w.label: i for i, w in enumerate(self.wires)}

@@ -15,14 +15,14 @@ fragments can be assembled pairwise in any order.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimMismatchError, TripleLabelError
-from .labeled import LabeledOperator, _check_einsum_wires
+from .labeled import LabeledOperator, _check_einsum_wires, _total_dim
 
 
 def _shared_labels(a: LabeledOperator, b: LabeledOperator) -> list[str]:
@@ -72,8 +72,13 @@ def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
         optimize=True,
     )
     wires = tuple(a.wire(lbl) for lbl in a_only) + tuple(b.wire(lbl) for lbl in b_only)
-    d = math.prod(w.dim for w in wires)
+    d = _total_dim(wires)
     return LabeledOperator(wires, res.reshape(d, d))
+
+
+def _label_counts(parts: Sequence[LabeledOperator]) -> Counter[str]:
+    """How many parts carry each label, in order of first occurrence."""
+    return Counter(lbl for p in parts for lbl in p.labels)
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,7 @@ class Network:
 
     def __init__(self, parts: Sequence[LabeledOperator]):
         parts = tuple(parts)
-        counts: dict[str, int] = {}
-        for p in parts:
-            for lbl in p.labels:
-                counts[lbl] = counts.get(lbl, 0) + 1
+        counts = _label_counts(parts)
         bad = sorted(lbl for lbl, c in counts.items() if c > 2)
         if bad:
             raise TripleLabelError(
@@ -106,16 +108,8 @@ class Network:
 
     @property
     def open_labels(self) -> tuple[str, ...]:
-        counts: dict[str, int] = {}
-        for p in self.parts:
-            for lbl in p.labels:
-                counts[lbl] = counts.get(lbl, 0) + 1
-        out = []
-        for p in self.parts:
-            for lbl in p.labels:
-                if counts[lbl] == 1:
-                    out.append(lbl)
-        return tuple(out)
+        counts = _label_counts(self.parts)
+        return tuple(lbl for lbl, c in counts.items() if c == 1)
 
 
 def assemble(net: Network) -> LabeledOperator:

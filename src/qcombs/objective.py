@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .choi import max_entangled
 from .comb import MAX_DIM, CombStructure, _check_labels
 from .errors import (
     DimOverflowError,
@@ -32,7 +33,7 @@ from .errors import (
     NotHermitianError,
     UnsupportedError,
 )
-from .labeled import LabeledOperator, LabeledVector, Wire
+from .labeled import LabeledOperator, LabeledVector
 
 TAGS = ("U", "U*", "none")
 
@@ -57,20 +58,6 @@ def _partial_transpose(mat: np.ndarray, positions: Sequence[int], t: int, d: int
     return x.reshape(d**t, d**t)
 
 
-def _cycle_count(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
-
-
 @lru_cache(maxsize=None)
 def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
     """Spanning set of the fixed-point algebra of the mixed twirl, plus the
@@ -78,23 +65,16 @@ def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
 
     The twirl by U applied at every position (conjugated at conj_positions)
     is the orthogonal projection onto the span of the permutation operators
-    partially transposed at those positions; partial transposition is a
-    Hilbert-Schmidt isometry, so the Gram matrix keeps the plain form
-    d^(number of cycles).
+    partially transposed at those positions.  The Gram matrix is read off
+    the stacked basis; its entries are sums of products of 0s and 1s, so
+    they are exact integers.
     """
-    perms = list(permutations(range(t)))
     basis = tuple(
         _partial_transpose(_permutation_operator(p, d), conj_positions, t, d)
-        for p in perms
+        for p in permutations(range(t))
     )
-    gram = np.empty((len(perms), len(perms)))
-    for i, pi in enumerate(perms):
-        inv = [0] * t
-        for k, v in enumerate(pi):
-            inv[v] = k
-        for j, pj in enumerate(perms):
-            composed = tuple(inv[pj[k]] for k in range(t))
-            gram[i, j] = float(d) ** _cycle_count(composed)
+    flat = np.stack([b.reshape(-1) for b in basis])
+    gram = flat @ flat.T
     return basis, np.linalg.pinv(gram)
 
 
@@ -204,8 +184,30 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
 # Task objectives
 
 
-def _max_entangled_vec(out_wire: Wire, in_wire: Wire) -> LabeledVector:
-    return LabeledVector((out_wire, in_wire), np.eye(out_wire.dim).reshape(-1))
+def _task_objective(
+    d: int, dims: list[int], pairs: list[tuple[int, int]], pattern: list, norm: int
+) -> PerformanceOperator:
+    """Haar average of the product of maximally entangled pairs, over norm.
+
+    dims are the comb wire dimensions in standard order; pairs lists the
+    (i, j) wire positions joined by sum_n |n>|n>; pattern lists the
+    (position, tag, copies) of the twirled wires.
+    """
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    structure = CombStructure.standard(dims)
+    if structure.dim > MAX_DIM:
+        raise DimOverflowError(
+            f"objective dimension {structure.dim} exceeds the cap {MAX_DIM}"
+        )
+    w = structure.wires
+    vec = LabeledVector((), np.ones(1))
+    for i, j in pairs:
+        vec = vec.tensor(max_entangled((w[i], w[j])))
+    base = vec.permuted(structure.labels).outer()
+    spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
+    omega = haar_average(spec, base).omega * (1.0 / norm)
+    return PerformanceOperator(omega, structure)
 
 
 @lru_cache(maxsize=None)
@@ -222,26 +224,11 @@ def cloning_objective(N: int, M: int, d: int) -> PerformanceOperator:
     """
     if N < 1 or M < 1:
         raise ValueError(f"need N, M >= 1, got N={N}, M={M}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    D = d ** (2 * (M + N))
-    if D > MAX_DIM:
-        raise DimOverflowError(f"objective dimension {D} exceeds the cap {MAX_DIM}")
-
+    slots = range(1, N + 1)
     dims = [d**M] + [d] * (2 * N) + [d**M]
-    structure = CombStructure.standard(dims)
-    w = structure.wires
-
-    vec = _max_entangled_vec(w[2 * N + 1], w[0])
-    for k in range(1, N + 1):
-        vec = vec.tensor(_max_entangled_vec(w[2 * k], w[2 * k - 1]))
-    base = vec.permuted(structure.labels).outer()
-
-    pattern = [(w[2 * N + 1].label, "U", M)]
-    pattern += [(w[2 * k].label, "U*", 1) for k in range(1, N + 1)]
-    averaged = haar_average(TwirlSpec(d, tuple(pattern)), base).omega
-    omega = (averaged * (1.0 / d ** (2 * M))).hermitized()
-    return PerformanceOperator(omega, structure)
+    pairs = [(2 * N + 1, 0)] + [(2 * k, 2 * k - 1) for k in slots]
+    pattern = [(2 * N + 1, "U", M)] + [(2 * k, "U*", 1) for k in slots]
+    return _task_objective(d, dims, pairs, pattern, norm=d ** (2 * M))
 
 
 @lru_cache(maxsize=None)
@@ -257,27 +244,12 @@ def learning_objective(N: int, d: int) -> PerformanceOperator:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    D = d ** (2 * (N + 1))
-    if D > MAX_DIM:
-        raise DimOverflowError(f"objective dimension {D} exceeds the cap {MAX_DIM}")
-
+    slots = range(1, N + 1)
     dims = [1] + [d] * (2 * N) + [1, d, d]
-    structure = CombStructure.standard(dims)
-    w = structure.wires
-
-    vec = LabeledVector((w[0], w[2 * N + 1]), np.ones(1))
-    for k in range(1, N + 1):
-        vec = vec.tensor(_max_entangled_vec(w[2 * k], w[2 * k - 1]))
-    vec = vec.tensor(_max_entangled_vec(w[2 * N + 3], w[2 * N + 2]))
-    base = vec.permuted(structure.labels).outer()
-
-    pattern = [(w[2 * k].label, "U*", 1) for k in range(1, N + 1)]
-    pattern.append((w[2 * N + 3].label, "U", 1))
-    averaged = haar_average(TwirlSpec(d, tuple(pattern)), base).omega
-    omega = (averaged * (1.0 / d**2)).hermitized()
-    return PerformanceOperator(omega, structure)
+    pairs = [(0, 2 * N + 1), (2 * N + 3, 2 * N + 2)]
+    pairs += [(2 * k, 2 * k - 1) for k in slots]
+    pattern = [(2 * k, "U*", 1) for k in slots] + [(2 * N + 3, "U", 1)]
+    return _task_objective(d, dims, pairs, pattern, norm=d**2)
 
 
 def estimation_reference(N: int, M: int, d: int) -> float:

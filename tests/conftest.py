@@ -17,7 +17,6 @@ from scipy.optimize import minimize
 
 from qcombs import (
     CombStructure,
-    DimMismatchError,
     DimOverflowError,
     LabeledOperator,
     QuantumComb,
@@ -55,7 +54,7 @@ def sample_sequential_network(rng: np.random.Generator) -> QuantumComb:
             return random_comb(
                 CombStructure.standard(dims), memory, seed=int(rng.integers(2**31))
             )
-        except (DimOverflowError, DimMismatchError):
+        except (DimOverflowError, ValueError):
             continue
 
 

@@ -137,10 +137,10 @@ def test_random_comb_deterministic():
 
 
 def test_random_comb_argument_errors():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError):
         random_comb(S2222, [2, 2], 0)
     s3 = CombStructure.standard([2, 2, 2, 2, 2, 2])
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError):
         random_comb(s3, [2, 1], 0)
     big = CombStructure.standard([4, 4, 4, 4, 4, 4])
     with pytest.raises(DimOverflowError):

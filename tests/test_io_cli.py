@@ -44,6 +44,16 @@ def test_awkward_floats_survive_exactly():
     assert np.array_equal(g.matrix, mat)
 
 
+def test_scalar_file_roundtrip():
+    # The operator on no wires, as LabeledOperator.scalar and a closed
+    # network produce it, is written and read back like any other.
+    text = OperatorFile.from_operator(LabeledOperator.scalar(2.5)).dumps()
+    back = OperatorFile.loads(text)
+    assert back.wires == ()
+    assert back.matrix.tolist() == [[2.5]]
+    assert back.dumps() == text
+
+
 def test_to_operator_matches_source():
     rng = np.random.default_rng(3)
     op = LabeledOperator(W2, rng.standard_normal((6, 6)) + 0j)
@@ -438,6 +448,18 @@ def test_random_comb_verify_chain(tmp_path, capsys):
 def test_random_comb_requires_out(capsys):
     assert main(["random-comb", "--dims", "2,2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "dims, memory",
+    [("2,2,2,2", "1,1"), ("4,2,2,2", "1")],  # wrong count; no isometry
+)
+def test_random_comb_argument_errors_exit_2(tmp_path, capsys, dims, memory):
+    out = tmp_path / "comb.json"
+    args = ["random-comb", "--dims", dims, "--memory", memory, "--out", str(out)]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_rejects_scaled_comb(tmp_path, capsys):

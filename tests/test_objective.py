@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from qcombs import (
     link_product,
     random_comb,
 )
+from qcombs.objective import _commutant_basis
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
@@ -111,6 +114,41 @@ def test_averaging_is_idempotent():
     once = haar_average(spec, base).omega
     twice = haar_average(spec, once).omega
     assert (once - twice).norm() < 1e-12
+
+
+def _cycle_count(perm):
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+    return cycles
+
+
+@pytest.mark.parametrize(
+    "d, t", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)]
+)
+def test_commutant_gram_counts_cycles(d, t):
+    # Partial transposition is a Hilbert-Schmidt isometry, so the Gram
+    # matrix of the basis is d**cycles(pi_i^-1 pi_j) at any conjugation.
+    perms = list(permutations(range(t)))
+    oracle = np.empty((len(perms), len(perms)))
+    for i, pi in enumerate(perms):
+        inv = [0] * t
+        for k, v in enumerate(pi):
+            inv[v] = k
+        for j, pj in enumerate(perms):
+            oracle[i, j] = float(d) ** _cycle_count([inv[pj[k]] for k in range(t)])
+    for conj in {(), (0,), tuple(range(t))}:
+        basis, gram_pinv = _commutant_basis(d, t, conj)
+        flat = np.stack([b.reshape(-1) for b in basis])
+        assert np.array_equal(flat.conj() @ flat.T, oracle)
+        assert np.array_equal(gram_pinv, np.linalg.pinv(oracle))
 
 
 # ---------------------------------------------------------------------------
