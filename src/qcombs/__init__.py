@@ -43,6 +43,7 @@ from .errors import (
     NoConvergenceError,
     NotAPermutationError,
     NotHermitianError,
+    NotInvariantError,
     NotPSDError,
     OperatorFileError,
     QCombsError,
@@ -94,6 +95,7 @@ __all__ = [
     "NoConvergenceError",
     "NotAPermutationError",
     "NotHermitianError",
+    "NotInvariantError",
     "NotPSDError",
     "OPERATOR_FORMAT_VERSION",
     "OperatorFile",

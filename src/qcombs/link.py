@@ -26,7 +26,8 @@ from .labeled import LabeledOperator, _check_einsum_wires, _total_dim
 
 
 def _shared_labels(a: LabeledOperator, b: LabeledOperator) -> list[str]:
-    shared = [lbl for lbl in a.labels if lbl in set(b.labels)]
+    b_labels = set(b.labels)
+    shared = [lbl for lbl in a.labels if lbl in b_labels]
     for lbl in shared:
         if a.wire(lbl).dim != b.wire(lbl).dim:
             raise DimMismatchError(

@@ -14,6 +14,11 @@ the orthogonal projection onto the span of the (partially transposed)
 permutation operators, its fixed-point algebra, in any dimension and
 degree.  That span has real matrix entries, so a real base operator, which
 every task objective here is, averages to an exactly real Omega.
+
+The same span is a matrix algebra, so one real orthogonal change of basis
+on the twirled factor splits every operator it fixes into small blocks,
+one per irrep, each repeated once per dimension of that irrep.  The
+solver clips and diagonalizes in those block coordinates.
 """
 
 from __future__ import annotations
@@ -31,9 +36,17 @@ from .errors import (
     DimOverflowError,
     LabelMismatchError,
     NotHermitianError,
+    NotInvariantError,
     UnsupportedError,
 )
-from .labeled import LabeledOperator, LabeledVector
+from .labeled import (
+    EPS_HERMITIAN,
+    LabeledOperator,
+    LabeledVector,
+    Wire,
+    _real_if_exact,
+    _total_dim,
+)
 
 TAGS = ("U", "U*", "none")
 
@@ -78,6 +91,84 @@ def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
     return basis, np.linalg.pinv(gram)
 
 
+# Relative tolerances for telling eigenvalues of a generic element apart,
+# and for the checks that the computed change of basis is exact.
+_EIG_GAP = 1e-8
+_BLOCK_TOL = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _commutant_blocks(d: int, t: int, conj_positions: tuple[int, ...]):
+    """Real orthogonal Q (d^t x d^t) bringing the fixed-point algebra of the
+    mixed twirl into block form, and (offset, m, copies) for each irrep.
+
+    In the columns offset .. offset + m * copies of Q, every element of the
+    algebra reads M (x) I_copies, with one m x m block M per irrep: the
+    irrep of the twirling group has dimension copies and occurs m times.
+    Each eigenspace of a generic symmetric element A of the algebra is one
+    of those m occurrences.  A second generic element B couples two
+    eigenspaces exactly when they belong to the same irrep, and then
+    V_1^T B V_j is a multiple of the orthogonal map that aligns the basis
+    of eigenspace j with that of the irrep's first eigenspace V_1.  The
+    coefficients of A and B are fixed, so Q is deterministic, and a check
+    that Q is orthogonal and puts every basis element in block form guards
+    against an unlucky choice.
+    """
+    basis, _ = _commutant_basis(d, t, conj_positions)
+    n = d**t
+    flat = np.stack([el.reshape(-1) for el in basis])
+    k = np.arange(len(basis))
+    a = (np.cos(k) @ flat).reshape(n, n)
+    b = (np.sin(k * np.sqrt(2.0)) @ flat).reshape(n, n)
+    a, b = a + a.T, b + b.T
+    w, v = np.linalg.eigh(a)
+    gap = _EIG_GAP * (1.0 + float(np.abs(w).max()))
+    spaces = np.split(v, np.flatnonzero(np.diff(w) > gap) + 1, axis=1)
+    coupled = _EIG_GAP * (1.0 + float(np.linalg.norm(b)))
+    irreps: list[list[np.ndarray]] = []
+    for vj in spaces:
+        for irrep in irreps:
+            c = irrep[0].T @ b @ vj
+            if c.shape[0] == c.shape[1] and np.linalg.norm(c) > coupled:
+                u, _, vh = np.linalg.svd(c.T)
+                irrep.append(vj @ (u @ vh))
+                break
+        else:
+            irreps.append([vj])
+    q = np.hstack([vj for irrep in irreps for vj in irrep])
+
+    blocks, offset = [], 0
+    for irrep in irreps:
+        blocks.append((offset, len(irrep), irrep[0].shape[1]))
+        offset += len(irrep) * irrep[0].shape[1]
+    # With Q orthogonal, the matrix units are orthogonal and span exactly the
+    # operators in block form, so projecting onto them must fix the basis.
+    units, copies = _matrix_units(q, blocks)
+    moved = (flat @ units.T / copies) @ units - flat
+    if (
+        np.abs(q.T @ q - np.eye(n)).max() > _BLOCK_TOL
+        or np.abs(moved).max() > _BLOCK_TOL
+    ):
+        raise ArithmeticError(
+            f"the twirl's fixed algebra did not split into irrep blocks "
+            f"(d={d}, t={t}, conjugated at {conj_positions})"
+        )
+    return q, tuple(blocks)
+
+
+def _matrix_units(q: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix units E_ij = sum_c q_ic q_jc^T of every irrep, one
+    flattened per row, and the number of copies c each one sums over; q_ic
+    is the column of Q for row i of the irrep's block in copy c."""
+    dt = q.shape[0]
+    units, copies = [], []
+    for off, m, c in blocks:
+        qb = q[:, off : off + m * c].reshape(dt, m, c)
+        units.append(np.einsum("aic,bjc->ijab", qb, qb).reshape(m * m, dt * dt))
+        copies += [c] * (m * m)
+    return np.concatenate(units), np.array(copies, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Twirl specification and exact averaging
 
@@ -109,20 +200,127 @@ class TwirlSpec:
                 raise ValueError(f"wire {label!r} repeats in the pattern")
             seen.add(label)
 
+    def _factor(self, wires: Sequence[Wire]) -> tuple[list[str], int, tuple[int, ...]]:
+        """Labels of the twirled wires in pattern order, the number t of unit
+        factors they hold, and the positions of the conjugated ones.
+
+        A wire of dimension d**copies is copies consecutive factors of d.
+        """
+        dims = {w.label: w.dim for w in wires}
+        twirled, conj = [], []
+        for label, tag, copies in self.pattern:
+            if label not in dims:
+                raise LabelMismatchError(f"pattern wire {label!r} not on the operator")
+            if tag == "none":
+                continue
+            if dims[label] != self.d**copies:
+                raise LabelMismatchError(
+                    f"wire {label!r} has dim {dims[label]}, but the pattern "
+                    f"promises {self.d}**{copies}"
+                )
+            twirled.append(label)
+            conj += [tag == "U*"] * copies
+        return twirled, len(conj), tuple(i for i, c in enumerate(conj) if c)
+
+
+class _BlockLayout:
+    """Block coordinates of a twirl's fixed algebra on one wire order.
+
+    An operator X on the wires, fixed by the twirl, is
+    sum_{irrep, i, j} E_ij (x) X_ij with E_ij the matrix units of the
+    commutant on the twirled factor (see _matrix_units) and X_ij on the
+    other wires; the irrep's block is [X_ij], of size m * d_rest.  blocks
+    reads one copy of each block, averaged over the copies, and assemble
+    writes it to every copy, so assemble(blocks(X)) is the twirl of X.  Both
+    cost one product with the s = sum m^2 matrix units, O(D^2 s), and one
+    transpose.  With no twirl, or no twirled wire, the whole matrix is the
+    one block and both steps return their argument.
+    """
+
+    def __init__(self, twirl: TwirlSpec | None, wires: Sequence[Wire]):
+        labels, t, conj = ([], 0, ()) if twirl is None else twirl._factor(wires)
+        self._mults = None
+        if not labels:
+            return
+        q, blocks = _commutant_blocks(twirl.d, t, conj)
+        n = len(wires)
+        position = {w.label: i for i, w in enumerate(wires)}
+        front = [position[lbl] for lbl in labels]
+        back = [i for i in range(n) if i not in front]
+        self._axes = front + [n + i for i in front] + back + [n + i for i in back]
+        self._inverse = list(np.argsort(self._axes))
+        self._tensor = tuple(w.dim for w in wires) * 2
+        dt = q.shape[0]
+        self._dt = dt
+        self._dr = _total_dim(wires) // dt
+        self._mults = [m for _, m, _ in blocks]
+        units, copies = _matrix_units(q, blocks)
+        self._read = units / copies[:, None]
+        self._write = units.T.copy()
+
+    def blocks(self, mat: np.ndarray) -> list[np.ndarray]:
+        """One copy of each irrep block of mat, averaged over the copies."""
+        if self._mults is None:
+            return [mat]
+        dt, dr = self._dt, self._dr
+        x = mat.reshape(self._tensor).transpose(self._axes).reshape(dt * dt, dr * dr)
+        coeffs = self._read @ x
+        out, row = [], 0
+        for m in self._mults:
+            c = coeffs[row : row + m * m].reshape(m, m, dr, dr)
+            out.append(c.transpose(0, 2, 1, 3).reshape(m * dr, m * dr))
+            row += m * m
+        if np.iscomplexobj(mat):
+            out = [_real_if_exact(b) for b in out]
+        return out
+
+    def assemble(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The operator on the wires whose irrep blocks are blocks."""
+        if self._mults is None:
+            return blocks[0]
+        dr = self._dr
+        coeffs = np.concatenate([
+            b.reshape(m, dr, m, dr).transpose(0, 2, 1, 3).reshape(m * m, dr * dr)
+            for b, m in zip(blocks, self._mults)
+        ])
+        y = self._write @ coeffs
+        shape = [self._tensor[a] for a in self._axes]
+        D = self._dt * dr
+        return y.reshape(shape).transpose(self._inverse).reshape(D, D)
+
+    def min_eigenvalue(self, mat: np.ndarray) -> float:
+        return min(float(np.linalg.eigvalsh(b)[0]) for b in self.blocks(mat))
+
+    def max_eigenvalue(self, mat: np.ndarray) -> float:
+        return max(float(np.linalg.eigvalsh(b)[-1]) for b in self.blocks(mat))
+
 
 @dataclass(frozen=True)
 class PerformanceOperator:
     """Hermitian operator Omega with F(R) = Tr[R Omega], prefactors included,
-    and, when produced for a concrete task, the comb wire layout it scores."""
+    and, when produced for a concrete task, the comb wire layout it scores.
+
+    twirl, when given, is a twirl that fixes Omega; the solver then works in
+    its block coordinates.
+    """
 
     omega: LabeledOperator
     structure: CombStructure | None = None
+    twirl: TwirlSpec | None = None
 
     def __post_init__(self):
         if not self.omega.is_hermitian():
             raise NotHermitianError("a performance operator must be Hermitian")
         if self.structure is not None:
             _check_labels(self.omega, self.structure)
+        if self.twirl is not None:
+            layout = _BlockLayout(self.twirl, self.omega.wires)
+            mat = _real_if_exact(self.omega.matrix)
+            moved = np.linalg.norm(layout.assemble(layout.blocks(mat)) - mat)
+            if moved > EPS_HERMITIAN * max(np.linalg.norm(mat), 1e-300):
+                raise NotInvariantError(
+                    "the performance operator is not fixed by its twirl"
+                )
 
     def value(self, R: LabeledOperator) -> float:
         """Tr[R Omega] as a real number."""
@@ -137,38 +335,21 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     The average is the exact projection onto the commutant of the twirl,
     spanned by the partially transposed permutation operators on the unit
     factors, so it fixes precisely the operators commuting with every
-    W(U); in particular it is idempotent and Hermiticity-preserving.
+    W(U); in particular it is idempotent and Hermiticity-preserving.  The
+    result carries spec as its twirl.
     """
-    for label, _, _ in spec.pattern:
-        if label not in base.labels:
-            raise LabelMismatchError(f"pattern wire {label!r} not on the operator")
+    twirled, t, conj_positions = spec._factor(base.wires)
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
-
-    twirled, conj = [], []
-    for label, tag, copies in spec.pattern:
-        if tag == "none":
-            continue
-        dim = base.wire(label).dim
-        if dim != spec.d**copies:
-            raise LabelMismatchError(
-                f"wire {label!r} has dim {dim}, but the pattern promises "
-                f"{spec.d}**{copies}"
-            )
-        # A wire of dimension d**copies is copies consecutive factors of d.
-        twirled.append(label)
-        conj += [tag == "U*"] * copies
     if not twirled:
-        return PerformanceOperator(base.hermitized())
+        return PerformanceOperator(base.hermitized(), twirl=spec)
 
     op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
     d = spec.d
-    t = len(conj)
     dt = d**t
     dr = op.dim // dt
     x4 = op.matrix.reshape(dt, dr, dt, dr)
 
-    conj_positions = tuple(i for i, c in enumerate(conj) if c)
     basis, gram_pinv = _commutant_basis(d, t, conj_positions)
     overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
     avg = np.zeros_like(op.matrix)
@@ -177,7 +358,7 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
         avg += np.kron(b, coeff)
 
     out = LabeledOperator(op.wires, avg).hermitized()
-    return PerformanceOperator(out.permuted(base.labels))
+    return PerformanceOperator(out.permuted(base.labels), twirl=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +388,7 @@ def _task_objective(
     base = vec.permuted(structure.labels).outer()
     spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
     omega = haar_average(spec, base).omega * (1.0 / norm)
-    return PerformanceOperator(omega, structure)
+    return PerformanceOperator(omega, structure, spec)
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,22 @@ and the solve and the dual-bound re-check run in float64 with no loss.
 Every cloning and learning objective is exactly real, because the twirl
 projects onto a span of real permutation operators; an Omega with a
 nonzero imaginary part runs in complex128.  R_star is complex either way.
+
+Every eigenvalue step runs in the block coordinates of the objective's
+twirl.  The comb set is invariant under every wire-local unitary, so the
+affine projection commutes with the twirl, and so does the eigenvalue
+clip; starting from the maximally mixed comb, every iterate stays in the
+algebra the twirl fixes.  That algebra is a direct sum of blocks, one per
+irrep, each repeated once per dimension of the irrep, so the clip, the
+polishing eigenvalue, the certificate's eigenvalue and lambda_max(Omega)
+each diagonalize one copy of every block instead of the D x D matrix.  The
+iterates themselves stay D x D and in the structure's wire order, and the
+affine projection runs there.  An objective with no twirl is the one-block
+case.  Soundness does not rest on the symmetry: the value is Tr[R Omega]
+of a polished comb whose feas_residual comes from a dense
+verify_causality, and dual_bound re-checks the certificate with a dense
+eigenvalue, so a wrong block decomposition would show as a failed check,
+never as a certified false number.
 """
 
 from __future__ import annotations
@@ -49,16 +65,16 @@ from .comb import (
     QuantumComb,
     _affine_projection,
     _check_labels,
-    _psd_part,
     _register_merge,
     verify_causality,
 )
+from .comb import _psd_part as _clip
 from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
 from .labeled import LabeledOperator, _real_if_exact
-from .objective import PerformanceOperator
+from .objective import PerformanceOperator, _BlockLayout
 
-# Dense ADMM with one eigendecomposition per iteration; past this the
-# iteration cost, not correctness, becomes the problem.
+# ADMM on dense D x D iterates; past this the iteration cost, not
+# correctness, becomes the problem.
 SOLVE_DIM_CAP = 1024
 
 _OVER_RELAXATION = 1.6
@@ -132,12 +148,20 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", a, b).real)
 
 
-def _polish(x: np.ndarray, mixed: np.ndarray, floor: float) -> np.ndarray:
+def _psd_part(mat: np.ndarray, layout: _BlockLayout) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix in the twirl's fixed
+    algebra: the eigenvalue clip of each irrep block."""
+    return layout.assemble([_clip(b) for b in layout.blocks(mat)])
+
+
+def _polish(
+    x: np.ndarray, mixed: np.ndarray, floor: float, layout: _BlockLayout
+) -> np.ndarray:
     """Mix an affine-exact iterate toward the maximally mixed comb until
     positive.  Affine combinations stay on the affine set, and the mixing
     weight is the smallest that lifts the most negative eigenvalue to zero.
     """
-    lo = float(np.linalg.eigvalsh(x)[0])
+    lo = layout.min_eigenvalue(x)
     if lo >= 0.0:
         return x
     beta = -lo / (floor - lo)
@@ -158,7 +182,12 @@ def _dual_range_projection(mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 
 
 def _build_certificate(
-    om: np.ndarray, u_scaled: np.ndarray, dims: Sequence[int], tv: float, flat: float
+    om: np.ndarray,
+    u_scaled: np.ndarray,
+    dims: Sequence[int],
+    tv: float,
+    flat: float,
+    layout: _BlockLayout,
 ):
     """Repair the ADMM dual variable into a valid upper-bound certificate.
 
@@ -168,7 +197,7 @@ def _build_certificate(
     D = om.shape[0]
     cand = om - u_scaled
     cand = _dual_range_projection((cand + cand.conj().T) / 2.0, dims)
-    lo = float(np.linalg.eigvalsh(cand - om)[0])
+    lo = layout.min_eigenvalue(cand - om)
     if lo < 0.0:
         cand = cand + (-lo) * np.eye(D)
     bound = float(np.trace(cand).real) * tv / D
@@ -200,10 +229,11 @@ def solve(p: SdpProblem) -> SdpSolution:
     dims = structure.dims
     tv = float(structure.trace_value)
     om = _objective_matrix(p)
+    layout = _BlockLayout(p.omega.twirl, structure.wires)
 
     mixed = (tv / D) * np.eye(D)
     floor = tv / D
-    flat = float(np.linalg.eigvalsh(om)[-1])
+    flat = layout.max_eigenvalue(om)
 
     x = mixed.copy()
     z = mixed.copy()
@@ -224,7 +254,7 @@ def solve(p: SdpProblem) -> SdpSolution:
 
         xh = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
         z_prev = z
-        z = _psd_part(xh + u)
+        z = _psd_part(xh + u, layout)
         u = u + xh - z
 
         r = float(np.linalg.norm(x - z))
@@ -234,7 +264,7 @@ def solve(p: SdpProblem) -> SdpSolution:
 
         checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
         if k == 1 or checkpoint:
-            cand = _polish(x, mixed, floor)
+            cand = _polish(x, mixed, floor, layout)
             val = _pair(cand, om)
             if val > best_val:
                 best_val = val
@@ -242,7 +272,7 @@ def solve(p: SdpProblem) -> SdpSolution:
         trace_log.append((best_val, r_rel))
 
         if checkpoint:
-            cert, bound = _build_certificate(om, rho * u, dims, tv, flat)
+            cert, bound = _build_certificate(om, rho * u, dims, tv, flat, layout)
             gap = None if bound is None else max(bound - best_val, 0.0)
             if gap is not None and gap <= p.tol_gap * (1.0 + abs(best_val)):
                 converged = True

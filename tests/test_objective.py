@@ -10,6 +10,7 @@ from qcombs import (
     DimOverflowError,
     LabeledOperator,
     NotHermitianError,
+    NotInvariantError,
     PerformanceOperator,
     TwirlSpec,
     UnsupportedError,
@@ -22,7 +23,7 @@ from qcombs import (
     link_product,
     random_comb,
 )
-from qcombs.objective import _commutant_basis
+from qcombs.objective import _commutant_basis, _commutant_blocks
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
@@ -151,6 +152,40 @@ def test_commutant_gram_counts_cycles(d, t):
         assert np.array_equal(gram_pinv, np.linalg.pinv(oracle))
 
 
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (lambda: cloning_objective(1, 2, 2), [8, 16]),
+        (lambda: cloning_objective(1, 2, 3), [27, 27, 54]),
+        (lambda: learning_objective(1, 2), [4, 4]),
+        (lambda: learning_objective(2, 2), [8, 16]),
+        (lambda: learning_objective(3, 2), [16, 32, 48]),
+        (lambda: learning_objective(4, 2), [32, 128, 160]),
+        (lambda: learning_objective(2, 3), [27, 27, 54]),
+    ],
+    ids=["clone12-d2", "clone12-d3", "learn1", "learn2", "learn3", "learn4", "learn2-d3"],
+)
+def test_commutant_blocks(build, sizes):
+    po = build()
+    d = po.twirl.d
+    _, t, conj = po.twirl._factor(po.structure.wires)
+    q, blocks = _commutant_blocks(d, t, conj)
+    assert np.abs(q.T @ q - np.eye(d**t)).max() < 1e-12
+    basis, _ = _commutant_basis(d, t, conj)
+    for el in basis:
+        y = q.T @ el @ q
+        form = np.zeros_like(y)
+        for off, m, copies in blocks:
+            span = slice(off, off + m * copies)
+            one = y[off : off + m * copies : copies, off : off + m * copies : copies]
+            form[span, span] = np.kron(one, np.eye(copies))
+        assert np.abs(y - form).max() < 1e-10
+    flat = np.stack([b.reshape(-1) for b in basis])
+    assert sum(m * m for _, m, _ in blocks) == np.linalg.matrix_rank(flat @ flat.T)
+    d_rest = po.structure.dim // d**t
+    assert sorted(m * d_rest for _, m, _ in blocks) == sizes
+
+
 # ---------------------------------------------------------------------------
 # Performance operators
 
@@ -165,6 +200,15 @@ def test_performance_operator_validation():
     wider = CombStructure.standard([2, 2, 2, 4])
     with pytest.raises(DimMismatchError):
         PerformanceOperator(po.omega, wider)
+
+
+def test_twirl_that_does_not_fix_omega_is_rejected():
+    po = learning_objective(1, 2)
+    rng = np.random.default_rng(5)
+    moved = po.omega + LabeledOperator(po.omega.wires, 1e-3 * rand_hermitian(16, rng))
+    PerformanceOperator(moved, po.structure)
+    with pytest.raises(NotInvariantError):
+        PerformanceOperator(moved, po.structure, po.twirl)
 
 
 def test_cloning_objective_shape_and_trace():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -90,6 +91,41 @@ def test_learning_two_uses_qubits():
     assert bound <= target + 1e-6
     # the certified interval excludes 3/4 by a wide margin
     assert bound < 0.75 - 0.09
+
+
+def test_four_use_learning_certified():
+    # Qubit learning from four uses is D = 1024; the optimum cos^2(pi/7)
+    # (Bisio et al., arXiv:0903.0543) lies in the certified interval.
+    p = problem_for(learning_objective(4, 2))
+    sol = solve(p)
+    assert sol.converged
+    target = math.cos(math.pi / 7) ** 2
+    assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cloning_objective(1, 2, 2), lambda: learning_objective(2, 2)],
+    ids=["clone12", "learn2"],
+)
+def test_blocked_solve_matches_one_block_solve(build):
+    po = build()
+    assert po.twirl is not None
+    reordered = po.omega.permuted(po.structure.labels[::-1])
+    variants = [
+        po,
+        dataclasses.replace(po, twirl=None),
+        PerformanceOperator(reordered, po.structure, po.twirl),
+    ]
+    sols = []
+    for q in variants:
+        p = problem_for(q)
+        sol = solve(p)
+        assert sol.value - 1e-12 <= dual_bound(p, sol)
+        sols.append(sol)
+    for sol in sols[1:]:
+        assert sol.iterations == sols[0].iterations
+        assert sol.value == pytest.approx(sols[0].value, abs=1e-9)
 
 
 @stretch
