@@ -467,7 +467,7 @@ def supermap_apply(
 
 
 def _affine_projection(
-    mat: np.ndarray, dims: Sequence[int], trace_value: float
+    mat: np.ndarray, dims: Sequence[int], trace_value: float, mixers=None, tau=None
 ) -> np.ndarray:
     """Orthogonal projection onto the affine set of the causality constraints.
 
@@ -486,26 +486,44 @@ def _affine_projection(
     a partial trace of M_{w+1}, and the sum is accumulated in Horner form,
     adding the running sum to the diagonal blocks of the next term, so no
     Kronecker product is built.
+
+    mat may instead hold coordinates, shape (s, h, h), of
+    X = sum_a E_a (x) mat[a] with E_a an orthonormal basis of an algebra on
+    some further wires that every Delta_w maps into itself; dims are then
+    the other wires only, and tau[a] = Tr E_a.  Delta_w then acts on the
+    coordinates as an s x s matrix times the marginal of the other wires,
+    so the sum takes mixers[k], the sum of (-1)^w Delta_w over the w that
+    leave k of those wires, each divided by its t_w.  Without mixers mat
+    is X itself, the case s = 1 with mixers[w] = (-1)^w / t_w.
     """
-    D = mat.shape[0]
+    dense = mixers is None
+    if dense:
+        tails = np.cumprod((1,) + tuple(reversed(dims)))[::-1]
+        mixers = [np.array([[(-1) ** w / t]]) for w, t in enumerate(tails)]
+        mat, tau = mat[None], np.ones(1)
+
+    def mixed(k, marg):
+        return (mixers[k] @ marg.reshape(len(tau), -1)).reshape(marg.shape)
+
     marg = [mat]
     for d in reversed(dims):
-        h = marg[-1].shape[0] // d
-        marg.append(np.einsum("aibi->ab", marg[-1].reshape(h, d, h, d)))
+        h = marg[-1].shape[1] // d
+        marg.append(np.einsum("saibi->sab", marg[-1].reshape(-1, h, d, h, d)))
     marg.reverse()
 
-    out = marg[0] / D
-    tail = D
+    out = mixed(0, marg[0])
     for w, d in enumerate(dims, start=1):
-        tail //= d
-        nxt = ((-1) ** w / tail) * marg[w]
-        h = nxt.shape[0] // d
-        blocks = nxt.reshape(h, d, h, d)
+        nxt = mixed(w, marg[w])
+        h = nxt.shape[1] // d
+        blocks = nxt.reshape(-1, h, d, h, d)
         for j in range(d):
-            blocks[:, j, :, j] += out
+            blocks[:, :, j, :, j] += out
         out = nxt
-    out.flat[:: D + 1] += (trace_value - np.trace(out).real) / D
-    return out
+    # Shift along the identity, whose coordinates are tau (x) I.
+    h = out.shape[1]
+    shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
+    out[:, range(h), range(h)] += (shift * tau)[:, None]
+    return out[0] if dense else out
 
 
 def _psd_part(mat: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ every task objective here is, averages to an exactly real Omega.
 The same span is a matrix algebra, so one real orthogonal change of basis
 on the twirled factor splits every operator it fixes into small blocks,
 one per irrep, each repeated once per dimension of that irrep.  The
-solver clips and diagonalizes in those block coordinates.
+solver runs in the coordinates of an orthonormal basis of that algebra
+(_Coordinates), where each block is a reshaped slice.
 """
 
 from __future__ import annotations
@@ -223,26 +224,43 @@ class TwirlSpec:
         return twirled, len(conj), tuple(i for i, c in enumerate(conj) if c)
 
 
-class _BlockLayout:
-    """Block coordinates of a twirl's fixed algebra on one wire order.
+def _depolarized(units: np.ndarray, d: int, t: int, factors) -> np.ndarray:
+    """The rows of units, flattened operators on t factors of dimension d,
+    with each of the given factors traced out and replaced by I / d."""
+    x = units.reshape((len(units),) + (d,) * (2 * t))
+    for f in factors:
+        shape = [1] * x.ndim
+        shape[1 + f] = shape[1 + t + f] = d
+        traced = np.trace(x, axis1=1 + f, axis2=1 + t + f) / d
+        x = np.expand_dims(traced, (1 + f, 1 + t + f)) * np.eye(d).reshape(shape)
+    return x.reshape(units.shape)
 
-    An operator X on the wires, fixed by the twirl, is
-    sum_{irrep, i, j} E_ij (x) X_ij with E_ij the matrix units of the
-    commutant on the twirled factor (see _matrix_units) and X_ij on the
-    other wires; the irrep's block is [X_ij], of size m * d_rest.  blocks
-    reads one copy of each block, averaged over the copies, and assemble
-    writes it to every copy, so assemble(blocks(X)) is the twirl of X.  Both
-    cost one product with the s = sum m^2 matrix units, O(D^2 s), and one
-    transpose.  With no twirl, or no twirled wire, the whole matrix is the
-    one block and both steps return their argument.
+
+class _Coordinates:
+    """Coordinates of the operators a twirl fixes, on one wire order.
+
+    Such an operator is X = sum_a E_a (x) K_a, where the E_a are the matrix
+    units of the commutant on the twirled factor (see _matrix_units), each
+    divided by the square root of its number of copies so that they are
+    orthonormal, and K_a acts on the other wires in their order.  The array
+    K of shape (s, d_rest, d_rest), s = sum m^2, holds the coordinates.  The
+    basis is orthonormal, so norms, inner products and linear combinations
+    of coordinates are those of the operators, and of(X) followed by
+    matrix(K) is the twirl of X; each costs one product with the matrix
+    units and one transpose.  The identity has coordinates tau (x) I with
+    tau_a = Tr E_a.  The rows of one irrep, reshaped, form sqrt(copies)
+    times its (m * d_rest)-square block, so the eigenvalues of X are those
+    of the blocks divided by sqrt(copies).  With no twirl, or no twirled
+    wire, s = 1, E = [[1]] and K is X with a leading axis of length one.
     """
 
     def __init__(self, twirl: TwirlSpec | None, wires: Sequence[Wire]):
         labels, t, conj = ([], 0, ()) if twirl is None else twirl._factor(wires)
-        self._mults = None
-        if not labels:
-            return
-        q, blocks = _commutant_blocks(twirl.d, t, conj)
+        if labels:
+            q, irreps = _commutant_blocks(twirl.d, t, conj)
+            units, copies = _matrix_units(q, irreps)
+        else:
+            irreps, units, copies = ((0, 1, 1),), np.ones((1, 1)), np.ones(1)
         n = len(wires)
         position = {w.label: i for i, w in enumerate(wires)}
         front = [position[lbl] for lbl in labels]
@@ -250,49 +268,85 @@ class _BlockLayout:
         self._axes = front + [n + i for i in front] + back + [n + i for i in back]
         self._inverse = list(np.argsort(self._axes))
         self._tensor = tuple(w.dim for w in wires) * 2
-        dt = q.shape[0]
-        self._dt = dt
-        self._dr = _total_dim(wires) // dt
-        self._mults = [m for _, m, _ in blocks]
-        units, copies = _matrix_units(q, blocks)
-        self._read = units / copies[:, None]
-        self._write = units.T.copy()
-
-    def blocks(self, mat: np.ndarray) -> list[np.ndarray]:
-        """One copy of each irrep block of mat, averaged over the copies."""
-        if self._mults is None:
-            return [mat]
-        dt, dr = self._dt, self._dr
-        x = mat.reshape(self._tensor).transpose(self._axes).reshape(dt * dt, dr * dr)
-        coeffs = self._read @ x
-        out, row = [], 0
-        for m in self._mults:
-            c = coeffs[row : row + m * m].reshape(m, m, dr, dr)
-            out.append(c.transpose(0, 2, 1, 3).reshape(m * dr, m * dr))
+        self.dim = _total_dim(wires)
+        self.dims = tuple(wires[i].dim for i in back)
+        self._dr = _total_dim(wires[i] for i in back)
+        self._units = units / np.sqrt(copies)[:, None]
+        self._irreps, adjoint, row = [], [], 0
+        for _, m, c in irreps:
+            self._irreps.append((row, m, c**0.5))
+            adjoint.append(row + np.arange(m * m).reshape(m, m).T.ravel())
             row += m * m
-        if np.iscomplexobj(mat):
-            out = [_real_if_exact(b) for b in out]
-        return out
+        self._adjoint = np.concatenate(adjoint)
+        self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
+        self.identity = self.tau[:, None, None] * np.eye(self._dr)
+        self.identity.flags.writeable = False
 
-    def assemble(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """The operator on the wires whose irrep blocks are blocks."""
-        if self._mults is None:
-            return blocks[0]
+        # Depolarizing the wires from position w on maps E_a (x) K_a to
+        # sum_b C_ba E_b (x) (the marginal of K_a on the other wires before
+        # w, padded with I / t), with C the depolarizing of the twirled
+        # factors at positions >= w; mixers[k] sums (-1)^w C / t over the w
+        # that keep the first k other wires (see comb._affine_projection).
+        d = 1 if twirl is None else twirl.d
+        copies_of = {} if twirl is None else {lbl: c for lbl, _, c in twirl.pattern}
+        factors, f = {}, 0
+        for i, lbl in zip(front, labels):
+            factors[i] = range(f, f + copies_of[lbl])
+            f += copies_of[lbl]
+        tails = np.cumprod((1,) + self.dims[::-1])[::-1]
+        self.mixers = [np.zeros((len(units), len(units))) for _ in tails]
+        moved, k = self._units, len(back)
+        for w in range(n, -1, -1):
+            if w in factors:
+                moved = _depolarized(moved, d, t, factors[w])
+            elif w < n:
+                k -= 1
+            self.mixers[k] += ((-1) ** w / tails[k]) * (self._units @ moved.T)
+
+    def of(self, mat: np.ndarray) -> np.ndarray:
+        """Coordinates of the twirl of mat."""
         dr = self._dr
-        coeffs = np.concatenate([
-            b.reshape(m, dr, m, dr).transpose(0, 2, 1, 3).reshape(m * m, dr * dr)
-            for b, m in zip(blocks, self._mults)
-        ])
-        y = self._write @ coeffs
+        x = mat.reshape(self._tensor).transpose(self._axes).reshape(-1, dr * dr)
+        return (self._units @ x).reshape(-1, dr, dr)
+
+    def matrix(self, k: np.ndarray) -> np.ndarray:
+        """The operator on the wires with coordinates k."""
+        y = self._units.T @ k.reshape(len(k), -1)
         shape = [self._tensor[a] for a in self._axes]
-        D = self._dt * dr
-        return y.reshape(shape).transpose(self._inverse).reshape(D, D)
+        return y.reshape(shape).transpose(self._inverse).reshape(self.dim, self.dim)
 
-    def min_eigenvalue(self, mat: np.ndarray) -> float:
-        return min(float(np.linalg.eigvalsh(b)[0]) for b in self.blocks(mat))
+    def trace(self, k: np.ndarray) -> float:
+        return float(self.tau @ np.einsum("sii->s", k).real)
 
-    def max_eigenvalue(self, mat: np.ndarray) -> float:
-        return max(float(np.linalg.eigvalsh(b)[-1]) for b in self.blocks(mat))
+    def hermitian(self, k: np.ndarray) -> np.ndarray:
+        """Coordinates of the Hermitian part: X^dagger has coordinates
+        K_ji^dagger at the row of E_ij."""
+        return (k + k[self._adjoint].conj().transpose(0, 2, 1)) / 2.0
+
+    def blocks(self, k: np.ndarray) -> list[np.ndarray]:
+        """sqrt(copies) times one copy of each irrep block."""
+        dr = self._dr
+        return [
+            k[r : r + m * m].reshape(m, m, dr, dr).swapaxes(1, 2).reshape(m * dr, -1)
+            for r, m, _ in self._irreps
+        ]
+
+    def from_blocks(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The coordinates whose blocks are blocks."""
+        dr = self._dr
+        return np.concatenate([
+            b.reshape(m, dr, m, dr).swapaxes(1, 2).reshape(m * m, dr, dr)
+            for b, (_, m, _) in zip(blocks, self._irreps)
+        ])
+
+    def min_eigenvalue(self, k: np.ndarray) -> float:
+        return min(
+            float(np.linalg.eigvalsh(b)[0]) / sc
+            for b, (_, _, sc) in zip(self.blocks(k), self._irreps)
+        )
+
+    def max_eigenvalue(self, k: np.ndarray) -> float:
+        return -self.min_eigenvalue(-k)
 
 
 @dataclass(frozen=True)
@@ -301,7 +355,7 @@ class PerformanceOperator:
     and, when produced for a concrete task, the comb wire layout it scores.
 
     twirl, when given, is a twirl that fixes Omega; the solver then works in
-    its block coordinates.
+    its coordinates (see _Coordinates).
     """
 
     omega: LabeledOperator
@@ -314,9 +368,9 @@ class PerformanceOperator:
         if self.structure is not None:
             _check_labels(self.omega, self.structure)
         if self.twirl is not None:
-            layout = _BlockLayout(self.twirl, self.omega.wires)
+            coords = _Coordinates(self.twirl, self.omega.wires)
             mat = _real_if_exact(self.omega.matrix)
-            moved = np.linalg.norm(layout.assemble(layout.blocks(mat)) - mat)
+            moved = np.linalg.norm(coords.matrix(coords.of(mat)) - mat)
             if moved > EPS_HERMITIAN * max(np.linalg.norm(mat), 1e-300):
                 raise NotInvariantError(
                     "the performance operator is not fixed by its twirl"
@@ -338,11 +392,16 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     W(U); in particular it is idempotent and Hermiticity-preserving.  The
     result carries spec as its twirl.
     """
+    return PerformanceOperator(_averaged(spec, base), twirl=spec)
+
+
+def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
+    """The operator of haar_average(spec, base), in base's wire order."""
     twirled, t, conj_positions = spec._factor(base.wires)
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
     if not twirled:
-        return PerformanceOperator(base.hermitized(), twirl=spec)
+        return base.hermitized()
 
     op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
     d = spec.d
@@ -358,7 +417,7 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
         avg += np.kron(b, coeff)
 
     out = LabeledOperator(op.wires, avg).hermitized()
-    return PerformanceOperator(out.permuted(base.labels), twirl=spec)
+    return out.permuted(base.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +446,7 @@ def _task_objective(
         vec = vec.tensor(max_entangled((w[i], w[j])))
     base = vec.permuted(structure.labels).outer()
     spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
-    omega = haar_average(spec, base).omega * (1.0 / norm)
+    omega = _averaged(spec, base) * (1.0 / norm)
     return PerformanceOperator(omega, structure, spec)
 
 

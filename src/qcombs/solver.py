@@ -35,21 +35,23 @@ Every cloning and learning objective is exactly real, because the twirl
 projects onto a span of real permutation operators; an Omega with a
 nonzero imaginary part runs in complex128.  R_star is complex either way.
 
-Every eigenvalue step runs in the block coordinates of the objective's
-twirl.  The comb set is invariant under every wire-local unitary, so the
-affine projection commutes with the twirl, and so does the eigenvalue
-clip; starting from the maximally mixed comb, every iterate stays in the
-algebra the twirl fixes.  That algebra is a direct sum of blocks, one per
-irrep, each repeated once per dimension of the irrep, so the clip, the
-polishing eigenvalue, the certificate's eigenvalue and lambda_max(Omega)
-each diagonalize one copy of every block instead of the D x D matrix.  The
-iterates themselves stay D x D and in the structure's wire order, and the
-affine projection runs there.  An objective with no twirl is the one-block
-case.  Soundness does not rest on the symmetry: the value is Tr[R Omega]
-of a polished comb whose feas_residual comes from a dense
-verify_causality, and dual_bound re-checks the certificate with a dense
-eigenvalue, so a wrong block decomposition would show as a failed check,
-never as a certified false number.
+The whole iteration runs in the coordinates of the objective's twirl
+(objective._Coordinates).  The comb set is invariant under every
+wire-local unitary, so the affine projection commutes with the twirl, and
+so does the eigenvalue clip; starting from the maximally mixed comb, every
+iterate stays in the algebra the twirl fixes.  Each iterate, the dual
+variable and the certificate candidate are stored by their coordinates in
+an orthonormal basis of that algebra, so norms, inner products and the
+ADMM updates act on those small arrays unchanged; the affine projection
+mixes the coordinates once per level, and the clip and every eigenvalue
+diagonalize one copy of each irrep block instead of the D x D matrix.
+Omega enters the coordinates once per solve, and R_star and the final
+certificate leave them once.  An objective with no twirl is the one-block
+case, whose coordinates are the matrix.  Soundness does not rest on the
+symmetry: the value is Tr[R Omega] of a polished comb whose feas_residual
+comes from a dense verify_causality, and dual_bound re-checks the
+certificate on the dense matrices, so a wrong decomposition would show as
+a failed check, never as a certified false number.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ from .comb import (
 from .comb import _psd_part as _clip
 from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
 from .labeled import LabeledOperator, _real_if_exact
-from .objective import PerformanceOperator, _BlockLayout
+from .objective import PerformanceOperator, _Coordinates
 
-# ADMM on dense D x D iterates; past this the iteration cost, not
-# correctness, becomes the problem.
+# The iterates live in the twirl's coordinates, but Omega, the solution,
+# the certificate and their dense checks (verify_causality, dual_bound) are
+# D x D; past this their cost, not correctness, becomes the problem.
 SOLVE_DIM_CAP = 1024
 
 _OVER_RELAXATION = 1.6
@@ -144,68 +147,64 @@ def _objective_matrix(p: SdpProblem) -> np.ndarray:
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr[a b] for Hermitian a, b."""
-    return float(np.einsum("ij,ji->", a, b).real)
+    """Tr[A B] for Hermitian A, B given by their coordinates a, b."""
+    return float(np.vdot(a, b).real)
 
 
-def _psd_part(mat: np.ndarray, layout: _BlockLayout) -> np.ndarray:
+def _psd_part(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix in the twirl's fixed
     algebra: the eigenvalue clip of each irrep block."""
-    return layout.assemble([_clip(b) for b in layout.blocks(mat)])
+    return coords.from_blocks([_clip(b) for b in coords.blocks(k)])
 
 
 def _polish(
-    x: np.ndarray, mixed: np.ndarray, floor: float, layout: _BlockLayout
+    x: np.ndarray, mixed: np.ndarray, floor: float, coords: _Coordinates
 ) -> np.ndarray:
     """Mix an affine-exact iterate toward the maximally mixed comb until
     positive.  Affine combinations stay on the affine set, and the mixing
     weight is the smallest that lifts the most negative eigenvalue to zero.
     """
-    lo = layout.min_eigenvalue(x)
+    lo = coords.min_eigenvalue(x)
     if lo >= 0.0:
         return x
     beta = -lo / (floor - lo)
     return (1.0 - beta) * x + beta * mixed
 
 
-def _dual_range_projection(mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+def _dual_range_projection(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
     """Project onto the span of the causality constraint functionals.
 
     That span is the identity line plus the ranges of the mutually
     orthogonal projectors G_n subtracted inside _affine_projection, so it
     is the orthogonal complement of the affine set's direction space.
     """
-    D = mat.shape[0]
-    tr = float(np.trace(mat).real)
-    centered = _affine_projection(mat, dims, tr)
-    return mat - centered + (tr / D) * np.eye(D)
+    tr = coords.trace(k)
+    centered = _affine_projection(k, coords.dims, tr, coords.mixers, coords.tau)
+    return k - centered + (tr / coords.dim) * coords.identity
 
 
 def _build_certificate(
     om: np.ndarray,
     u_scaled: np.ndarray,
-    dims: Sequence[int],
+    coords: _Coordinates,
     tv: float,
     flat: float,
-    layout: _BlockLayout,
 ):
     """Repair the ADMM dual variable into a valid upper-bound certificate.
 
     flat is lambda_max(Omega).  Returns (T, bound) with T in the constraint
     range and T - Omega >= 0, or (None, None) if the arithmetic degenerated.
     """
-    D = om.shape[0]
-    cand = om - u_scaled
-    cand = _dual_range_projection((cand + cand.conj().T) / 2.0, dims)
-    lo = layout.min_eigenvalue(cand - om)
+    cand = _dual_range_projection(coords.hermitian(om - u_scaled), coords)
+    lo = coords.min_eigenvalue(cand - om)
     if lo < 0.0:
-        cand = cand + (-lo) * np.eye(D)
-    bound = float(np.trace(cand).real) * tv / D
+        cand = cand + (-lo) * coords.identity
+    bound = coords.trace(cand) * tv / coords.dim
 
     # The flat certificate lambda_max(Omega) * I is always valid; keep
     # whichever is tighter.
     if flat * tv < bound:
-        cand = flat * np.eye(D)
+        cand = flat * coords.identity
         bound = flat * tv
     if not np.isfinite(bound):
         return None, None
@@ -226,21 +225,20 @@ def solve(p: SdpProblem) -> SdpSolution:
         raise DimOverflowError(
             f"solve supports dimension up to {SOLVE_DIM_CAP}, got {D}"
         )
-    dims = structure.dims
     tv = float(structure.trace_value)
-    om = _objective_matrix(p)
-    layout = _BlockLayout(p.omega.twirl, structure.wires)
+    coords = _Coordinates(p.omega.twirl, structure.wires)
+    om = coords.of(_objective_matrix(p))
 
-    mixed = (tv / D) * np.eye(D)
+    mixed = (tv / D) * coords.identity
     floor = tv / D
-    flat = layout.max_eigenvalue(om)
+    flat = coords.max_eigenvalue(om)
 
     x = mixed.copy()
     z = mixed.copy()
-    u = np.zeros((D, D), dtype=om.dtype)
+    u = np.zeros_like(om)
     rho = 1.0
 
-    best_mat = mixed
+    best = mixed
     best_val = _pair(mixed, om)
     trace_log: list[tuple[float, float]] = []
     converged = False
@@ -248,13 +246,12 @@ def solve(p: SdpProblem) -> SdpSolution:
     # max_iters >= 1 and the last iteration is a checkpoint, so the loop
     # always leaves k, cert and gap set by its final checkpoint.
     for k in range(1, p.max_iters + 1):
-        w_in = z - u + om / rho
-        w_in = (w_in + w_in.conj().T) / 2.0
-        x = _affine_projection(w_in, dims, tv)
+        w_in = coords.hermitian(z - u + om / rho)
+        x = _affine_projection(w_in, coords.dims, tv, coords.mixers, coords.tau)
 
         xh = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
         z_prev = z
-        z = _psd_part(xh + u, layout)
+        z = _psd_part(xh + u, coords)
         u = u + xh - z
 
         r = float(np.linalg.norm(x - z))
@@ -264,15 +261,15 @@ def solve(p: SdpProblem) -> SdpSolution:
 
         checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
         if k == 1 or checkpoint:
-            cand = _polish(x, mixed, floor, layout)
+            cand = _polish(x, mixed, floor, coords)
             val = _pair(cand, om)
             if val > best_val:
                 best_val = val
-                best_mat = cand
+                best = cand
         trace_log.append((best_val, r_rel))
 
         if checkpoint:
-            cert, bound = _build_certificate(om, rho * u, dims, tv, flat, layout)
+            cert, bound = _build_certificate(om, rho * u, coords, tv, flat)
             gap = None if bound is None else max(bound - best_val, 0.0)
             if gap is not None and gap <= p.tol_gap * (1.0 + abs(best_val)):
                 converged = True
@@ -286,7 +283,9 @@ def solve(p: SdpProblem) -> SdpSolution:
                 rho /= 2.0
                 u *= 2.0
 
-    R_star = QuantumComb(LabeledOperator(structure.wires, best_mat), structure)
+    R_star = QuantumComb(
+        LabeledOperator(structure.wires, coords.matrix(best)), structure
+    )
     return SdpSolution(
         R_star=R_star,
         value=best_val,
@@ -295,7 +294,7 @@ def solve(p: SdpProblem) -> SdpSolution:
         iterations=k,
         converged=converged,
         trace_log=tuple(trace_log),
-        dual_certificate=cert,
+        dual_certificate=None if cert is None else coords.matrix(cert),
     )
 
 
@@ -305,7 +304,8 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     Re-checks, independently of the solve run, that the stored certificate
     T lies in the constraint range and dominates Omega; only then is
     Tr[T] * trace_value / D a sound bound.  Raises BoundUnavailableError
-    when no certificate is stored or it fails either check.
+    when no certificate is stored or it fails either check.  Every check
+    runs on the dense D x D matrices, whatever twirl Omega carries.
     """
     cert = candidate.dual_certificate
     if cert is None:
@@ -320,7 +320,8 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     tol = 1e-8 * scale
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:
         raise BoundUnavailableError("the dual certificate is not Hermitian")
-    if float(np.linalg.norm(cert - _dual_range_projection(cert, structure.dims))) > tol:
+    dense = _Coordinates(None, structure.wires)
+    if float(np.linalg.norm(cert - _dual_range_projection(cert[None], dense)[0])) > tol:
         raise BoundUnavailableError(
             "the dual certificate leaves the constraint range, so it is not "
             "constant on the comb set"

@@ -23,7 +23,8 @@ from qcombs import (
     link_product,
     random_comb,
 )
-from qcombs.objective import _commutant_basis, _commutant_blocks
+from qcombs.comb import _affine_projection
+from qcombs.objective import _Coordinates, _commutant_basis, _commutant_blocks
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
@@ -286,3 +287,68 @@ def test_estimation_reference():
         estimation_reference(2, 2, 2)
     with pytest.raises(UnsupportedError):
         estimation_reference(1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Coordinates in the twirl's fixed algebra
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 2),
+        lambda: cloning_objective(1, 2, 3),
+        lambda: cloning_objective(2, 1, 2),
+        lambda: cloning_objective(1, 1, 2),
+        lambda: cloning_objective(1, 1, 3),
+        lambda: learning_objective(1, 2),
+        lambda: learning_objective(2, 2),
+        lambda: learning_objective(3, 2),
+        lambda: learning_objective(4, 2),
+        lambda: learning_objective(2, 3),
+    ],
+    ids=[
+        "clone12-d2", "clone12-d3", "clone21", "clone11-d2", "clone11-d3",
+        "learn1", "learn2", "learn3", "learn4", "learn2-d3",
+    ],
+)
+def test_coordinates_match_the_dense_operator(build):
+    po = build()
+    s = po.structure
+    D = s.dim
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((D, D))
+    x = haar_average(po.twirl, LabeledOperator(s.wires, a + a.T)).omega
+    x = x.permuted(s.labels).matrix.real
+    coords = _Coordinates(po.twirl, s.wires)
+    k = coords.of(x)
+    assert k.dtype == np.float64
+    assert np.abs(coords.matrix(k) - x).max() < 1e-12
+    assert np.linalg.norm(k) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+    assert coords.trace(k) == pytest.approx(np.trace(x), rel=1e-12, abs=1e-12)
+    assert np.abs(coords.of(np.eye(D)) - coords.identity).max() < 1e-12
+    dense = np.linalg.eigvalsh(x)
+    assert abs(coords.min_eigenvalue(k) - dense[0]) < 1e-10
+    assert abs(coords.max_eigenvalue(k) - dense[-1]) < 1e-10
+    tv = float(s.trace_value)
+    projected = _affine_projection(k, coords.dims, tv, coords.mixers, coords.tau)
+    assert np.abs(coords.matrix(projected) - _affine_projection(x, s.dims, tv)).max() < 1e-12
+    # The Hermitian part commutes with the twirl, also for complex input.
+    c = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    herm = coords.hermitian(coords.of(c))
+    assert np.abs(herm - coords.of((c + c.conj().T) / 2)).max() < 1e-12
+
+
+def test_coordinates_without_twirl_are_the_matrix():
+    po = cloning_objective(1, 2, 2)
+    s = po.structure
+    rng = np.random.default_rng(13)
+    x = rand_hermitian(s.dim, rng)
+    coords = _Coordinates(None, s.wires)
+    k = coords.of(x)
+    assert k.shape == (1, s.dim, s.dim)
+    assert np.array_equal(k[0], x)
+    assert np.array_equal(coords.matrix(k), x)
+    tv = float(s.trace_value)
+    projected = _affine_projection(k, coords.dims, tv, coords.mixers, coords.tau)
+    assert np.array_equal(projected[0], _affine_projection(x, s.dims, tv))

@@ -103,6 +103,18 @@ def test_four_use_learning_certified():
     assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
 
 
+def test_qutrit_cloning_certified():
+    # Qutrit 1 -> 2 cloning is D = 729; the optimum (d + sqrt(d^2 - 1))/d^3
+    # at d = 3 (Chiribella, D'Ariano & Perinotti, arXiv:0804.0129) lies in
+    # the certified interval.
+    p = problem_for(cloning_objective(1, 2, 3))
+    sol = solve(p)
+    assert sol.converged
+    target = (3 + math.sqrt(8)) / 27
+    assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
+    assert sol.R_star.verify().passed
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: cloning_objective(1, 2, 2), lambda: learning_objective(2, 2)],
