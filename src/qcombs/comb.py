@@ -41,6 +41,7 @@ from .labeled import (
     Wire,
     _Wired,
     _check_wires,
+    _psd_part,
     _real_if_exact,
     _total_dim,
 )
@@ -100,12 +101,6 @@ class CombStructure(_Wired):
         return tuple(
             (self.teeth[n][1], self.teeth[n + 1][0]) for n in range(self.n_teeth - 1)
         )
-
-    def wire(self, label: str) -> Wire:
-        for w in self.wires:
-            if w.label == label:
-                return w
-        raise LabelMismatchError(f"no wire labeled {label!r} in structure")
 
 
 def _check_labels(op: LabeledOperator, structure: CombStructure) -> None:
@@ -524,13 +519,6 @@ def _affine_projection(
     shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
     out[:, range(h), range(h)] += (shift * tau)[:, None]
     return out[0] if dense else out
-
-
-def _psd_part(mat: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clip)."""
-    h = (mat + mat.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def project_to_comb(

@@ -89,6 +89,13 @@ def _real_if_exact(mat: np.ndarray) -> np.ndarray:
     return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
 
 
+def _psd_part(mat: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clip)."""
+    h = (mat + mat.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.complex128)
     out.setflags(write=False)
@@ -96,7 +103,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class _Wired:
-    """Label and dimension views of an ordered ``wires`` tuple."""
+    """Label and dimension views of an ordered ``wires`` tuple, and the
+    lookup of one wire by its label."""
 
     __slots__ = ()
 
@@ -107,6 +115,15 @@ class _Wired:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(w.dim for w in self.wires)
+
+    def wire(self, label: str) -> Wire:
+        return self.wires[self._position(label)]
+
+    def _position(self, label: str) -> int:
+        for i, w in enumerate(self.wires):
+            if w.label == label:
+                return i
+        raise UnknownLabelError(f"no wire labeled {label!r}")
 
 
 class LabeledOperator(_Wired):
@@ -150,15 +167,6 @@ class LabeledOperator(_Wired):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def wire(self, label: str) -> Wire:
-        return self.wires[self._position(label)]
-
-    def _position(self, label: str) -> int:
-        for i, w in enumerate(self.wires):
-            if w.label == label:
-                return i
-        raise UnknownLabelError(f"no wire labeled {label!r}")
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -352,9 +360,8 @@ class LabeledOperator(_Wired):
 
     def psd_projection(self) -> "LabeledOperator":
         """Frobenius-nearest positive semidefinite operator (eigenvalue clip)."""
-        w, v = self.eigh()
-        wc = np.clip(w, 0.0, None)
-        return LabeledOperator(self.wires, (v * wc) @ v.conj().T)
+        self._require_hermitian()
+        return LabeledOperator(self.wires, _psd_part(self.matrix))
 
     def min_eigenvalue(self) -> float:
         self._require_hermitian()
@@ -395,8 +402,7 @@ class LabeledVector(_Wired):
         order = _check_order(order, self.labels)
         if order == self.labels:
             return self
-        pos = {w.label: i for i, w in enumerate(self.wires)}
-        axes = [pos[lbl] for lbl in order]
+        axes = [self._position(lbl) for lbl in order]
         view = self.vector.reshape(self.dims)
         new_wires = tuple(self.wires[a] for a in axes)
         return LabeledVector(new_wires, view.transpose(axes).reshape(-1))

@@ -12,14 +12,18 @@ is a linear objective over a convex set.
 The average is computed exactly, never by Monte-Carlo: the Haar twirl is
 the orthogonal projection onto the span of the (partially transposed)
 permutation operators, its fixed-point algebra, in any dimension and
-degree.  That span has real matrix entries, so a real base operator, which
-every task objective here is, averages to an exactly real Omega.
-
-The same span is a matrix algebra, so one real orthogonal change of basis
-on the twirled factor splits every operator it fixes into small blocks,
-one per irrep, each repeated once per dimension of that irrep.  The
-solver runs in the coordinates of an orthonormal basis of that algebra
-(_Coordinates), where each block is a reshaped slice.
+degree.  That span is a matrix algebra with real matrix entries, so one
+real orthogonal change of basis on the twirled factor splits every
+operator it fixes into small blocks, one per irrep, each repeated once
+per dimension of that irrep.  Its matrix units, scaled to unit norm,
+form an orthonormal basis of the algebra (_Coordinates): of(X) reads the
+coordinates of the twirl of X in one product with them, and the average
+Omega of a base operator X is matrix(of(X)).  A real base operator, which
+every task objective here is, therefore averages to an exactly real
+Omega.  The change of basis is found numerically and checked in
+_commutant_blocks against the spanning permutation operators, so an
+inexact one raises instead of averaging wrongly.  The solver runs in the
+same coordinates, where each block is a reshaped slice.
 """
 
 from __future__ import annotations
@@ -74,22 +78,20 @@ def _partial_transpose(mat: np.ndarray, positions: Sequence[int], t: int, d: int
 
 @lru_cache(maxsize=None)
 def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
-    """Spanning set of the fixed-point algebra of the mixed twirl, plus the
-    pseudo-inverse of its Gram matrix.
+    """Spanning set of the fixed-point algebra of the mixed twirl.
 
     The twirl by U applied at every position (conjugated at conj_positions)
     is the orthogonal projection onto the span of the permutation operators
-    partially transposed at those positions.  The Gram matrix is read off
-    the stacked basis; its entries are sums of products of 0s and 1s, so
-    they are exact integers.
+    partially transposed at those positions.  The set spans the algebra but
+    is not a basis of it once t > d.  _commutant_blocks finds the algebra's
+    block form from it and checks that form against every element; the
+    average Omega of X is then matrix(of(X)) in the coordinates of that
+    form (_Coordinates).
     """
-    basis = tuple(
+    return tuple(
         _partial_transpose(_permutation_operator(p, d), conj_positions, t, d)
         for p in permutations(range(t))
     )
-    flat = np.stack([b.reshape(-1) for b in basis])
-    gram = flat @ flat.T
-    return basis, np.linalg.pinv(gram)
 
 
 # Relative tolerances for telling eigenvalues of a generic element apart,
@@ -115,7 +117,7 @@ def _commutant_blocks(d: int, t: int, conj_positions: tuple[int, ...]):
     that Q is orthogonal and puts every basis element in block form guards
     against an unlucky choice.
     """
-    basis, _ = _commutant_basis(d, t, conj_positions)
+    basis = _commutant_basis(d, t, conj_positions)
     n = d**t
     flat = np.stack([el.reshape(-1) for el in basis])
     k = np.arange(len(basis))
@@ -397,27 +399,11 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
 
 def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
     """The operator of haar_average(spec, base), in base's wire order."""
-    twirled, t, conj_positions = spec._factor(base.wires)
+    coords = _Coordinates(spec, base.wires)
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
-    if not twirled:
-        return base.hermitized()
-
-    op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
-    d = spec.d
-    dt = d**t
-    dr = op.dim // dt
-    x4 = op.matrix.reshape(dt, dr, dt, dr)
-
-    basis, gram_pinv = _commutant_basis(d, t, conj_positions)
-    overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
-    avg = np.zeros_like(op.matrix)
-    for i, b in enumerate(basis):
-        coeff = sum(gram_pinv[i, j] * overlaps[j] for j in range(len(basis)))
-        avg += np.kron(b, coeff)
-
-    out = LabeledOperator(op.wires, avg).hermitized()
-    return out.permuted(base.labels)
+    avg = coords.matrix(coords.of(base.matrix))
+    return LabeledOperator(base.wires, avg).hermitized()
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ from .comb import (
     _register_merge,
     verify_causality,
 )
-from .comb import _psd_part as _clip
 from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
 from .labeled import LabeledOperator, _real_if_exact
+from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator, _Coordinates
 
 # The iterates live in the twirl's coordinates, but Omega, the solution,

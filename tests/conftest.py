@@ -3,14 +3,17 @@
 Everything here deliberately avoids the code paths it is used to check:
 the Monte-Carlo fidelity oracle composes circuits through link_product
 and plain matrix sandwiches (never through the twirl construction), the
-Clifford twirl sums explicit conjugations over a finite group (never
-through the commutant projection), and the brute-force channel search
-parameterizes Stinespring isometries directly (never through the solver).
+Clifford twirl sums explicit conjugations over a finite group and the
+Gram average solves the normal equations of the permutation operators
+(never through the commutant's block form), and the brute-force channel
+search parameterizes Stinespring isometries directly (never through the
+solver).
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import permutations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,6 +23,7 @@ from qcombs import (
     DimOverflowError,
     LabeledOperator,
     QuantumComb,
+    TwirlSpec,
     Wire,
     ginibre,
     haar_isometry,
@@ -136,6 +140,44 @@ def clifford_twirl(base: LabeledOperator, pattern) -> LabeledOperator:
         term = w @ base @ w.adjoint()
         acc = term if acc is None else acc + term
     return acc * (1.0 / len(group))
+
+
+def gram_average(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
+    """Haar average of base under spec, as the projection onto the span of
+    the partially transposed permutation operators.
+
+    The operators P_i on the t twirled unit factors span the fixed algebra
+    but need not be independent, so the coefficients of each overlap come
+    from the pseudo-inverse of their Gram matrix (the Weingarten matrix of
+    Collins and Sniady, CMP 264, 773 (2006)); the average is then
+    sum_ij pinv(G)_ij P_i (x) Tr_1[(P_j^dag (x) I) base], one full-size
+    Kronecker product per permutation.
+    """
+    twirled, conj = [], []
+    for label, tag, copies in spec.pattern:
+        if tag != "none":
+            twirled.append(label)
+            conj += [tag == "U*"] * copies
+    op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
+    d, t = spec.d, len(conj)
+    dt = d**t
+    dr = op.dim // dt
+    basis = []
+    for perm in permutations(range(t)):
+        p = np.eye(dt).reshape((d,) * (2 * t))
+        p = p.transpose(list(perm) + list(range(t, 2 * t)))
+        for k in np.flatnonzero(conj):
+            p = np.swapaxes(p, k, t + k)
+        basis.append(p.reshape(dt, dt))
+    flat = np.stack([b.reshape(-1) for b in basis])
+    gram_pinv = np.linalg.pinv(flat @ flat.T)
+    x4 = op.matrix.reshape(dt, dr, dt, dr)
+    overlaps = [np.einsum("ji,jaib->ab", b.conj(), x4) for b in basis]
+    avg = np.zeros_like(op.matrix)
+    for i, b in enumerate(basis):
+        coeff = sum(gram_pinv[i, j] * overlaps[j] for j in range(len(basis)))
+        avg += np.kron(b, coeff)
+    return LabeledOperator(op.wires, avg).hermitized().permuted(base.labels)
 
 
 def mc_gate_fidelity(

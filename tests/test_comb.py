@@ -16,6 +16,7 @@ from qcombs import (
     ProbabilisticComb,
     QuantumComb,
     SlotArityMismatchError,
+    UnknownLabelError,
     Wire,
     is_channel,
     kraus_to_choi,
@@ -55,6 +56,12 @@ def test_standard_structure_layout():
         CombStructure.standard([2, 2, 2])
     with pytest.raises(DuplicateLabelError):
         CombStructure(((Wire("x", 2), Wire("x", 2)),))
+
+
+def test_structure_wire_lookup():
+    assert S22.wire("1") == Wire("1", 2)
+    with pytest.raises(UnknownLabelError):
+        S22.wire("x")
 
 
 def test_comb_constructor_checks():

@@ -23,11 +23,13 @@ from qcombs import (
     link_product,
     random_comb,
 )
+from qcombs import objective
 from qcombs.comb import _affine_projection
 from qcombs.objective import _Coordinates, _commutant_basis, _commutant_blocks
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
+    gram_average,
     learning_conjugation,
     learning_memory,
     mc_gate_fidelity,
@@ -147,32 +149,32 @@ def test_commutant_gram_counts_cycles(d, t):
         for j, pj in enumerate(perms):
             oracle[i, j] = float(d) ** _cycle_count([inv[pj[k]] for k in range(t)])
     for conj in {(), (0,), tuple(range(t))}:
-        basis, gram_pinv = _commutant_basis(d, t, conj)
+        basis = _commutant_basis(d, t, conj)
         flat = np.stack([b.reshape(-1) for b in basis])
         assert np.array_equal(flat.conj() @ flat.T, oracle)
-        assert np.array_equal(gram_pinv, np.linalg.pinv(oracle))
 
 
-@pytest.mark.parametrize(
-    "build, sizes",
-    [
-        (lambda: cloning_objective(1, 2, 2), [8, 16]),
-        (lambda: cloning_objective(1, 2, 3), [27, 27, 54]),
-        (lambda: learning_objective(1, 2), [4, 4]),
-        (lambda: learning_objective(2, 2), [8, 16]),
-        (lambda: learning_objective(3, 2), [16, 32, 48]),
-        (lambda: learning_objective(4, 2), [32, 128, 160]),
-        (lambda: learning_objective(2, 3), [27, 27, 54]),
-    ],
-    ids=["clone12-d2", "clone12-d3", "learn1", "learn2", "learn3", "learn4", "learn2-d3"],
-)
-def test_commutant_blocks(build, sizes):
-    po = build()
+# (objective builder, its arguments, the sizes of its irrep blocks)
+OBJECTIVES = {
+    "clone12-d2": (cloning_objective, (1, 2, 2), [8, 16]),
+    "clone12-d3": (cloning_objective, (1, 2, 3), [27, 27, 54]),
+    "learn1": (learning_objective, (1, 2), [4, 4]),
+    "learn2": (learning_objective, (2, 2), [8, 16]),
+    "learn3": (learning_objective, (3, 2), [16, 32, 48]),
+    "learn4": (learning_objective, (4, 2), [32, 128, 160]),
+    "learn2-d3": (learning_objective, (2, 3), [27, 27, 54]),
+}
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_commutant_blocks(name):
+    build, args, sizes = OBJECTIVES[name]
+    po = build(*args)
     d = po.twirl.d
     _, t, conj = po.twirl._factor(po.structure.wires)
     q, blocks = _commutant_blocks(d, t, conj)
     assert np.abs(q.T @ q - np.eye(d**t)).max() < 1e-12
-    basis, _ = _commutant_basis(d, t, conj)
+    basis = _commutant_basis(d, t, conj)
     for el in basis:
         y = q.T @ el @ q
         form = np.zeros_like(y)
@@ -185,6 +187,19 @@ def test_commutant_blocks(build, sizes):
     assert sum(m * m for _, m, _ in blocks) == np.linalg.matrix_rank(flat @ flat.T)
     d_rest = po.structure.dim // d**t
     assert sorted(m * d_rest for _, m, _ in blocks) == sizes
+
+
+@pytest.mark.parametrize("name", list(OBJECTIVES))
+def test_objective_matches_gram_average(name, monkeypatch):
+    # The same objective built with the Gram pseudo-inverse average in place
+    # of the coordinate round trip; this reaches d = 3 and t = 5, past the
+    # Clifford oracle's qubit 3-design.
+    build, args, _ = OBJECTIVES[name]
+    po = build(*args)
+    monkeypatch.setattr(objective, "_averaged", gram_average)
+    ref = build.__wrapped__(*args)
+    assert ref.omega.labels == po.omega.labels
+    assert np.abs(ref.omega.matrix - po.omega.matrix).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -24,11 +23,6 @@ from qcombs import (
 from conftest import conjugation_operator
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
-
-stretch = pytest.mark.skipif(
-    not os.environ.get("QCOMBS_STRETCH"),
-    reason="long qutrit run; set QCOMBS_STRETCH=1 to enable",
-)
 
 
 def problem_for(po, **kw):
@@ -140,7 +134,6 @@ def test_blocked_solve_matches_one_block_solve(build):
         assert sol.value == pytest.approx(sols[0].value, abs=1e-9)
 
 
-@stretch
 def test_learning_two_uses_qutrits():
     p = problem_for(learning_objective(2, 3), tol_feas=1e-5, tol_gap=1e-5)
     sol = solve(p)
