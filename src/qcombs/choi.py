@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
-from .labeled import LabeledOperator, LabeledVector, Wire, _total_dim
+from .labeled import LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
 from .link import link_product
 
 # Eigenvalues below this absolute threshold are dropped when extracting
@@ -50,13 +50,12 @@ class KrausMap:
     def __init__(self, in_wire: Wire, out_wire: Wire, kraus: Sequence[np.ndarray]):
         ops = []
         for k in kraus:
-            k = np.asarray(k, dtype=np.complex128)
+            k = _frozen(k)
             if k.shape != (out_wire.dim, in_wire.dim):
                 raise DimMismatchError(
                     f"Kraus operator of shape {k.shape} does not map "
                     f"dim {in_wire.dim} to dim {out_wire.dim}"
                 )
-            k.setflags(write=False)
             ops.append(k)
         if not ops:
             raise ValueError("at least one Kraus operator is required")
@@ -66,7 +65,7 @@ class KrausMap:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Direct action ``sum_k K rho K^dagger`` on a density matrix."""
-        rho = np.asarray(rho, dtype=np.complex128)
+        rho = np.asarray(rho)
         return sum(k @ rho @ k.conj().T for k in self.kraus)
 
 
@@ -104,19 +103,15 @@ class ChoiOperator:
 
 def kraus_to_choi(kmap: KrausMap) -> ChoiOperator:
     """Choi operator of a Kraus map on the wire pair ``(out, in)``."""
-    d = kmap.out_wire.dim * kmap.in_wire.dim
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for k in kmap.kraus:
-        # (K (x) I) sum_n |n>|n> has entry K[a, n] at index (a, n).
-        v = k.reshape(-1)
-        mat += np.outer(v, v.conj())
+    # (K (x) I) sum_n |n>|n> has entry K[a, n] at index (a, n).
+    mat = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in kmap.kraus)
     op = LabeledOperator((kmap.out_wire, kmap.in_wire), mat)
     return ChoiOperator(op, (kmap.out_wire.label,), (kmap.in_wire.label,))
 
 
 def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
     """Act with a channel, given its Choi operator, on a density matrix."""
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     d_in = choi.in_dim
     if rho.shape != (d_in, d_in):
         raise DimMismatchError(

@@ -162,9 +162,12 @@ def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int
     and the operator file's metadata adds the seed, value and converged.
     """
     tol = args.tol if args.tol is not None else 1e-6
-    problem = SdpProblem(
-        po, po.structure, tol_feas=tol, tol_gap=tol, max_iters=args.max_iters
-    )
+    try:
+        problem = SdpProblem(
+            po, po.structure, tol_feas=tol, tol_gap=tol, max_iters=args.max_iters
+        )
+    except ValueError as e:
+        raise _CliInputError(str(e)) from None
     t0 = time.perf_counter()
     sol = solve(problem)
     wall = time.perf_counter() - t0

@@ -42,7 +42,6 @@ from .labeled import (
     _Wired,
     _check_wires,
     _psd_part,
-    _real_if_exact,
     _total_dim,
 )
 from .link import link_product
@@ -541,7 +540,7 @@ def project_to_comb(
         )
     dims = structure.dims
     wires = structure.wires
-    z = _real_if_exact(X.permuted(structure.labels).hermitized().matrix)
+    z = X.permuted(structure.labels).hermitized().matrix
     trace_value = float(structure.trace_value)
 
     gap = np.inf
@@ -586,6 +585,17 @@ def _register_merge(
         acc = term if acc is None else acc + term
     merged = acc.merge_wires([last_out.label, reg.label], merged_wire)
     return merged, CombStructure(structure.teeth[:-1] + ((last_in, merged_wire),))
+
+
+def _register_split(
+    merged: LabeledOperator, structure: CombStructure
+) -> list[LabeledOperator]:
+    """The ops of _register_merge(ops, structure), in structure's wire order."""
+    D, out = structure.dim, structure.teeth[-1][1]
+    k = merged.wire(out.label).dim // out.dim
+    x6 = merged.permuted(structure.labels).matrix.reshape((D // out.dim, out.dim, k) * 2)
+    blocks = [x6[:, :, i, :, :, i].reshape(D, D) for i in range(k)]
+    return [LabeledOperator(structure.wires, b) for b in blocks]
 
 
 def register_comb(p: ProbabilisticComb) -> QuantumComb:

@@ -141,7 +141,9 @@ class OperatorFile:
         return cls(op.wires, op.matrix.copy(), dict(metadata or {}))
 
     def to_operator(self) -> LabeledOperator:
-        return LabeledOperator(self.wires, self.matrix)
+        """The operator, in float64 when every imaginary part is zero."""
+        mat = self.matrix
+        return LabeledOperator(self.wires, mat if mat.imag.any() else mat.real)
 
     # -- canonical serialization ------------------------------------------------
 
@@ -176,15 +178,13 @@ class OperatorFile:
             raise OperatorFileError("wires must be a list")
         wires = []
         for entry in raw_wires:
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("label"), str)
-                or not isinstance(entry.get("dim"), int)
-            ):
+            try:
+                wires.append(Wire(entry["label"], entry["dim"]))
+            except (TypeError, KeyError, ValueError):
                 raise OperatorFileError(
-                    f"each wire needs a string label and an integer dim, got {entry!r}"
-                )
-            wires.append(Wire(entry["label"], entry["dim"]))
+                    f"each wire needs a non-empty string label and a positive "
+                    f"integer dim, got {entry!r}"
+                ) from None
         d = _total_dim(wires)
         entries = doc["entries"]
         if not isinstance(entries, list) or len(entries) != d * d:

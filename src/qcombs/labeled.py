@@ -6,6 +6,11 @@ vector) is stored densely in the Kronecker convention where the leftmost
 wire is the most significant index.  A scalar is an operator on an empty
 wire tuple, stored as a 1x1 matrix.
 
+The data keep their field: bool, integer and float data are stored in
+float64 and complex data in complex128, and any other dtype raises
+TypeError.  numpy's type promotion carries the field through tensor,
+link_product, ptrace, sums and products.
+
 All objects are immutable: every method returns a new instance and the
 underlying numpy buffers are write-protected.
 """
@@ -45,7 +50,7 @@ class Wire:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"wire label must be a non-empty string, got {self.label!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"wire dimension must be a positive integer, got {self.dim!r}")
 
 
@@ -84,11 +89,6 @@ def _check_einsum_wires(n: int) -> None:
         )
 
 
-def _real_if_exact(mat: np.ndarray) -> np.ndarray:
-    """``mat`` in float64 if its imaginary part is exactly zero, else as is."""
-    return mat if mat.imag.any() else np.ascontiguousarray(mat.real)
-
-
 def _psd_part(mat: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (eigenvalue clip)."""
     h = (mat + mat.conj().T) / 2.0
@@ -96,8 +96,12 @@ def _psd_part(mat: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.complex128)
+def _frozen(arr) -> np.ndarray:
+    """``arr`` contiguous and write-protected, in complex128 or float64."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind not in "biufc":
+        raise TypeError(f"operator data must be numeric, got dtype {arr.dtype}")
+    out = np.ascontiguousarray(arr, dtype=complex if arr.dtype.kind == "c" else float)
     out.setflags(write=False)
     return out
 
@@ -131,14 +135,14 @@ class LabeledOperator(_Wired):
 
     Args:
         wires: the wire tuple; labels must be unique.
-        matrix: square complex matrix of size ``prod(dims) x prod(dims)``.
+        matrix: square real or complex matrix of size ``prod(dims) x prod(dims)``.
     """
 
     __slots__ = ("wires", "matrix")
 
     def __init__(self, wires: Sequence[Wire], matrix: np.ndarray):
         wires = _check_wires(wires)
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = _frozen(matrix)
         d = _total_dim(wires)
         if matrix.shape != (d, d):
             raise ValueError(
@@ -146,7 +150,7 @@ class LabeledOperator(_Wired):
                 f"of wires {[w.label for w in wires]}"
             )
         object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "matrix", _frozen(matrix))
+        object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledOperator is immutable")
@@ -355,8 +359,7 @@ class LabeledOperator(_Wired):
                 the package tolerance.
         """
         self._require_hermitian()
-        w, v = np.linalg.eigh(0.5 * (self.matrix + self.matrix.conj().T))
-        return w, v
+        return np.linalg.eigh(self.hermitized().matrix)
 
     def psd_projection(self) -> "LabeledOperator":
         """Frobenius-nearest positive semidefinite operator (eigenvalue clip)."""
@@ -365,8 +368,7 @@ class LabeledOperator(_Wired):
 
     def min_eigenvalue(self) -> float:
         self._require_hermitian()
-        h = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(_real_if_exact(h))[0])
+        return float(np.linalg.eigvalsh(self.hermitized().matrix)[0])
 
 
 class LabeledVector(_Wired):
@@ -376,14 +378,14 @@ class LabeledVector(_Wired):
 
     def __init__(self, wires: Sequence[Wire], vector: np.ndarray):
         wires = _check_wires(wires)
-        vector = np.asarray(vector, dtype=np.complex128).reshape(-1)
+        vector = _frozen(np.asarray(vector).reshape(-1))
         d = _total_dim(wires)
         if vector.shape != (d,):
             raise ValueError(
                 f"vector length {vector.shape[0]} does not match total dimension {d}"
             )
         object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "vector", _frozen(vector))
+        object.__setattr__(self, "vector", vector)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledVector is immutable")

@@ -49,7 +49,6 @@ from .labeled import (
     LabeledOperator,
     LabeledVector,
     Wire,
-    _real_if_exact,
     _total_dim,
 )
 
@@ -356,8 +355,10 @@ class PerformanceOperator:
     """Hermitian operator Omega with F(R) = Tr[R Omega], prefactors included,
     and, when produced for a concrete task, the comb wire layout it scores.
 
-    twirl, when given, is a twirl that fixes Omega; the solver then works in
-    its coordinates (see _Coordinates).
+    omega must be Hermitian to EPS_HERMITIAN and is stored as its Hermitian
+    part, so the stored Omega is exactly Hermitian.  twirl, when given, is
+    a twirl that fixes Omega; the solver then works in its coordinates (see
+    _Coordinates).
     """
 
     omega: LabeledOperator
@@ -367,11 +368,12 @@ class PerformanceOperator:
     def __post_init__(self):
         if not self.omega.is_hermitian():
             raise NotHermitianError("a performance operator must be Hermitian")
+        object.__setattr__(self, "omega", self.omega.hermitized())
         if self.structure is not None:
             _check_labels(self.omega, self.structure)
         if self.twirl is not None:
             coords = _Coordinates(self.twirl, self.omega.wires)
-            mat = _real_if_exact(self.omega.matrix)
+            mat = self.omega.matrix
             moved = np.linalg.norm(coords.matrix(coords.of(mat)) - mat)
             if moved > EPS_HERMITIAN * max(np.linalg.norm(mat), 1e-300):
                 raise NotInvariantError(
@@ -398,12 +400,12 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
 
 
 def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
-    """The operator of haar_average(spec, base), in base's wire order."""
+    """The twirl of base, in base's wire order; PerformanceOperator takes
+    its exact Hermitian part."""
     coords = _Coordinates(spec, base.wires)
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
-    avg = coords.matrix(coords.of(base.matrix))
-    return LabeledOperator(base.wires, avg).hermitized()
+    return LabeledOperator(base.wires, coords.matrix(coords.of(base.matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,9 @@ polishes, repairs the current dual variable into a certificate and stops
 as soon as bound - value <= tol_gap * (1 + |value|).  The polished point
 is exactly feasible, so feasibility needs no stopping test of its own.
 
-The comb constraints commute with complex conjugation, so when Omega has
-an imaginary part of exactly zero, Re X is a comb of the same value as X,
-and the solve and the dual-bound re-check run in float64 with no loss.
-Every cloning and learning objective is exactly real, because the twirl
-projects onto a span of real permutation operators; an Omega with a
-nonzero imaginary part runs in complex128.  R_star is complex either way.
+Every array keeps the field of Omega (see labeled): a real Omega, which
+every cloning and learning objective is, is solved, certified and
+re-checked in float64, and a complex one in complex128.
 
 The whole iteration runs in the coordinates of the objective's twirl
 (objective._Coordinates).  The comb set is invariant under every
@@ -68,10 +65,11 @@ from .comb import (
     _affine_projection,
     _check_labels,
     _register_merge,
+    _register_split,
     verify_causality,
 )
 from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
-from .labeled import LabeledOperator, _real_if_exact
+from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator, _Coordinates
 
@@ -137,13 +135,6 @@ class SdpSolution:
             f"SdpSolution(value={self.value:.9f}, gap_bound={gap}, "
             f"iters={self.iterations}, {tag})"
         )
-
-
-def _objective_matrix(p: SdpProblem) -> np.ndarray:
-    """Omega in the structure's wire order, hermitized, and in float64 when
-    its imaginary part is exactly zero."""
-    om = p.omega.omega.permuted(p.structure.labels).matrix
-    return _real_if_exact((om + om.conj().T) / 2.0)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
@@ -227,7 +218,7 @@ def solve(p: SdpProblem) -> SdpSolution:
         )
     tv = float(structure.trace_value)
     coords = _Coordinates(p.omega.twirl, structure.wires)
-    om = coords.of(_objective_matrix(p))
+    om = coords.of(p.omega.omega.permuted(structure.labels).matrix)
 
     mixed = (tv / D) * coords.identity
     floor = tv / D
@@ -312,10 +303,9 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
         raise BoundUnavailableError("the candidate carries no dual certificate")
     if not np.all(np.isfinite(cert)):
         raise BoundUnavailableError("the dual certificate is not finite")
-    cert = _real_if_exact(cert)
     structure = p.structure
     D = structure.dim
-    om = _objective_matrix(p)
+    om = p.omega.omega.permuted(structure.labels).matrix
     scale = 1.0 + float(np.linalg.norm(cert))
     tol = 1e-8 * scale
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:
@@ -355,7 +345,6 @@ def solve_probabilistic(
         raise InvalidBranchSumError("need at least one branch objective")
     for po in omegas:
         _check_labels(po.omega, structure)
-    k = len(omegas)
 
     merged, big_structure = _register_merge([po.omega for po in omegas], structure)
     problem = SdpProblem(
@@ -367,12 +356,5 @@ def solve_probabilistic(
     )
     sol = solve(problem)
 
-    mat = sol.R_star.op.matrix
-    out_dim = structure.teeth[-1][1].dim
-    rest = structure.dim // out_dim
-    x6 = mat.reshape(rest, out_dim, k, rest, out_dim, k)
-    branches = []
-    for i in range(k):
-        block = x6[:, :, i, :, :, i].reshape(structure.dim, structure.dim)
-        branches.append((str(i), LabeledOperator(structure.wires, block)))
+    branches = list(enumerate(_register_split(sol.R_star.op, structure)))
     return ProbabilisticComb(branches, structure, tol=10.0 * tol_feas)

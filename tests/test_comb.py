@@ -28,7 +28,7 @@ from qcombs import (
     supermap_apply,
     verify_causality,
 )
-from qcombs.comb import _affine_projection
+from qcombs.comb import _affine_projection, _register_merge, _register_split
 from conftest import rand_hermitian, rand_kraus, sample_sequential_network
 
 S22 = CombStructure.standard([2, 2])
@@ -314,6 +314,19 @@ def test_probabilistic_comb_validation():
         split_into_branches(comb, [0.25, -0.25])
     with pytest.raises(InvalidBranchSumError):
         split_into_branches(comb, [0.25, 0.25])
+
+
+def test_register_split_inverts_the_merge():
+    rng = np.random.default_rng(15)
+    ops = [LabeledOperator(S2222.wires, rand_hermitian(16, rng)) for _ in range(3)]
+    ops[1] = ops[1].permuted(("3", "1", "0", "2"))
+    merged, structure = _register_merge(ops, S2222)
+    assert structure.teeth[-1][1].dim == 2 * 3
+    split = _register_split(merged, S2222)
+    assert len(split) == 3
+    for got, op in zip(split, ops):
+        assert got.wires == S2222.wires
+        assert np.array_equal(got.matrix, op.permuted(S2222.labels).matrix)
 
 
 def test_register_comb_recovers_branches_exactly():

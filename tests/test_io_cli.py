@@ -62,6 +62,23 @@ def test_to_operator_matches_source():
     assert np.array_equal(back.matrix, op.matrix)
 
 
+def test_to_operator_is_real_exactly_when_every_imaginary_part_is_zero():
+    rng = np.random.default_rng(4)
+    real = LabeledOperator(W2, rng.standard_normal((6, 6)))
+    twin = LabeledOperator(W2, real.matrix + 0j)
+    assert (real.matrix.dtype, twin.matrix.dtype) == (np.float64, np.complex128)
+    text = OperatorFile.from_operator(real).dumps()
+    assert OperatorFile.from_operator(twin).dumps() == text
+    back = OperatorFile.loads(text).to_operator()
+    assert back.matrix.dtype == np.float64
+    assert np.array_equal(back.matrix, real.matrix)
+    tiny = twin.matrix.copy()
+    tiny[2, 3] += 1e-300j
+    back = OperatorFile.loads(OperatorFile(W2, tiny).dumps()).to_operator()
+    assert back.matrix.dtype == np.complex128
+    assert np.array_equal(back.matrix, tiny)
+
+
 def test_constructor_validation():
     with pytest.raises(OperatorFileError):
         OperatorFile(W2, np.eye(5))
@@ -151,6 +168,10 @@ def test_metadata_scalar_types_are_preserved():
         lambda d: _set_key(d, "entries", [[0.0, 0.0]] * 7),
         lambda d: _set_entry(d, 0, [0.0, "x"]),
         lambda d: _set_key(d, "metadata", [1]),
+        lambda d: _set_wire(d, 0, "dim", 0),
+        lambda d: _set_wire(d, 0, "dim", -2),
+        lambda d: _set_wire(d, 0, "dim", True),
+        lambda d: _set_wire(d, 1, "label", ""),
     ],
 )
 def test_loads_rejects_malformed_documents(mangle):
@@ -185,6 +206,11 @@ def _drop_key(doc, key):
 
 def _set_key(doc, key, value):
     doc[key] = value
+    return json.dumps(doc)
+
+
+def _set_wire(doc, i, key, value):
+    doc["wires"][i][key] = value
     return json.dumps(doc)
 
 
@@ -410,6 +436,10 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["clone", "--n", "0", "--m", "2"]) == 2
     assert main(["clone", "--n", "1", "--m", "2", "--dim", "1"]) == 2
     assert main(["learn", "--uses", "0"]) == 2
+    assert main(["clone", "--n", "1", "--m", "2", "--tol", "-1"]) == 2
+    assert main(["clone", "--n", "1", "--m", "2", "--max-iters", "0"]) == 2
+    assert main(["learn", "--uses", "1", "--tol", "0"]) == 2
+    assert main(["learn", "--uses", "1", "--max-iters", "0"]) == 2
     assert main(["random-comb", "--dims", "2,2,2"]) == 2  # odd count
     capsys.readouterr()
 
@@ -494,7 +524,11 @@ def test_verify_input_errors(tmp_path, capsys):
     truncated.write_text(path.read_text()[: 40])
     assert main(["verify", str(truncated), "--teeth", "0:1"]) == 2
     assert main(["verify", str(tmp_path / "missing.json"), "--teeth", "0:1"]) == 2
+    zero_dim = tmp_path / "zero.json"
+    zero_dim.write_text(_set_wire(json.loads(path.read_text()), 0, "dim", 0))
     capsys.readouterr()
+    assert main(["verify", str(zero_dim), "--teeth", "0:1"]) == 2
+    assert "error: each wire needs" in capsys.readouterr().err
 
 
 def test_verify_json_record(tmp_path, capsys):

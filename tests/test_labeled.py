@@ -13,6 +13,7 @@ from qcombs import (
     UnknownLabelError,
     Wire,
     ginibre,
+    link_product,
 )
 from conftest import rand_hermitian
 
@@ -34,6 +35,8 @@ def test_wire_validation():
         Wire("a", 0)
     with pytest.raises(ValueError):
         Wire("a", 2.0)
+    with pytest.raises(ValueError):
+        Wire("a", True)
 
 
 def test_constructor_checks_shape_and_labels():
@@ -186,3 +189,53 @@ def test_vector_outer_and_tensor():
     assert outer.trace() == pytest.approx(t.norm() ** 2)
     perm = t.permuted(("b", "a"))
     assert_allclose(perm.outer().matrix, outer.permuted(("b", "a")).matrix, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The field of the data
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (np.eye(2, dtype=bool), np.float64),
+        (np.eye(2, dtype=np.uint8), np.float64),
+        (np.eye(2, dtype=int), np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2), np.float64),
+        ([[1, 0], [0, 1]], np.float64),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        (np.eye(2, dtype=complex), np.complex128),
+        ([[1, 0], [0, 1j]], np.complex128),
+    ],
+)
+def test_data_keep_their_field(data, field):
+    op = LabeledOperator((A,), data)
+    assert op.matrix.dtype == field
+    assert not op.matrix.flags.writeable
+    assert_allclose(op.matrix, np.asarray(data))
+    vec = LabeledVector((A,), np.asarray(data)[1])
+    assert vec.vector.dtype == field
+
+
+def test_non_numeric_data_raise_type_error():
+    one = (Wire("w", 1),)
+    with pytest.raises(TypeError):
+        LabeledOperator(one, np.array([["1.5"]]))
+    with pytest.raises(TypeError):
+        LabeledOperator(one, np.array([[1.5]], dtype=object))
+    with pytest.raises(TypeError):
+        LabeledVector(one, np.array(["1"]))
+
+
+def test_promotion_carries_the_field():
+    real_ab = LabeledOperator((A, B), np.arange(36.0).reshape(6, 6))
+    real_bc = LabeledOperator((B, C), np.eye(6))
+    cplx_bc = real_bc * 1j
+    assert real_ab.tensor(LabeledOperator.identity((C,))).matrix.dtype == np.float64
+    assert real_ab.tensor(cplx_bc.ptrace(["b"])).matrix.dtype == np.complex128
+    assert link_product(real_ab, real_bc).matrix.dtype == np.float64
+    assert link_product(real_ab, cplx_bc).matrix.dtype == np.complex128
+    assert real_ab.ptrace(["a"]).matrix.dtype == np.float64
+    assert (real_bc + cplx_bc).matrix.dtype == np.complex128
+    assert (real_bc @ real_bc).matrix.dtype == np.float64

@@ -218,6 +218,19 @@ def test_performance_operator_validation():
         PerformanceOperator(po.omega, wider)
 
 
+def test_performance_operator_is_exactly_hermitian():
+    rng = np.random.default_rng(8)
+    skew = rng.standard_normal((4, 4))
+    nearly = rand_hermitian(4, rng) + 1e-12 * (skew - skew.T)
+    assert not np.array_equal(nearly, nearly.conj().T)
+    po = PerformanceOperator(LabeledOperator((Wire("a", 2), Wire("b", 2)), nearly))
+    assert np.array_equal(po.omega.matrix, po.omega.adjoint().matrix)
+    assert np.array_equal(po.omega.matrix, (nearly + nearly.conj().T) / 2)
+    omega = cloning_objective(1, 2, 3).omega
+    assert omega.matrix.dtype == np.float64
+    assert np.array_equal(omega.matrix, omega.adjoint().matrix)
+
+
 def test_twirl_that_does_not_fix_omega_is_rejected():
     po = learning_objective(1, 2)
     rng = np.random.default_rng(5)

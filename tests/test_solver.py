@@ -278,6 +278,8 @@ def test_real_objective_matches_its_complex_twin():
     assert re.value == pytest.approx(cplx.value, abs=1e-9)
     assert re.dual_certificate.dtype == np.float64
     assert cplx.dual_certificate.dtype == np.complex128
+    assert re.R_star.op.matrix.dtype == np.float64
+    assert cplx.R_star.op.matrix.dtype == np.complex128
 
 
 @pytest.mark.parametrize(
@@ -293,6 +295,7 @@ def test_real_objective_matches_its_complex_twin():
 )
 def test_task_objectives_are_exactly_real(build):
     po = build()
-    assert not po.omega.matrix.imag.any()
+    assert po.omega.matrix.dtype == np.float64
     sol = solve(problem_for(po, max_iters=10))
     assert sol.dual_certificate.dtype == np.float64
+    assert sol.R_star.op.matrix.dtype == np.float64
