@@ -50,7 +50,7 @@ class KrausMap:
     def __init__(self, in_wire: Wire, out_wire: Wire, kraus: Sequence[np.ndarray]):
         ops = []
         for k in kraus:
-            k = _frozen(k)
+            k = _frozen(np.array(k))
             if k.shape != (out_wire.dim, in_wire.dim):
                 raise DimMismatchError(
                     f"Kraus operator of shape {k.shape} does not map "
@@ -105,7 +105,7 @@ def kraus_to_choi(kmap: KrausMap) -> ChoiOperator:
     """Choi operator of a Kraus map on the wire pair ``(out, in)``."""
     # (K (x) I) sum_n |n>|n> has entry K[a, n] at index (a, n).
     mat = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in kmap.kraus)
-    op = LabeledOperator((kmap.out_wire, kmap.in_wire), mat)
+    op = LabeledOperator._wrap((kmap.out_wire, kmap.in_wire), mat)
     return ChoiOperator(op, (kmap.out_wire.label,), (kmap.in_wire.label,))
 
 

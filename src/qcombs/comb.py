@@ -552,9 +552,9 @@ def project_to_comb(
         gap = float(np.linalg.norm(z_new - y))
         z = z_new
         if gap <= tol:
-            return QuantumComb(LabeledOperator(wires, z), structure)
+            return QuantumComb(LabeledOperator._wrap(wires, z), structure)
 
-    best = QuantumComb(LabeledOperator(wires, z), structure)
+    best = QuantumComb(LabeledOperator._wrap(wires, z), structure)
     raise NoConvergenceError(
         f"alternating projections stalled at gap {gap:.3e} after {iters} "
         f"iterations (tol {tol:.1e})",
@@ -595,7 +595,7 @@ def _register_split(
     k = merged.wire(out.label).dim // out.dim
     x6 = merged.permuted(structure.labels).matrix.reshape((D // out.dim, out.dim, k) * 2)
     blocks = [x6[:, :, i, :, :, i].reshape(D, D) for i in range(k)]
-    return [LabeledOperator(structure.wires, b) for b in blocks]
+    return [LabeledOperator._wrap(structure.wires, b) for b in blocks]
 
 
 def register_comb(p: ProbabilisticComb) -> QuantumComb:

@@ -11,8 +11,9 @@ float64 and complex data in complex128, and any other dtype raises
 TypeError.  numpy's type promotion carries the field through tensor,
 link_product, ptrace, sums and products.
 
-All objects are immutable: every method returns a new instance and the
-underlying numpy buffers are write-protected.
+All objects are immutable: every method returns a new instance, and each
+holds a write-protected copy of the data it was given, so the caller's
+array stays writable and later writes to it do not reach the object.
 """
 
 from __future__ import annotations
@@ -141,8 +142,18 @@ class LabeledOperator(_Wired):
     __slots__ = ("wires", "matrix")
 
     def __init__(self, wires: Sequence[Wire], matrix: np.ndarray):
+        self._set(wires, _frozen(np.array(matrix)))
+
+    @classmethod
+    def _wrap(cls, wires: Sequence[Wire], matrix: np.ndarray) -> "LabeledOperator":
+        """The operator on ``matrix`` itself, not a copy: for an array that no
+        caller can write, a result just computed or another operator's."""
+        op = object.__new__(cls)
+        op._set(wires, _frozen(matrix))
+        return op
+
+    def _set(self, wires: Sequence[Wire], matrix: np.ndarray) -> None:
         wires = _check_wires(wires)
-        matrix = _frozen(matrix)
         d = _total_dim(wires)
         if matrix.shape != (d, d):
             raise ValueError(
@@ -159,7 +170,7 @@ class LabeledOperator(_Wired):
 
     @classmethod
     def identity(cls, wires: Sequence[Wire]) -> "LabeledOperator":
-        return cls(wires, np.eye(_total_dim(wires)))
+        return cls._wrap(wires, np.eye(_total_dim(wires)))
 
     @classmethod
     def scalar(cls, value: complex) -> "LabeledOperator":
@@ -201,35 +212,35 @@ class LabeledOperator(_Wired):
         return other
 
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.wires, self.matrix + self._aligned(other).matrix)
+        return self._wrap(self.wires, self.matrix + self._aligned(other).matrix)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.wires, self.matrix - self._aligned(other).matrix)
+        return self._wrap(self.wires, self.matrix - self._aligned(other).matrix)
 
     def __mul__(self, scalar: complex) -> "LabeledOperator":
-        return LabeledOperator(self.wires, self.matrix * scalar)
+        return self._wrap(self.wires, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
         """Operator product, aligning the right factor's wire order first."""
-        return LabeledOperator(self.wires, self.matrix @ self._aligned(other).matrix)
+        return self._wrap(self.wires, self.matrix @ self._aligned(other).matrix)
 
     def adjoint(self) -> "LabeledOperator":
-        return LabeledOperator(self.wires, self.matrix.conj().T)
+        return self._wrap(self.wires, self.matrix.conj().T)
 
     def conj(self) -> "LabeledOperator":
-        return LabeledOperator(self.wires, self.matrix.conj())
+        return self._wrap(self.wires, self.matrix.conj())
 
     def hermitized(self) -> "LabeledOperator":
-        return LabeledOperator(self.wires, 0.5 * (self.matrix + self.matrix.conj().T))
+        return self._wrap(self.wires, 0.5 * (self.matrix + self.matrix.conj().T))
 
     # -- structural operations ---------------------------------------------------
 
     def tensor(self, other: "LabeledOperator") -> "LabeledOperator":
         """Tensor product; label sets must be disjoint."""
         wires = _check_wires(self.wires + other.wires)
-        return LabeledOperator(wires, np.kron(self.matrix, other.matrix))
+        return self._wrap(wires, np.kron(self.matrix, other.matrix))
 
     def permuted(self, order: Sequence[str]) -> "LabeledOperator":
         """Reorder wires to ``order``, which must list every label exactly once."""
@@ -243,7 +254,7 @@ class LabeledOperator(_Wired):
         axes = pos + [n + p for p in pos]
         new_wires = tuple(self.wires[p] for p in pos)
         d = self.dim
-        return LabeledOperator(new_wires, view.transpose(axes).reshape(d, d))
+        return self._wrap(new_wires, view.transpose(axes).reshape(d, d))
 
     def ptrace(self, labels: Iterable[str]) -> "LabeledOperator":
         """Partial trace over ``labels``.
@@ -272,7 +283,7 @@ class LabeledOperator(_Wired):
         res = np.einsum(view, row_sub + col_sub, out_sub)
         new_wires = tuple(self.wires[i] for i in keep)
         d = _total_dim(new_wires)
-        return LabeledOperator(new_wires, res.reshape(d, d))
+        return self._wrap(new_wires, res.reshape(d, d))
 
     def ptranspose(self, labels: Iterable[str]) -> "LabeledOperator":
         """Partial transpose on ``labels`` (an involution)."""
@@ -292,7 +303,7 @@ class LabeledOperator(_Wired):
         for i in range(n):
             axes.append(i if self.wires[i].label in marked else n + i)
         d = self.dim
-        return LabeledOperator(self.wires, view.transpose(axes).reshape(d, d))
+        return self._wrap(self.wires, view.transpose(axes).reshape(d, d))
 
     def relabeled(self, mapping: Mapping[str, str]) -> "LabeledOperator":
         """Rename wires; ``mapping`` sends old labels to new ones."""
@@ -301,7 +312,7 @@ class LabeledOperator(_Wired):
         new_wires = tuple(
             Wire(mapping.get(w.label, w.label), w.dim) for w in self.wires
         )
-        return LabeledOperator(_check_wires(new_wires), self.matrix)
+        return self._wrap(_check_wires(new_wires), self.matrix)
 
     def split_wire(self, label: str, parts: Sequence[Wire]) -> "LabeledOperator":
         """Reinterpret one wire as a tensor product of ``parts`` (no data change).
@@ -317,7 +328,7 @@ class LabeledOperator(_Wired):
                 f"wire {label!r} of dimension {self.wires[i].dim}"
             )
         new_wires = _check_wires(self.wires[:i] + parts + self.wires[i + 1 :])
-        return LabeledOperator(new_wires, self.matrix)
+        return self._wrap(new_wires, self.matrix)
 
     def merge_wires(self, labels: Sequence[str], merged: Wire) -> "LabeledOperator":
         """Fuse consecutive wires (listed in their current order) into one."""
@@ -336,7 +347,7 @@ class LabeledOperator(_Wired):
         new_wires = _check_wires(
             self.wires[:i] + (merged,) + self.wires[i + len(labels) :]
         )
-        return LabeledOperator(new_wires, self.matrix)
+        return self._wrap(new_wires, self.matrix)
 
     # -- spectral operations --------------------------------------------------
 
@@ -364,7 +375,7 @@ class LabeledOperator(_Wired):
     def psd_projection(self) -> "LabeledOperator":
         """Frobenius-nearest positive semidefinite operator (eigenvalue clip)."""
         self._require_hermitian()
-        return LabeledOperator(self.wires, _psd_part(self.matrix))
+        return self._wrap(self.wires, _psd_part(self.matrix))
 
     def min_eigenvalue(self) -> float:
         self._require_hermitian()
@@ -378,7 +389,7 @@ class LabeledVector(_Wired):
 
     def __init__(self, wires: Sequence[Wire], vector: np.ndarray):
         wires = _check_wires(wires)
-        vector = _frozen(np.asarray(vector).reshape(-1))
+        vector = _frozen(np.array(vector).reshape(-1))
         d = _total_dim(wires)
         if vector.shape != (d,):
             raise ValueError(
@@ -411,7 +422,8 @@ class LabeledVector(_Wired):
 
     def outer(self) -> LabeledOperator:
         """The rank-one operator ``|v><v|``."""
-        return LabeledOperator(self.wires, np.outer(self.vector, self.vector.conj()))
+        outer = np.outer(self.vector, self.vector.conj())
+        return LabeledOperator._wrap(self.wires, outer)
 
     def __repr__(self):
         spec = ", ".join(f"{w.label}:{w.dim}" for w in self.wires)

@@ -74,7 +74,7 @@ def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     )
     wires = tuple(a.wire(lbl) for lbl in a_only) + tuple(b.wire(lbl) for lbl in b_only)
     d = _total_dim(wires)
-    return LabeledOperator(wires, res.reshape(d, d))
+    return LabeledOperator._wrap(wires, res.reshape(d, d))
 
 
 def _label_counts(parts: Sequence[LabeledOperator]) -> Counter[str]:

@@ -405,7 +405,7 @@ def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
     coords = _Coordinates(spec, base.wires)
     if not base.is_hermitian():
         raise NotHermitianError("twirl input must be Hermitian")
-    return LabeledOperator(base.wires, coords.matrix(coords.of(base.matrix)))
+    return LabeledOperator._wrap(base.wires, coords.matrix(coords.of(base.matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def solve(p: SdpProblem) -> SdpSolution:
                 u *= 2.0
 
     R_star = QuantumComb(
-        LabeledOperator(structure.wires, coords.matrix(best)), structure
+        LabeledOperator._wrap(structure.wires, coords.matrix(best)), structure
     )
     return SdpSolution(
         R_star=R_star,

@@ -47,6 +47,18 @@ def test_kraus_validation():
         KrausMap(IN, Wire("out", 2), [])
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_channels_copy_the_callers_arrays(dtype):
+    k = np.eye(2, dtype=dtype)
+    kmap = KrausMap(IN, Wire("out", 2), [k])
+    rho = np.diag([0.75, 0.25]).astype(dtype)
+    out = apply_choi(kraus_to_choi(kmap), rho)
+    k[0, 0] = rho[0, 0] = 0.0
+    assert_allclose(kmap.kraus[0], np.eye(2))
+    assert_allclose(out, np.diag([0.75, 0.25]))
+    assert k.flags.writeable and rho.flags.writeable
+
+
 def test_identity_channel_choi_is_maxent():
     kmap = KrausMap(Wire("in", 2), Wire("out", 2), [np.eye(2)])
     choi = kraus_to_choi(kmap)

@@ -218,6 +218,24 @@ def test_data_keep_their_field(data, field):
     assert vec.vector.dtype == field
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_objects_copy_the_callers_array(dtype):
+    big = np.arange(8, dtype=dtype).reshape(4, 2)
+    mat = np.eye(2, dtype=dtype)
+    vec = np.array([1, 0], dtype=dtype)
+    ops = [LabeledOperator((A,), mat), LabeledOperator((A,), big[:2])]
+    vecs = [LabeledVector((A,), vec), LabeledVector((A,), big[2])]
+    mat[0, 0] = big[0, 0] = vec[0] = big[2, 0] = 5
+    assert_allclose(ops[0].matrix, np.eye(2))
+    assert_allclose(ops[1].matrix, [[0, 1], [2, 3]])
+    assert_allclose(vecs[0].vector, [1, 0])
+    assert_allclose(vecs[1].vector, [4, 5])
+    assert mat.flags.writeable and vec.flags.writeable and big.flags.writeable
+    results = [ops[0] + ops[1], ops[1].adjoint(), ops[0].relabeled({"a": "z"})]
+    results.append(vecs[1].outer())
+    assert not any(r.matrix.flags.writeable for r in results)
+
+
 def test_non_numeric_data_raise_type_error():
     one = (Wire("w", 1),)
     with pytest.raises(TypeError):
