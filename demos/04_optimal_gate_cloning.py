@@ -25,7 +25,7 @@ from qcombs import (
 po = cloning_objective(N=1, M=2, d=2)
 print("objective lives on", po.omega.labels, "with teeth", po.structure.n_teeth)
 
-problem = SdpProblem(po, po.structure, tol_feas=1e-7, tol_gap=1e-7)
+problem = SdpProblem(po, po.structure, tol_gap=1e-7)
 sol = solve(problem)
 print(sol)
 

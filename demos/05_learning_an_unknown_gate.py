@@ -37,7 +37,7 @@ print(f"               cos^2(pi/5) = (3 + sqrt(5))/8 = {ladder:.9f}")
 # The pattern cos^2(pi / (N + 3)) is special to qubits.  For d >= 3 the
 # two-use optimum is 3/d^2 instead; the qutrit solve below certifies it.
 if os.environ.get("QCOMBS_DEMO_QUTRIT"):
-    sol, bound = optimum(2, 3, tol_feas=1e-5, tol_gap=1e-5)
+    sol, bound = optimum(2, 3, tol_gap=1e-5)
     print(f"two uses, d=3: value {sol.value:.9f}  certified <= {bound:.9f}")
     print(f"               3/d^2 = {3 / 9:.9f}")
 else:

@@ -25,7 +25,6 @@ from .comb import (
     CombStructure,
     ProbabilisticComb,
     QuantumComb,
-    project_to_comb,
     random_comb,
     reduced_comb,
     register_comb,
@@ -70,6 +69,7 @@ from .solver import (
     SdpProblem,
     SdpSolution,
     dual_bound,
+    project_to_comb,
     solve,
     solve_probabilistic,
 )

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
 from .labeled import LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
+from .labeled import _defect_and_min_eigenvalue
 from .link import link_product
 
 # Eigenvalues below this absolute threshold are dropped when extracting
@@ -153,13 +154,14 @@ def is_channel(choi: ChoiOperator, tol: float = 1e-9) -> tuple[bool, float]:
     """Check the trace-preserving and positivity conditions of a Choi operator.
 
     Returns:
-        ``(ok, residual)`` where ``residual`` is the larger of the
-        Frobenius distance of the reduced input marginal from the identity
-        and the magnitude of the most negative eigenvalue.
+        ``(ok, residual)`` where ``residual`` is the largest of the
+        Frobenius distance of the reduced input marginal from the identity,
+        the Hermitian defect and the most negative eigenvalue's magnitude
+        (see labeled._defect_and_min_eigenvalue); it never raises.
     """
     marg = choi.op.ptrace(choi.out_labels)
     ident = LabeledOperator.identity(marg.wires)
     tp_residual = (marg - ident).norm()
-    min_eig = min(choi.op.min_eigenvalue(), 0.0)
-    residual = max(tp_residual, -min_eig)
+    defect, min_eig = _defect_and_min_eigenvalue(choi.op.matrix)
+    residual = max(tp_residual, defect, -min_eig)
     return residual <= tol, float(residual)

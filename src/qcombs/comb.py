@@ -13,7 +13,8 @@ tensored with the Choi operator of the one-tooth-shorter comb,
 where R^(n-1) = Tr_tooth_n[R^(n)] / dim(in_n).  Together with positivity
 these constraints carve out exactly the set of boards realizable as a
 concatenation of channels with memory, which is the feasible set of every
-optimization in this package.
+optimization in this package.  The projections onto that set sit beside
+their users: the affine one in objective, project_to_comb in solver.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidBranchSumError,
     LabelMismatchError,
-    NoConvergenceError,
     SlotArityMismatchError,
 )
 from .haar import haar_isometry
@@ -41,7 +41,7 @@ from .labeled import (
     Wire,
     _Wired,
     _check_wires,
-    _psd_part,
+    _defect_and_min_eigenvalue,
     _total_dim,
 )
 from .link import link_product
@@ -152,8 +152,9 @@ class QuantumComb:
 class ProbabilisticComb:
     """Comb-shaped instrument: one positive branch per outcome.
 
-    Branches are keyed by opaque outcome ids; their sum must be a
-    deterministic comb, which the constructor verifies.
+    Branches are keyed by opaque outcome ids.  The constructor verifies
+    that each branch is Hermitian and positive and that their sum is a
+    deterministic comb, all to within tol.
     """
 
     __slots__ = ("branches", "structure")
@@ -174,10 +175,11 @@ class ProbabilisticComb:
         for oid, op in branches:
             _check_labels(op, structure)
             op = op.permuted(structure.labels)
-            lo = op.hermitized().min_eigenvalue()
-            if lo < -tol:
+            defect, lo = _defect_and_min_eigenvalue(op.matrix)
+            if defect > tol or lo < -tol:
                 raise InvalidBranchSumError(
-                    f"branch {oid!r} has negative eigenvalue {lo:.3e}"
+                    f"branch {oid!r} is not Hermitian and positive: defect "
+                    f"{defect:.3e}, min eigenvalue {lo:.3e}"
                 )
             ordered.append((oid, op))
         total = ordered[0][1]
@@ -269,11 +271,12 @@ def verify_causality(
 
     Passes iff every level residual is at most tol, the smallest eigenvalue
     is at least -tol, and R is Hermitian to within tol in Frobenius norm.
+    The eigenvalue is that of the Hermitian part of R, so a non-Hermitian R
+    fails on its hermiticity and never raises.
     """
     _check_labels(R, structure)
     cur = R.permuted(structure.labels)
-    hermiticity = (cur - cur.adjoint()).norm() / 2.0
-    min_eig = cur.hermitized().min_eigenvalue()
+    hermiticity, min_eig = _defect_and_min_eigenvalue(cur.matrix)
 
     residuals = []
     for k in range(structure.n_teeth - 1, -1, -1):
@@ -458,109 +461,6 @@ def supermap_apply(
         if out_w.label not in consumed:
             out_labels.append(out_w.label)
     return ChoiOperator(result, out_labels, in_labels)
-
-
-def _affine_projection(
-    mat: np.ndarray, dims: Sequence[int], trace_value: float, mixers=None, tau=None
-) -> np.ndarray:
-    """Orthogonal projection onto the affine set of the causality constraints.
-
-    Level n of the telescoping family is equivalent, after padding both
-    sides back to the full space with maximally mixed factors, to
-    Delta_{2n+1}(X) = Delta_{2n}(X), where Delta_w depolarizes all wires
-    from position w on.  The maps G_n = Delta_{2n+1} - Delta_{2n} are
-    mutually orthogonal projectors (depolarizing a larger tail absorbs a
-    smaller one), so projecting onto their joint kernel just subtracts every
-    G_n(X), and the trace constraint shifts along the identity, which the
-    G_n annihilate.
-
-    With M_w = Tr_{wires w..}[X], t_w the dimension of those wires and
-    M_2T = X, Delta_w(X) = M_w / t_w (x) I, so the projection before the
-    trace shift is sum_w (-1)^w M_w / t_w (x) I over w = 0..2T.  Each M_w is
-    a partial trace of M_{w+1}, and the sum is accumulated in Horner form,
-    adding the running sum to the diagonal blocks of the next term, so no
-    Kronecker product is built.
-
-    mat may instead hold coordinates, shape (s, h, h), of
-    X = sum_a E_a (x) mat[a] with E_a an orthonormal basis of an algebra on
-    some further wires that every Delta_w maps into itself; dims are then
-    the other wires only, and tau[a] = Tr E_a.  Delta_w then acts on the
-    coordinates as an s x s matrix times the marginal of the other wires,
-    so the sum takes mixers[k], the sum of (-1)^w Delta_w over the w that
-    leave k of those wires, each divided by its t_w.  Without mixers mat
-    is X itself, the case s = 1 with mixers[w] = (-1)^w / t_w.
-    """
-    dense = mixers is None
-    if dense:
-        tails = np.cumprod((1,) + tuple(reversed(dims)))[::-1]
-        mixers = [np.array([[(-1) ** w / t]]) for w, t in enumerate(tails)]
-        mat, tau = mat[None], np.ones(1)
-
-    def mixed(k, marg):
-        return (mixers[k] @ marg.reshape(len(tau), -1)).reshape(marg.shape)
-
-    marg = [mat]
-    for d in reversed(dims):
-        h = marg[-1].shape[1] // d
-        marg.append(np.einsum("saibi->sab", marg[-1].reshape(-1, h, d, h, d)))
-    marg.reverse()
-
-    out = mixed(0, marg[0])
-    for w, d in enumerate(dims, start=1):
-        nxt = mixed(w, marg[w])
-        h = nxt.shape[1] // d
-        blocks = nxt.reshape(-1, h, d, h, d)
-        for j in range(d):
-            blocks[:, :, j, :, j] += out
-        out = nxt
-    # Shift along the identity, whose coordinates are tau (x) I.
-    h = out.shape[1]
-    shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
-    out[:, range(h), range(h)] += (shift * tau)[:, None]
-    return out[0] if dense else out
-
-
-def project_to_comb(
-    X: LabeledOperator,
-    structure: CombStructure,
-    iters: int = 20000,
-    tol: float = TOL_VERIFY,
-) -> QuantumComb:
-    """Nearest-comb heuristic by alternating projections.
-
-    Alternates exact projections onto the positive cone and onto the affine
-    causality set until consecutive projections agree to tol in Frobenius
-    norm; the returned operator is exactly positive and violates the affine
-    constraints by at most the final gap.
-    """
-    _check_labels(X, structure)
-    if structure.dim > MAX_DIM:
-        raise DimOverflowError(
-            f"comb dimension {structure.dim} exceeds the cap {MAX_DIM}"
-        )
-    dims = structure.dims
-    wires = structure.wires
-    z = X.permuted(structure.labels).hermitized().matrix
-    trace_value = float(structure.trace_value)
-
-    gap = np.inf
-    for it in range(1, iters + 1):
-        y = _affine_projection(z, dims, trace_value)
-        y = (y + y.conj().T) / 2.0
-        z_new = _psd_part(y)
-        z_new = (z_new + z_new.conj().T) / 2.0
-        gap = float(np.linalg.norm(z_new - y))
-        z = z_new
-        if gap <= tol:
-            return QuantumComb(LabeledOperator._wrap(wires, z), structure)
-
-    best = QuantumComb(LabeledOperator._wrap(wires, z), structure)
-    raise NoConvergenceError(
-        f"alternating projections stalled at gap {gap:.3e} after {iters} "
-        f"iterations (tol {tol:.1e})",
-        best=best,
-        diagnostics={"gap": gap, "iterations": iters, "tol": tol},
-    )
 
 
 def _register_merge(

@@ -97,6 +97,14 @@ def _psd_part(mat: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
+def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
+    """||D|| / 2 with D = M - M^dagger, and the smallest eigenvalue of the
+    Hermitian part M - D / 2: the one rule of the dense checks, which
+    report a non-Hermitian M through its defect and never raise on it."""
+    half = (mat - mat.conj().T) / 2.0
+    return float(np.linalg.norm(half)), float(np.linalg.eigvalsh(mat - half)[0])
+
+
 def _frozen(arr) -> np.ndarray:
     """``arr`` contiguous and write-protected, in complex128 or float64."""
     arr = np.asarray(arr)

@@ -23,7 +23,9 @@ every task objective here is, therefore averages to an exactly real
 Omega.  The change of basis is found numerically and checked in
 _commutant_blocks against the spanning permutation operators, so an
 inexact one raises instead of averaging wrongly.  The solver runs in the
-same coordinates, where each block is a reshaped slice.
+same coordinates, where each block is a reshaped slice, and so does the
+affine projection onto the causality constraints (_affine_projection), so
+this module alone knows their encoding; no twirl is the one-block case.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ class _Coordinates:
         # sum_b C_ba E_b (x) (the marginal of K_a on the other wires before
         # w, padded with I / t), with C the depolarizing of the twirled
         # factors at positions >= w; mixers[k] sums (-1)^w C / t over the w
-        # that keep the first k other wires (see comb._affine_projection).
+        # that keep the first k other wires (see _affine_projection).
         d = 1 if twirl is None else twirl.d
         copies_of = {} if twirl is None else {lbl: c for lbl, _, c in twirl.pattern}
         factors, f = {}, 0
@@ -348,6 +350,51 @@ class _Coordinates:
 
     def max_eigenvalue(self, k: np.ndarray) -> float:
         return -self.min_eigenvalue(-k)
+
+
+def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarray:
+    """Orthogonal projection of the operator with coordinates k onto the
+    affine set of the causality constraints.
+
+    Level n of the telescoping family is equivalent, after padding both
+    sides back to the full space with maximally mixed factors, to
+    Delta_{2n+1}(X) = Delta_{2n}(X), where Delta_w depolarizes all wires
+    from position w on.  The maps G_n = Delta_{2n+1} - Delta_{2n} are
+    mutually orthogonal projectors (depolarizing a larger tail absorbs a
+    smaller one), so projecting onto their joint kernel just subtracts every
+    G_n(X), and the trace constraint shifts along the identity, which the
+    G_n annihilate.  With M_w = Tr_{wires w..}[X] and t_w the dimension of
+    those wires, the projection before the shift is the sum over w of
+    (-1)^w M_w / t_w (x) I.  On the coordinates, coords.mixers[i] sums the
+    terms whose w leave i of coords.dims ((-1)^w / t_w without a twirl).
+    Each marginal is a partial trace of the next, and the sum is
+    accumulated in Horner form, adding the running sum to the diagonal
+    blocks of the next term, so no Kronecker product is built.
+    """
+    mixers, tau = coords.mixers, coords.tau
+
+    def mixed(i, marg):
+        return (mixers[i] @ marg.reshape(len(tau), -1)).reshape(marg.shape)
+
+    marg = [k]
+    for d in reversed(coords.dims):
+        h = marg[-1].shape[1] // d
+        marg.append(np.einsum("saibi->sab", marg[-1].reshape(-1, h, d, h, d)))
+    marg.reverse()
+
+    out = mixed(0, marg[0])
+    for i, d in enumerate(coords.dims, start=1):
+        nxt = mixed(i, marg[i])
+        h = nxt.shape[1] // d
+        blocks = nxt.reshape(-1, h, d, h, d)
+        for j in range(d):
+            blocks[:, :, j, :, j] += out
+        out = nxt
+    # Shift along the identity, whose coordinates are tau (x) I.
+    h = out.shape[1]
+    shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
+    out[:, range(h), range(h)] += (shift * tau)[:, None]
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The feasible set is the intersection of the positive cone with the affine
 causality set, and the objective is linear, so this is a semidefinite
 program.  The default backend is an operator-splitting method (ADMM on the
 consensus form X = Z) whose two half-steps are exactly the two cheap
-projections already available: the closed-form affine projection and the
-eigenvalue clip onto the positive cone.
+projections already available: the closed-form affine projection
+(objective._affine_projection) and the eigenvalue clip onto the positive
+cone (_psd_part).  project_to_comb alternates the same two steps.
 
 Reported values are never read off a possibly-infeasible iterate.  At
 regular checkpoints the affine-exact iterate is mixed toward the maximally
@@ -59,19 +60,21 @@ from typing import Sequence
 import numpy as np
 
 from .comb import (
+    MAX_DIM,
+    TOL_VERIFY,
     CombStructure,
     ProbabilisticComb,
     QuantumComb,
-    _affine_projection,
     _check_labels,
     _register_merge,
     _register_split,
     verify_causality,
 )
 from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
+from .errors import NoConvergenceError
 from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
-from .objective import PerformanceOperator, _Coordinates
+from .objective import PerformanceOperator, _affine_projection, _Coordinates
 
 # The iterates live in the twirl's coordinates, but Omega, the solution,
 # the certificate and their dense checks (verify_causality, dual_bound) are
@@ -87,21 +90,18 @@ _BALANCE_EVERY = 100
 class SdpProblem:
     """A linear objective over the combs of a fixed structure.
 
-    tol_gap is the stopping tolerance of solve.  tol_feas does not change
-    when solve stops, because every value it reports comes from an exactly
-    feasible comb; solve_probabilistic verifies its branch sum with it, and
-    the command line sets both from --tol.
+    tol_gap is the stopping tolerance of solve.  Feasibility needs none:
+    every value solve reports comes from an exactly feasible comb.
     """
 
     omega: PerformanceOperator
     structure: CombStructure
-    tol_feas: float = 1e-6
     tol_gap: float = 1e-6
     max_iters: int = 50000
 
     def __post_init__(self):
         _check_labels(self.omega.omega, self.structure)
-        if not (self.tol_feas > 0 and self.tol_gap > 0):
+        if not self.tol_gap > 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -111,10 +111,10 @@ class SdpProblem:
 class SdpSolution:
     """Outcome of a solve run.
 
-    R_star is exactly feasible (it passes verify_causality far inside
-    tol_feas); value = Tr[R_star Omega].  gap_bound, when present, is the
-    difference between a verified dual upper bound and value, so the true
-    optimum lies in [value, value + gap_bound].  converged means the solve
+    R_star is exactly feasible (feas_residual is its verify_causality
+    violation); value = Tr[R_star Omega].  gap_bound, when present, is a
+    dual upper bound minus value; once dual_bound has re-checked the bound,
+    the true optimum lies in [value, value + gap_bound].  converged means the solve
     stopped on gap_bound <= tol_gap * (1 + |value|).  trace_log holds one
     (best feasible value, relative primal residual) row per iteration.
     """
@@ -170,7 +170,7 @@ def _dual_range_projection(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
     is the orthogonal complement of the affine set's direction space.
     """
     tr = coords.trace(k)
-    centered = _affine_projection(k, coords.dims, tr, coords.mixers, coords.tau)
+    centered = _affine_projection(k, coords, tr)
     return k - centered + (tr / coords.dim) * coords.identity
 
 
@@ -238,7 +238,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     # always leaves k, cert and gap set by its final checkpoint.
     for k in range(1, p.max_iters + 1):
         w_in = coords.hermitian(z - u + om / rho)
-        x = _affine_projection(w_in, coords.dims, tv, coords.mixers, coords.tau)
+        x = _affine_projection(w_in, coords, tv)
 
         xh = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
         z_prev = z
@@ -286,6 +286,44 @@ def solve(p: SdpProblem) -> SdpSolution:
         converged=converged,
         trace_log=tuple(trace_log),
         dual_certificate=None if cert is None else coords.matrix(cert),
+    )
+
+
+def project_to_comb(
+    X: LabeledOperator,
+    structure: CombStructure,
+    iters: int = 20000,
+    tol: float = TOL_VERIFY,
+) -> QuantumComb:
+    """A comb near X, not in general the nearest, by alternating solve's
+    two projections on the one-block coordinates of X's Hermitian part
+    until they agree to tol in Frobenius norm.  The result is exactly
+    positive and violates the affine constraints by at most the final gap.
+    """
+    _check_labels(X, structure)
+    if structure.dim > MAX_DIM:
+        raise DimOverflowError(
+            f"comb dimension {structure.dim} exceeds the cap {MAX_DIM}"
+        )
+    coords = _Coordinates(None, structure.wires)
+    z = coords.of(X.permuted(structure.labels).hermitized().matrix)
+    tv = float(structure.trace_value)
+
+    gap = np.inf
+    for _ in range(iters):
+        y = _affine_projection(z, coords, tv)
+        z = _psd_part(y, coords)
+        gap = float(np.linalg.norm(z - y))
+        if gap <= tol:
+            break
+    comb = QuantumComb(LabeledOperator._wrap(structure.wires, coords.matrix(z)), structure)
+    if gap <= tol:
+        return comb
+    raise NoConvergenceError(
+        f"alternating projections stalled at gap {gap:.3e} after {iters} "
+        f"iterations (tol {tol:.1e})",
+        best=comb,
+        diagnostics={"gap": gap, "iterations": iters, "tol": tol},
     )
 
 
@@ -338,8 +376,11 @@ def solve_probabilistic(
     carries an orthogonal outcome register (the register_comb layout), the
     block-diagonal objective sum_i Omega_i (x) |i><i| is solved as a single
     deterministic problem, and the register blocks of the optimizer are the
-    optimal branches.
+    optimal branches.  tol_gap and max_iters go to solve, and the branches
+    are checked to 10 * tol_feas, which must be positive.
     """
+    if not tol_feas > 0:
+        raise ValueError("tolerances must be positive")
     omegas = list(omegas)
     if not omegas:
         raise InvalidBranchSumError("need at least one branch objective")
@@ -347,14 +388,8 @@ def solve_probabilistic(
         _check_labels(po.omega, structure)
 
     merged, big_structure = _register_merge([po.omega for po in omegas], structure)
-    problem = SdpProblem(
-        PerformanceOperator(merged, big_structure),
-        big_structure,
-        tol_feas=tol_feas,
-        tol_gap=tol_gap,
-        max_iters=max_iters,
-    )
-    sol = solve(problem)
+    po = PerformanceOperator(merged, big_structure)
+    sol = solve(SdpProblem(po, big_structure, tol_gap=tol_gap, max_iters=max_iters))
 
     branches = list(enumerate(_register_split(sol.R_star.op, structure)))
     return ProbabilisticComb(branches, structure, tol=10.0 * tol_feas)

@@ -5,7 +5,9 @@ the Monte-Carlo fidelity oracle composes circuits through link_product
 and plain matrix sandwiches (never through the twirl construction), the
 Clifford twirl sums explicit conjugations over a finite group and the
 Gram average solves the normal equations of the permutation operators
-(never through the commutant's block form), and the brute-force channel
+(never through the commutant's block form), the alternating projections
+build the affine projection from its definition with Kronecker products
+(never through the coordinates' mixers), and the brute-force channel
 search parameterizes Stinespring isometries directly (never through the
 solver).
 """
@@ -178,6 +180,43 @@ def gram_average(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
         coeff = sum(gram_pinv[i, j] * overlaps[j] for j in range(len(basis)))
         avg += np.kron(b, coeff)
     return LabeledOperator(op.wires, avg).hermitized().permuted(base.labels)
+
+
+def depolarize_each_tail(mat, dims, trace_value):
+    """The affine projection onto the causality constraints as defined:
+    subtract Delta_{2n+1}(X) - Delta_{2n}(X) for every tooth n, each
+    Delta_w built as a full-size Kronecker product of the head marginal
+    with the maximally mixed tail, then shift the trace along the identity."""
+    D = mat.shape[0]
+    deltas = {}
+    tail = 1
+    for w in range(len(dims) - 1, -1, -1):
+        tail *= dims[w]
+        head = D // tail
+        marginal = np.einsum("aibi->ab", mat.reshape(head, tail, head, tail))
+        deltas[w] = np.kron(marginal, np.eye(tail)) / tail
+    out = mat.copy()
+    for n in range(len(dims) // 2):
+        out -= deltas[2 * n + 1] - deltas[2 * n]
+    out += (trace_value - np.trace(out).real) / D * np.eye(D)
+    return out
+
+
+def alternating_projections(mat, dims, trace_value, iters=20000, tol=1e-9):
+    """A comb near the Hermitian part of mat: alternate the defined affine
+    projection (depolarize_each_tail) and an eigenvalue clip, hermitizing
+    after each, until consecutive projections agree to tol in Frobenius
+    norm.  Returns the last clipped matrix, or None if iters run out."""
+    z = (mat + mat.conj().T) / 2.0
+    for _ in range(iters):
+        y = depolarize_each_tail(z, dims, trace_value)
+        y = (y + y.conj().T) / 2.0
+        w, v = np.linalg.eigh(y)
+        z = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        z = (z + z.conj().T) / 2.0
+        if np.linalg.norm(z - y) <= tol:
+            return z
+    return None
 
 
 def mc_gate_fidelity(

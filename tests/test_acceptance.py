@@ -98,7 +98,7 @@ def test_two_use_learning_reference_value():
 
 def test_qutrit_cloning_fidelity():
     po = cloning_objective(1, 2, 3)
-    p = SdpProblem(po, po.structure, tol_feas=1e-4, tol_gap=1e-4, max_iters=6000)
+    p = SdpProblem(po, po.structure, tol_gap=1e-4, max_iters=6000)
     sol = solve(p)
     target = (3 + np.sqrt(8)) / 27
     assert sol.converged, f"no certified gap after {sol.iterations} iterations"

@@ -6,6 +6,7 @@ from qcombs import (
     ChoiOperator,
     DimMismatchError,
     KrausMap,
+    LabeledOperator,
     Wire,
     apply_choi,
     choi_to_kraus,
@@ -111,6 +112,19 @@ def test_is_channel():
     ok, residual = is_channel(bad)
     assert not ok
     assert residual > 1e-3
+
+
+def test_is_channel_reports_a_non_hermitian_operator():
+    choi = kraus_to_choi(random_channel(2, 3, 2, 9))
+    # i (Z (x) H) with Z traceless on the output: anti-Hermitian, and its
+    # partial trace over the output is zero, so only the defect is off.
+    z = np.diag([1.0, -1.0, 0.0])
+    h = np.array([[0.0, 1.0], [1.0, 0.0]])
+    skew = LabeledOperator(choi.op.wires, 0.25j * np.kron(z, h))
+    bad = ChoiOperator(choi.op + skew, choi.out_labels, choi.in_labels)
+    ok, residual = is_channel(bad)
+    assert not ok
+    assert residual == pytest.approx(skew.norm(), rel=1e-12)
 
 
 def test_choi_reorders_to_out_in():

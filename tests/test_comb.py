@@ -28,8 +28,15 @@ from qcombs import (
     supermap_apply,
     verify_causality,
 )
-from qcombs.comb import _affine_projection, _register_merge, _register_split
-from conftest import rand_hermitian, rand_kraus, sample_sequential_network
+from qcombs.comb import _register_merge, _register_split
+from qcombs.objective import _affine_projection, _Coordinates
+from conftest import (
+    alternating_projections,
+    depolarize_each_tail,
+    rand_hermitian,
+    rand_kraus,
+    sample_sequential_network,
+)
 
 S22 = CombStructure.standard([2, 2])
 S2222 = CombStructure.standard([2, 2, 2, 2])
@@ -230,23 +237,21 @@ def test_projection_of_perturbed_comb_is_comb():
     assert out.verify(tol=1e-8).passed
 
 
-def _depolarize_each_tail(mat, dims, trace_value):
-    """The affine projection as defined: subtract Delta_{2n+1}(X) -
-    Delta_{2n}(X) for every tooth n, each Delta_w built as a full-size
-    Kronecker product of the head marginal with the maximally mixed tail."""
-    D = mat.shape[0]
-    deltas = {}
-    tail = 1
-    for w in range(len(dims) - 1, -1, -1):
-        tail *= dims[w]
-        head = D // tail
-        marginal = np.einsum("aibi->ab", mat.reshape(head, tail, head, tail))
-        deltas[w] = np.kron(marginal, np.eye(tail)) / tail
-    out = mat.copy()
-    for n in range(len(dims) // 2):
-        out -= deltas[2 * n + 1] - deltas[2 * n]
-    out += (trace_value - np.trace(out).real) / D * np.eye(D)
-    return out
+@pytest.mark.parametrize(
+    "dims, memory",
+    [((2, 2), []), ((2, 2, 2, 2), [2]), ((2,) * 6, [2, 2]), ((3, 3, 3, 3), [3])],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_projection_matches_alternating_projections(dims, memory, seed):
+    structure = CombStructure.standard(dims)
+    rng = np.random.default_rng(20 + seed)
+    comb = random_comb(structure, memory, seed)
+    noise = 0.05 * rand_hermitian(structure.dim, rng)
+    x = comb.op.matrix + noise
+    want = alternating_projections(x, dims, float(structure.trace_value))
+    assert want is not None
+    got = project_to_comb(LabeledOperator(structure.wires, x), structure)
+    assert np.abs(got.op.matrix - want).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -270,13 +275,15 @@ def test_affine_projection_matches_its_definition(dims, field):
     if field == "real":
         x = x.real.copy()
     tv = float(structure.trace_value)
-    before = x.copy()
-    got = _affine_projection(x, dims, tv)
-    assert_array_equal(x, before)
+    coords = _Coordinates(None, structure.wires)
+    k = coords.of(x)
+    before = k.copy()
+    got = _affine_projection(k, coords, tv)
+    assert_array_equal(k, before)
     assert got.dtype == x.dtype
-    assert_allclose(got, _depolarize_each_tail(x, dims, tv), atol=1e-12)
-    assert_allclose(_affine_projection(got, dims, tv), got, atol=1e-12)
-    report = verify_causality(LabeledOperator(structure.wires, got), structure)
+    assert_allclose(coords.matrix(got), depolarize_each_tail(x, dims, tv), atol=1e-12)
+    assert_allclose(_affine_projection(got, coords, tv), got, atol=1e-12)
+    report = verify_causality(LabeledOperator(structure.wires, coords.matrix(got)), structure)
     assert max(report.residuals) < 1e-12
 
 
@@ -287,6 +294,37 @@ def test_projection_budget_exhaustion():
         project_to_comb(x, S2222, iters=1)
     assert isinstance(exc.value.best, QuantumComb)
     assert exc.value.diagnostics["gap"] > 0
+
+
+def _anti_hermitian(dim, size, seed):
+    """A random anti-Hermitian matrix of Frobenius norm size."""
+    k = 1j * rand_hermitian(dim, np.random.default_rng(seed))
+    return k * (size / np.linalg.norm(k))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a dense check re-formed the Hermitian part")
+
+
+def test_verify_causality_forms_the_hermitian_part_once(monkeypatch):
+    comb = two_tooth_comb(11)
+    k = _anti_hermitian(16, 0.3, 11)
+    r = LabeledOperator(comb.op.wires, comb.op.matrix + k)
+    for name in ("hermitized", "is_hermitian", "min_eigenvalue"):
+        monkeypatch.setattr(LabeledOperator, name, _forbidden)
+    report = verify_causality(r, S2222)
+    assert not report.passed
+    assert report.hermiticity == pytest.approx(0.3, rel=1e-12)
+    lo = np.linalg.eigvalsh(comb.op.matrix)[0]
+    assert report.min_eigenvalue == pytest.approx(lo, abs=1e-12)
+
+
+def test_probabilistic_comb_rejects_non_hermitian_branches():
+    comb = two_tooth_comb(12)
+    k = LabeledOperator(comb.op.wires, _anti_hermitian(16, 0.85, 12))
+    half = comb.op * 0.5
+    with pytest.raises(InvalidBranchSumError, match="not Hermitian"):
+        ProbabilisticComb([("a", half + k), ("b", half - k)], S2222)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcombs import (
+    BoundUnavailableError,
     LabeledOperator,
     OperatorFile,
     OperatorFileError,
@@ -11,6 +12,7 @@ from qcombs import (
     Wire,
     max_entangled,
 )
+from qcombs import cli
 from qcombs.cli import main
 
 W2 = (Wire("a", 2), Wire("b", 3))
@@ -430,6 +432,33 @@ def test_unconverged_output_prints_the_certified_interval(capsys):
     low, high = (float(v) for v in rows["certified"].strip("[]").split(","))
     assert float(rows["value"]) == low
     assert low <= (2 + np.sqrt(3)) / 8 <= high
+
+
+def test_certified_interval_comes_from_the_rechecked_bound(monkeypatch, capsys):
+    real, bounds = cli.dual_bound, []
+
+    def spy(problem, sol):
+        bounds.append(real(problem, sol))
+        return bounds[-1]
+
+    monkeypatch.setattr(cli, "dual_bound", spy)
+    assert main(["learn", "--uses", "2", "--json"]) == 0
+    rec = ResultRecord.from_json(capsys.readouterr().out)
+    assert len(bounds) == 1
+    assert rec.gap_bound == max(bounds[0] - rec.value, 0.0)
+
+
+def test_failed_bound_recheck_exits_1_without_a_file(monkeypatch, tmp_path, capsys):
+    def refuse(problem, sol):
+        raise BoundUnavailableError("the dual certificate is not Hermitian")
+
+    monkeypatch.setattr(cli, "dual_bound", refuse)
+    out = tmp_path / "clone.json"
+    assert main(["clone", "--n", "1", "--m", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "not Hermitian" in err
+    assert not out.exists()
 
 
 def test_invalid_parameters_exit_2(capsys):

@@ -24,11 +24,16 @@ from qcombs import (
     random_comb,
 )
 from qcombs import objective
-from qcombs.comb import _affine_projection
-from qcombs.objective import _Coordinates, _commutant_basis, _commutant_blocks
+from qcombs.objective import (
+    _affine_projection,
+    _commutant_basis,
+    _commutant_blocks,
+    _Coordinates,
+)
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
+    depolarize_each_tail,
     gram_average,
     learning_conjugation,
     learning_memory,
@@ -359,8 +364,8 @@ def test_coordinates_match_the_dense_operator(build):
     assert abs(coords.min_eigenvalue(k) - dense[0]) < 1e-10
     assert abs(coords.max_eigenvalue(k) - dense[-1]) < 1e-10
     tv = float(s.trace_value)
-    projected = _affine_projection(k, coords.dims, tv, coords.mixers, coords.tau)
-    assert np.abs(coords.matrix(projected) - _affine_projection(x, s.dims, tv)).max() < 1e-12
+    projected = _affine_projection(k, coords, tv)
+    assert np.abs(coords.matrix(projected) - depolarize_each_tail(x, s.dims, tv)).max() < 1e-12
     # The Hermitian part commutes with the twirl, also for complex input.
     c = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     herm = coords.hermitian(coords.of(c))
@@ -377,6 +382,3 @@ def test_coordinates_without_twirl_are_the_matrix():
     assert k.shape == (1, s.dim, s.dim)
     assert np.array_equal(k[0], x)
     assert np.array_equal(coords.matrix(k), x)
-    tv = float(s.trace_value)
-    projected = _affine_projection(k, coords.dims, tv, coords.mixers, coords.tau)
-    assert np.array_equal(projected[0], _affine_projection(x, s.dims, tv))

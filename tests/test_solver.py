@@ -34,7 +34,7 @@ def test_problem_validation():
     with pytest.raises(LabelMismatchError):
         SdpProblem(po, S2222)
     with pytest.raises(ValueError):
-        SdpProblem(po, po.structure, tol_feas=0.0)
+        SdpProblem(po, po.structure, tol_gap=0.0)
     with pytest.raises(ValueError):
         SdpProblem(po, po.structure, max_iters=0)
 
@@ -62,7 +62,7 @@ def test_cloning_one_to_two_qubits():
     assert sol.converged
     assert sol.value == pytest.approx((2 + np.sqrt(3)) / 8, abs=1e-6)
     assert sol.feas_residual <= 1e-9
-    assert sol.R_star.verify(tol=10 * p.tol_feas).passed
+    assert sol.R_star.verify(tol=1e-5).passed
     bound = dual_bound(p, sol)
     assert sol.value - 1e-12 <= bound <= sol.value + 1e-2
 
@@ -135,7 +135,7 @@ def test_blocked_solve_matches_one_block_solve(build):
 
 
 def test_learning_two_uses_qutrits():
-    p = problem_for(learning_objective(2, 3), tol_feas=1e-5, tol_gap=1e-5)
+    p = problem_for(learning_objective(2, 3), tol_gap=1e-5)
     sol = solve(p)
     assert sol.converged
     assert sol.value == pytest.approx(3.0 / 9.0, abs=1e-3)
@@ -174,7 +174,7 @@ def test_budget_exhaustion_returns_best_feasible():
 )
 @pytest.mark.parametrize("tol", [1e-6, 1e-3])
 def test_converged_means_certified_gap(build, tol):
-    p = problem_for(build(), tol_feas=tol, tol_gap=tol)
+    p = problem_for(build(), tol_gap=tol)
     sol = solve(p)
     assert sol.converged
     assert sol.gap_bound <= p.tol_gap * (1.0 + abs(sol.value))
@@ -243,6 +243,8 @@ def test_probabilistic_argument_errors():
     other = cloning_objective(1, 1, 2)
     with pytest.raises(LabelMismatchError):
         solve_probabilistic([other], po.structure)
+    with pytest.raises(ValueError):
+        solve_probabilistic([po], po.structure, tol_feas=0.0)
 
 
 def test_imaginary_objective_is_solved_over_complex_combs():
