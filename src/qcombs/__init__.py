@@ -65,7 +65,6 @@ from .objective import (
     learning_objective,
 )
 from .solver import (
-    SOLVE_DIM_CAP,
     SdpProblem,
     SdpSolution,
     dual_bound,
@@ -106,7 +105,6 @@ __all__ = [
     "QCombsError",
     "QuantumComb",
     "ResultRecord",
-    "SOLVE_DIM_CAP",
     "SdpProblem",
     "SdpSolution",
     "SlotArityMismatchError",

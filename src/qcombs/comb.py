@@ -46,12 +46,19 @@ from .labeled import (
 )
 from .link import link_product
 
-#: Hard cap on any operator dimension materialized while generating or
-#: projecting combs (a D x D complex matrix at D = 4096 is 256 MiB).
+#: Hard cap on any operator dimension materialized while generating,
+#: projecting or solving combs or building their objectives (a D x D
+#: complex matrix at D = 4096 is 256 MiB).
 MAX_DIM = 4096
 
 #: Default verification tolerance.
 TOL_VERIFY = 1e-9
+
+
+def _check_dim(dim: int, what: str) -> None:
+    """Refuse, before anything is built, a dimension over MAX_DIM."""
+    if dim > MAX_DIM:
+        raise DimOverflowError(f"{what} needs dimension {dim}, over the cap {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -333,10 +340,6 @@ def random_comb(
         )
     if any(m < 1 for m in memory_dims):
         raise ValueError(f"memory dims must be >= 1, got {memory_dims}")
-    if structure.dim > MAX_DIM:
-        raise DimOverflowError(
-            f"comb dimension {structure.dim} exceeds the cap {MAX_DIM}"
-        )
 
     taken = set(structure.labels)
     rng = np.random.default_rng(seed)
@@ -361,13 +364,10 @@ def random_comb(
         # Linking contracts mem_prev away, so the largest operators built are
         # the new chain (open wires so far, this tooth's wires, mem_next)
         # and the tooth itself, which is larger when mem_prev exceeds the
-        # open wires so far.
+        # open wires so far.  At the last tooth the chain holds every wire,
+        # so this also bounds structure.dim.
         work_dim = max(open_dim, m_prev) * in_w.dim * out_w.dim * m_next
-        if work_dim > MAX_DIM:
-            raise DimOverflowError(
-                f"assembling tooth {k} needs dimension {work_dim}, "
-                f"over the cap {MAX_DIM}"
-            )
+        _check_dim(work_dim, f"assembling tooth {k}")
         mem_next = Wire(_fresh_label(f"mem{k}", taken), m_next)
         taken.add(mem_next.label)
 

@@ -38,9 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .choi import max_entangled
-from .comb import MAX_DIM, CombStructure, _check_labels
+from .comb import CombStructure, _check_dim, _check_labels
 from .errors import (
-    DimOverflowError,
     LabelMismatchError,
     NotHermitianError,
     NotInvariantError,
@@ -54,7 +53,7 @@ from .labeled import (
     _total_dim,
 )
 
-TAGS = ("U", "U*", "none")
+TAGS = ("U", "U*")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +183,7 @@ class TwirlSpec:
     pattern lists (wire label, tag, copies) for the twirled wires; a tag of
     "U" or "U*" applies the unitary or its entrywise conjugate as a
     copies-fold tensor power on that wire (whose dimension must then be
-    d**copies).  Wires absent from the pattern, or tagged "none", are left
-    alone.
+    d**copies).  Wires absent from the pattern are left alone.
     """
 
     d: int
@@ -215,8 +213,6 @@ class TwirlSpec:
         for label, tag, copies in self.pattern:
             if label not in dims:
                 raise LabelMismatchError(f"pattern wire {label!r} not on the operator")
-            if tag == "none":
-                continue
             if dims[label] != self.d**copies:
                 raise LabelMismatchError(
                     f"wire {label!r} has dim {dims[label]}, but the pattern "
@@ -471,10 +467,7 @@ def _task_objective(
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     structure = CombStructure.standard(dims)
-    if structure.dim > MAX_DIM:
-        raise DimOverflowError(
-            f"objective dimension {structure.dim} exceeds the cap {MAX_DIM}"
-        )
+    _check_dim(structure.dim, "the objective")
     w = structure.wires
     vec = LabeledVector((), np.ones(1))
     for i, j in pairs:

@@ -6,7 +6,8 @@ program.  The default backend is an operator-splitting method (ADMM on the
 consensus form X = Z) whose two half-steps are exactly the two cheap
 projections already available: the closed-form affine projection
 (objective._affine_projection) and the eigenvalue clip onto the positive
-cone (_psd_part).  project_to_comb alternates the same two steps.
+cone (_psd_part).  project_to_comb alternates the same two steps and
+ends with the polish described next.
 
 Reported values are never read off a possibly-infeasible iterate.  At
 regular checkpoints the affine-exact iterate is mixed toward the maximally
@@ -49,7 +50,9 @@ case, whose coordinates are the matrix.  Soundness does not rest on the
 symmetry: the value is Tr[R Omega] of a polished comb whose feas_residual
 comes from a dense verify_causality, and dual_bound re-checks the
 certificate on the dense matrices, so a wrong decomposition would show as
-a failed check, never as a certified false number.
+a failed check, never as a certified false number.  Those dense edges are
+what bounds a solve, so it takes the one cap comb.MAX_DIM on D, as every
+dense build does.
 """
 
 from __future__ import annotations
@@ -60,26 +63,21 @@ from typing import Sequence
 import numpy as np
 
 from .comb import (
-    MAX_DIM,
     TOL_VERIFY,
     CombStructure,
     ProbabilisticComb,
     QuantumComb,
+    _check_dim,
     _check_labels,
     _register_merge,
     _register_split,
     verify_causality,
 )
-from .errors import BoundUnavailableError, DimOverflowError, InvalidBranchSumError
+from .errors import BoundUnavailableError, InvalidBranchSumError
 from .errors import NoConvergenceError
 from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator, _affine_projection, _Coordinates
-
-# The iterates live in the twirl's coordinates, but Omega, the solution,
-# the certificate and their dense checks (verify_causality, dual_bound) are
-# D x D; past this their cost, not correctness, becomes the problem.
-SOLVE_DIM_CAP = 1024
 
 _OVER_RELAXATION = 1.6
 _POLISH_EVERY = 10
@@ -212,10 +210,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     """
     structure = p.structure
     D = structure.dim
-    if D > SOLVE_DIM_CAP:
-        raise DimOverflowError(
-            f"solve supports dimension up to {SOLVE_DIM_CAP}, got {D}"
-        )
+    _check_dim(D, "solve")
     tv = float(structure.trace_value)
     coords = _Coordinates(p.omega.twirl, structure.wires)
     om = coords.of(p.omega.omega.permuted(structure.labels).matrix)
@@ -295,28 +290,30 @@ def project_to_comb(
     iters: int = 20000,
     tol: float = TOL_VERIFY,
 ) -> QuantumComb:
-    """A comb near X, not in general the nearest, by alternating solve's
-    two projections on the one-block coordinates of X's Hermitian part
-    until they agree to tol in Frobenius norm.  The result is exactly
-    positive and violates the affine constraints by at most the final gap.
+    """A comb near X, not in general the nearest: alternate solve's two
+    projections on the one-block coordinates of X's Hermitian part until
+    they agree to tol in Frobenius norm, then polish the last affine
+    projection as solve does, mixing it toward the maximally mixed comb
+    until positive.  The result meets the causality constraints and
+    positivity up to rounding, so it passes its own verify().
     """
     _check_labels(X, structure)
-    if structure.dim > MAX_DIM:
-        raise DimOverflowError(
-            f"comb dimension {structure.dim} exceeds the cap {MAX_DIM}"
-        )
+    _check_dim(structure.dim, "project_to_comb")
     coords = _Coordinates(None, structure.wires)
     z = coords.of(X.permuted(structure.labels).hermitized().matrix)
     tv = float(structure.trace_value)
+    floor = tv / structure.dim
 
+    y = _affine_projection(z, coords, tv)
     gap = np.inf
     for _ in range(iters):
-        y = _affine_projection(z, coords, tv)
         z = _psd_part(y, coords)
         gap = float(np.linalg.norm(z - y))
         if gap <= tol:
             break
-    comb = QuantumComb(LabeledOperator._wrap(structure.wires, coords.matrix(z)), structure)
+        y = _affine_projection(z, coords, tv)
+    y = _polish(y, floor * coords.identity, floor, coords)
+    comb = QuantumComb(LabeledOperator._wrap(structure.wires, coords.matrix(y)), structure)
     if gap <= tol:
         return comb
     raise NoConvergenceError(
@@ -366,7 +363,6 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
 def solve_probabilistic(
     omegas: Sequence[PerformanceOperator],
     structure: CombStructure,
-    tol_feas: float = 1e-6,
     tol_gap: float = 1e-6,
     max_iters: int = 50000,
 ) -> ProbabilisticComb:
@@ -377,10 +373,8 @@ def solve_probabilistic(
     block-diagonal objective sum_i Omega_i (x) |i><i| is solved as a single
     deterministic problem, and the register blocks of the optimizer are the
     optimal branches.  tol_gap and max_iters go to solve, and the branches
-    are checked to 10 * tol_feas, which must be positive.
+    are checked to ProbabilisticComb's default tolerance, TOL_VERIFY.
     """
-    if not tol_feas > 0:
-        raise ValueError("tolerances must be positive")
     omegas = list(omegas)
     if not omegas:
         raise InvalidBranchSumError("need at least one branch objective")
@@ -392,4 +386,4 @@ def solve_probabilistic(
     sol = solve(SdpProblem(po, big_structure, tol_gap=tol_gap, max_iters=max_iters))
 
     branches = list(enumerate(_register_split(sol.R_star.op, structure)))
-    return ProbabilisticComb(branches, structure, tol=10.0 * tol_feas)
+    return ProbabilisticComb(branches, structure)

@@ -157,9 +157,8 @@ def gram_average(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
     """
     twirled, conj = [], []
     for label, tag, copies in spec.pattern:
-        if tag != "none":
-            twirled.append(label)
-            conj += [tag == "U*"] * copies
+        twirled.append(label)
+        conj += [tag == "U*"] * copies
     op = base.permuted(twirled + [lbl for lbl in base.labels if lbl not in twirled])
     d, t = spec.d, len(conj)
     dt = d**t
@@ -206,7 +205,10 @@ def alternating_projections(mat, dims, trace_value, iters=20000, tol=1e-9):
     """A comb near the Hermitian part of mat: alternate the defined affine
     projection (depolarize_each_tail) and an eigenvalue clip, hermitizing
     after each, until consecutive projections agree to tol in Frobenius
-    norm.  Returns the last clipped matrix, or None if iters run out."""
+    norm; then mix the last affine projection Y toward the maximally mixed
+    comb F I, F = trace_value / D, with the weight b = -l / (F - l) that
+    lifts its smallest eigenvalue l < 0 to zero.  Returns that mixture, or
+    None if iters run out."""
     z = (mat + mat.conj().T) / 2.0
     for _ in range(iters):
         y = depolarize_each_tail(z, dims, trace_value)
@@ -215,7 +217,10 @@ def alternating_projections(mat, dims, trace_value, iters=20000, tol=1e-9):
         z = (v * np.clip(w, 0.0, None)) @ v.conj().T
         z = (z + z.conj().T) / 2.0
         if np.linalg.norm(z - y) <= tol:
-            return z
+            floor = trace_value / len(y)
+            lo = min(float(np.linalg.eigvalsh(y)[0]), 0.0)
+            b = -lo / (floor - lo)
+            return (1.0 - b) * y + b * floor * np.eye(len(y))
     return None
 
 

@@ -424,6 +424,15 @@ def test_learn_quotes_the_true_qubit_constant(capsys):
     assert rec.value - 1e-12 <= rec.reference_value <= rec.value + rec.gap_bound + 1e-12
 
 
+def test_learn_quotes_the_two_use_qudit_constant(capsys):
+    code = main(["learn", "--uses", "2", "--dim", "3", "--json"])
+    rec = ResultRecord.from_json(capsys.readouterr().out)
+    assert code == 0
+    assert rec.reference_source == "paper-closed-form"
+    assert rec.reference_value == 1.0 / 3.0
+    assert rec.value - 1e-12 <= rec.reference_value <= rec.value + rec.gap_bound + 1e-12
+
+
 def test_unconverged_output_prints_the_certified_interval(capsys):
     assert main(["clone", "--n", "1", "--m", "2", "--max-iters", "5"]) == 3
     rows = dict(
@@ -465,6 +474,7 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["clone", "--n", "0", "--m", "2"]) == 2
     assert main(["clone", "--n", "1", "--m", "2", "--dim", "1"]) == 2
     assert main(["learn", "--uses", "0"]) == 2
+    assert main(["learn", "--uses", "6"]) == 2  # D = 16384, over MAX_DIM
     assert main(["clone", "--n", "1", "--m", "2", "--tol", "-1"]) == 2
     assert main(["clone", "--n", "1", "--m", "2", "--max-iters", "0"]) == 2
     assert main(["learn", "--uses", "1", "--tol", "0"]) == 2

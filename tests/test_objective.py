@@ -9,6 +9,7 @@ from qcombs import (
     DimMismatchError,
     DimOverflowError,
     LabeledOperator,
+    LabelMismatchError,
     NotHermitianError,
     NotInvariantError,
     PerformanceOperator,
@@ -205,6 +206,30 @@ def test_objective_matches_gram_average(name, monkeypatch):
     ref = build.__wrapped__(*args)
     assert ref.omega.labels == po.omega.labels
     assert np.abs(ref.omega.matrix - po.omega.matrix).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "d, pattern, message",
+    [
+        (1, (("a", "U", 1),), "at least 2"),
+        (2, (("a", "U", 0),), "copies must be"),
+        (2, (("a", "U", 1), ("a", "U*", 1)), "repeats"),
+        (2, (("a", "none", 1),), "unknown tag"),
+        (2, (("a", "V", 1),), "unknown tag"),
+    ],
+)
+def test_twirl_spec_validation(d, pattern, message):
+    with pytest.raises(ValueError, match=message):
+        TwirlSpec(d, pattern)
+
+
+def test_twirl_spec_must_match_the_wires():
+    base = LabeledOperator.identity((Wire("a", 2), Wire("b", 4)))
+    with pytest.raises(LabelMismatchError, match="not on the operator"):
+        haar_average(TwirlSpec(2, (("c", "U", 1),)), base)
+    with pytest.raises(LabelMismatchError, match="promises 2\\*\\*1"):
+        haar_average(TwirlSpec(2, (("b", "U", 1),)), base)
+    assert haar_average(TwirlSpec(2, (("b", "U", 2),)), base).twirl is not None
 
 
 # ---------------------------------------------------------------------------

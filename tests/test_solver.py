@@ -13,13 +13,15 @@ from qcombs import (
     LabelMismatchError,
     PerformanceOperator,
     SdpProblem,
-    Wire,
     cloning_objective,
     dual_bound,
     learning_objective,
+    project_to_comb,
+    random_comb,
     solve,
     solve_probabilistic,
 )
+from qcombs import comb, objective
 from conftest import conjugation_operator
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
@@ -184,12 +186,27 @@ def test_converged_means_certified_gap(build, tol):
     assert short.gap_bound > p.tol_gap * (1.0 + abs(short.value))
 
 
-def test_dimension_cap():
-    wires = tuple(Wire(str(i), d) for i, d in enumerate([8, 8, 8, 4]))
-    structure = CombStructure(((wires[0], wires[1]), (wires[2], wires[3])))
-    omega = PerformanceOperator(LabeledOperator.identity(wires))
-    with pytest.raises(DimOverflowError):
-        solve(SdpProblem(omega, structure))
+def test_objective_over_the_cap_raises_before_building(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an operator was built past the cap")
+
+    monkeypatch.setattr(objective, "max_entangled", forbidden)
+    monkeypatch.setattr(objective, "_Coordinates", forbidden)
+    with pytest.raises(DimOverflowError, match="needs dimension 16384, over the cap 4096"):
+        learning_objective(6, 2)
+
+
+def test_every_dense_entry_checks_the_one_cap(monkeypatch):
+    po = cloning_objective(1, 1, 2)
+    monkeypatch.setattr(comb, "MAX_DIM", 8)
+    with pytest.raises(DimOverflowError, match="solve needs dimension 16, over the cap 8"):
+        solve(problem_for(po))
+    with pytest.raises(DimOverflowError, match="project_to_comb needs dimension 16, "):
+        project_to_comb(po.omega, S2222)
+    with pytest.raises(DimOverflowError, match="objective needs dimension 16, "):
+        cloning_objective.__wrapped__(1, 1, 2)
+    with pytest.raises(DimOverflowError, match="tooth 1 needs dimension 64, "):
+        random_comb(S2222, [2], 0)
 
 
 def test_dual_bound_requires_valid_certificate():
@@ -206,6 +223,15 @@ def test_dual_bound_requires_valid_certificate():
     off = sol.dual_certificate + 0.1 * np.diag(rng.standard_normal(16))
     with pytest.raises(BoundUnavailableError):
         dual_bound(p, dataclasses.replace(sol, dual_certificate=off))
+    for entry in (np.nan, np.inf):
+        bad = sol.dual_certificate.copy()
+        bad[3, 5] = entry
+        with pytest.raises(BoundUnavailableError, match="not finite"):
+            dual_bound(p, dataclasses.replace(sol, dual_certificate=bad))
+    skew = np.zeros_like(sol.dual_certificate)
+    skew[0, 1], skew[1, 0] = 0.1, -0.1
+    with pytest.raises(BoundUnavailableError, match="not Hermitian"):
+        dual_bound(p, dataclasses.replace(sol, dual_certificate=sol.dual_certificate + skew))
 
 
 def test_probabilistic_single_branch_reduces_to_solve():
@@ -243,8 +269,6 @@ def test_probabilistic_argument_errors():
     other = cloning_objective(1, 1, 2)
     with pytest.raises(LabelMismatchError):
         solve_probabilistic([other], po.structure)
-    with pytest.raises(ValueError):
-        solve_probabilistic([po], po.structure, tol_feas=0.0)
 
 
 def test_imaginary_objective_is_solved_over_complex_combs():
