@@ -123,25 +123,25 @@ def apply_choi(choi: ChoiOperator, rho: np.ndarray) -> np.ndarray:
     return link_product(LabeledOperator(in_wires, rho), choi.op).matrix
 
 
-def choi_to_kraus(choi: ChoiOperator, threshold: float = KRAUS_EIG_THRESHOLD) -> KrausMap:
+def choi_to_kraus(choi: ChoiOperator) -> KrausMap:
     """Extract Kraus operators from a positive Choi operator.
 
-    Eigenvectors with eigenvalue below ``threshold`` are dropped.  The Choi
-    operator must be on a single output and a single input wire.
+    Eigenvectors with eigenvalue below ``KRAUS_EIG_THRESHOLD`` are dropped.
+    The Choi operator must be on a single output and a single input wire.
 
     Raises:
-        NotPSDError: if an eigenvalue is below ``-threshold``.
+        NotPSDError: if an eigenvalue is below ``-KRAUS_EIG_THRESHOLD``.
     """
     if len(choi.out_labels) != 1 or len(choi.in_labels) != 1:
         raise LabelMismatchError("Kraus extraction expects one output and one input wire")
     w, v = choi.op.eigh()
-    if w[0] < -threshold:
+    if w[0] < -KRAUS_EIG_THRESHOLD:
         raise NotPSDError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
     out_w = choi.op.wire(choi.out_labels[0])
     in_w = choi.op.wire(choi.in_labels[0])
     kraus = []
     for i in range(len(w) - 1, -1, -1):
-        if w[i] < threshold:
+        if w[i] < KRAUS_EIG_THRESHOLD:
             break
         k = np.sqrt(w[i]) * v[:, i].reshape(out_w.dim, in_w.dim)
         kraus.append(k)

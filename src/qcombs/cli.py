@@ -1,13 +1,15 @@
 """Command-line drivers for the cloning, learning, verification, and
 random-generation workflows.
 
-One command is one process.  Human-readable rows go to stdout by default;
+One command is one process, and each command takes exactly the options it
+reads; clone and learn default --tol and --max-iters to SdpProblem's, and
+verify --tol to TOL_VERIFY.  Human-readable rows go to stdout by default;
 with --json the machine-readable result record is the only stdout output
 and informational notes move to stderr.  Exit codes are a stable contract:
 0 success, 1 domain failure (a verification that should pass does not),
-2 input error (bad arguments, unreadable or existing files, dimension
-caps), 3 convergence failure (the result record is still written, with
-converged false).
+2 input error (bad or unknown options, unreadable or existing files,
+dimension caps), 3 convergence failure (the result record is still
+written, with converged false).
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ class _CliDomainError(Exception):
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
-
-
-def _note(args, text: str) -> None:
-    stream = sys.stderr if args.json else sys.stdout
-    print(text, file=stream)
 
 
 def _emit_record(record: ResultRecord, args, extra_rows=()) -> None:
@@ -104,41 +101,40 @@ def _write_and_recheck(comb: QuantumComb, metadata: dict, args) -> CausalityRepo
     except FileExistsError as e:
         raise _CliInputError(f"{args.out} exists; pass --force to overwrite") from e
     back = OperatorFile.load(args.out).to_operator()
-    report = verify_causality(back.permuted(comb.structure.labels), comb.structure)
+    report = verify_causality(back, comb.structure)
     if not report.passed:
         raise _CliDomainError(
             f"the written operator failed re-verification: {report}"
         )
-    _note(args, f"wrote {args.out} (re-verified: {report})")
+    stream = sys.stderr if args.json else sys.stdout
+    print(f"wrote {args.out} (re-verified: {report})", file=stream)
     return report
 
 
-def _emit_report(args, task, params, report, wall, backend) -> int:
-    """Emit the causality report of task as a result record or a table."""
-    if args.json:
-        record = ResultRecord(
-            task=task,
-            parameters=params,
-            value=None,
-            reference_value=None,
-            reference_source="none",
-            feas_residual=report.violation,
-            gap_bound=None,
-            iterations=None,
-            wall_time=wall,
-            backend=backend,
-            converged=report.passed,
-        )
-        sys.stdout.write(record.to_json())
-    else:
-        for n, r in enumerate(report.residuals):
-            mark = "ok" if r <= report.tol else "FAIL"
-            print(f"level {n:<3} residual {r:.3e}  {mark}")
-        eig_mark = "ok" if report.min_eigenvalue >= -report.tol else "FAIL"
-        print(f"min eigenvalue {report.min_eigenvalue:+.3e}  {eig_mark}")
-        herm_mark = "ok" if report.hermiticity <= report.tol else "FAIL"
-        print(f"hermiticity    {report.hermiticity:.3e}  {herm_mark}")
-        print(str(report))
+def _emit_causality(args, task, params, report, wall, backend) -> int:
+    """Emit a causality report through _emit_record, one row per check."""
+    record = ResultRecord(
+        task=task,
+        parameters=params,
+        value=None,
+        reference_value=None,
+        reference_source="none",
+        feas_residual=report.violation,
+        gap_bound=None,
+        iterations=None,
+        wall_time=wall,
+        backend=backend,
+        converged=report.passed,
+    )
+    lo, herm, tol = report.min_eigenvalue, report.hermiticity, report.tol
+    checks = [
+        (f"level {n}", f"residual {r:.3e}", r <= tol)
+        for n, r in enumerate(report.residuals)
+    ]
+    checks.append(("eigenvalue", f"{lo:+.3e}", lo >= -tol))
+    checks.append(("hermiticity", f"{herm:.3e}", herm <= tol))
+    rows = [(key, f"{text}  {'ok' if ok else 'FAIL'}") for key, text, ok in checks]
+    _emit_record(record, args, rows + [("causality", str(report))])
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
@@ -158,13 +154,12 @@ def _int_list(text: str, what: str) -> list[int]:
 def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int:
     """Solve po, write --out if asked, and emit the result record of task.
 
-    params holds the task's own parameters; the record adds tol and seed,
-    and the operator file's metadata adds the seed, value and converged.
-    The gap is dual_bound's re-checked one; a failed re-check writes no file.
+    params holds the task's own parameters; the record adds tol, and the
+    operator file's metadata adds the value and converged.  The gap is
+    dual_bound's re-checked one; a failed re-check writes no file.
     """
-    tol = args.tol if args.tol is not None else 1e-6
     try:
-        problem = SdpProblem(po, po.structure, tol_gap=tol, max_iters=args.max_iters)
+        problem = SdpProblem(po, po.structure, tol_gap=args.tol, max_iters=args.max_iters)
     except ValueError as e:
         raise _CliInputError(str(e)) from None
     t0 = time.perf_counter()
@@ -177,7 +172,7 @@ def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int
 
     record = ResultRecord(
         task=task,
-        parameters={**params, "tol": tol, "seed": args.seed},
+        parameters={**params, "tol": args.tol},
         value=sol.value,
         reference_value=reference,
         reference_source=source,
@@ -192,7 +187,6 @@ def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int
         metadata = {
             "task": task,
             **params,
-            "seed": args.seed,
             "value": sol.value,
             "converged": sol.converged,
         }
@@ -273,15 +267,14 @@ def _parse_teeth(spec: str, op) -> CombStructure:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else TOL_VERIFY
     t0 = time.perf_counter()
     f = OperatorFile.load(args.file)
     op = f.to_operator()
     structure = _parse_teeth(args.teeth, op)
-    report = verify_causality(op.permuted(structure.labels), structure, tol)
+    report = verify_causality(op, structure, args.tol)
     wall = time.perf_counter() - t0
-    params = {"file": args.file, "teeth": args.teeth, "tol": tol}
-    return _emit_report(args, "verify", params, report, wall, "verification")
+    params = {"file": args.file, "teeth": args.teeth, "tol": args.tol}
+    return _emit_causality(args, "verify", params, report, wall, "verification")
 
 
 def cmd_random_comb(args) -> int:
@@ -303,7 +296,7 @@ def cmd_random_comb(args) -> int:
     params = {"dims": args.dims, "memory": args.memory or "", "seed": args.seed}
     report = _write_and_recheck(comb, {"task": "random-comb", **params}, args)
     wall = time.perf_counter() - t0
-    return _emit_report(args, "random-comb", params, report, wall, "generator")
+    return _emit_causality(args, "random-comb", params, report, wall, "generator")
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +304,30 @@ def cmd_random_comb(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--dim", type=int, default=2, help="gate dimension (default 2)")
+    solver.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="tolerance (solver gap, or verification residual)",
+        default=SdpProblem.tol_gap,
+        help="relative certified-gap tolerance (default %(default)g)",
     )
-    common.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    common.add_argument(
+    solver.add_argument(
+        "--max-iters",
+        type=int,
+        default=SdpProblem.max_iters,
+        help="solver iteration budget (default %(default)d)",
+    )
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument(
         "--json",
         action="store_true",
         help="print the machine-readable result record on stdout",
     )
-    common.add_argument("--out", metavar="PATH", default=None, help="operator file to write")
-    common.add_argument(
+    write = argparse.ArgumentParser(add_help=False)
+    write.add_argument("--out", metavar="PATH", default=None, help="operator file to write")
+    write.add_argument(
         "--force", action="store_true", help="allow overwriting an existing --out file"
-    )
-    common.add_argument(
-        "--max-iters", type=int, default=50000, help="solver iteration budget"
     )
 
     parser = argparse.ArgumentParser(
@@ -340,25 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "clone",
-        parents=[common],
+        parents=[solver, emit, write],
         help="optimal gate cloning: n uses of a gate into m copies",
     )
     pc.add_argument("--n", type=int, required=True, help="available uses of the gate")
     pc.add_argument("--m", type=int, required=True, help="requested parallel copies")
-    pc.add_argument("--dim", type=int, default=2, help="gate dimension (default 2)")
     pc.set_defaults(func=cmd_clone)
 
     pl = sub.add_parser(
         "learn",
-        parents=[common],
+        parents=[solver, emit, write],
         help="optimal gate learning: store n uses, retrieve once later",
     )
     pl.add_argument("--uses", type=int, required=True, help="uses available while storing")
-    pl.add_argument("--dim", type=int, default=2, help="gate dimension (default 2)")
     pl.set_defaults(func=cmd_learn)
 
     pv = sub.add_parser(
-        "verify", parents=[common], help="check an operator file against causality"
+        "verify", parents=[emit], help="check an operator file against causality"
     )
     pv.add_argument("file", help="operator file to check")
     pv.add_argument(
@@ -366,10 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated in:out label pairs in causal order, e.g. 0:1,2:3",
     )
+    pv.add_argument(
+        "--tol",
+        type=float,
+        default=TOL_VERIFY,
+        help="residual, eigenvalue and hermiticity tolerance (default %(default)g)",
+    )
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser(
-        "random-comb", parents=[common], help="generate a random causal comb"
+        "random-comb", parents=[emit, write], help="generate a random causal comb"
     )
     pr.add_argument(
         "--dims",
@@ -381,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated memory dims between teeth (one fewer than teeth)",
     )
+    pr.add_argument("--seed", type=int, default=0, help="seed of the draw (default 0)")
     pr.set_defaults(func=cmd_random_comb)
     return parser
 

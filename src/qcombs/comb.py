@@ -161,7 +161,7 @@ class ProbabilisticComb:
 
     Branches are keyed by opaque outcome ids.  The constructor verifies
     that each branch is Hermitian and positive and that their sum is a
-    deterministic comb, all to within tol.
+    deterministic comb, all to within TOL_VERIFY.
     """
 
     __slots__ = ("branches", "structure")
@@ -170,7 +170,6 @@ class ProbabilisticComb:
         self,
         branches: Sequence[tuple[str, LabeledOperator]],
         structure: CombStructure,
-        tol: float = TOL_VERIFY,
     ):
         branches = tuple((str(oid), op) for oid, op in branches)
         if not branches:
@@ -183,7 +182,7 @@ class ProbabilisticComb:
             _check_labels(op, structure)
             op = op.permuted(structure.labels)
             defect, lo = _defect_and_min_eigenvalue(op.matrix)
-            if defect > tol or lo < -tol:
+            if defect > TOL_VERIFY or lo < -TOL_VERIFY:
                 raise InvalidBranchSumError(
                     f"branch {oid!r} is not Hermitian and positive: defect "
                     f"{defect:.3e}, min eigenvalue {lo:.3e}"
@@ -192,7 +191,7 @@ class ProbabilisticComb:
         total = ordered[0][1]
         for _, op in ordered[1:]:
             total = total + op
-        report = verify_causality(total, structure, tol)
+        report = verify_causality(total, structure)
         if not report.passed:
             raise InvalidBranchSumError(
                 "branch sum is not a deterministic comb: "

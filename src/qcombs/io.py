@@ -120,7 +120,6 @@ class OperatorFile:
     wires: tuple[Wire, ...]
     matrix: np.ndarray
     metadata: dict = field(default_factory=dict)
-    format_version: int = OPERATOR_FORMAT_VERSION
 
     def __post_init__(self):
         self.wires = tuple(self.wires)
@@ -149,7 +148,7 @@ class OperatorFile:
 
     def dumps(self) -> str:
         doc = {
-            "format_version": self.format_version,
+            "format_version": OPERATOR_FORMAT_VERSION,
             "wires": [{"label": w.label, "dim": w.dim} for w in self.wires],
             "entries": self.matrix,
             "metadata": dict(sorted(self.metadata.items())),

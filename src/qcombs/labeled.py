@@ -198,9 +198,9 @@ class LabeledOperator(_Wired):
         """Frobenius norm."""
         return float(np.linalg.norm(self.matrix))
 
-    def is_hermitian(self, rtol: float = EPS_HERMITIAN) -> bool:
+    def is_hermitian(self) -> bool:
         n = np.linalg.norm(self.matrix - self.matrix.conj().T)
-        return n <= rtol * max(np.linalg.norm(self.matrix), 1e-300)
+        return n <= EPS_HERMITIAN * max(np.linalg.norm(self.matrix), 1e-300)
 
     def __repr__(self):
         spec = ", ".join(f"{w.label}:{w.dim}" for w in self.wires)
@@ -359,8 +359,8 @@ class LabeledOperator(_Wired):
 
     # -- spectral operations --------------------------------------------------
 
-    def _require_hermitian(self, rtol: float = EPS_HERMITIAN):
-        if not self.is_hermitian(rtol):
+    def _require_hermitian(self):
+        if not self.is_hermitian():
             gap = np.linalg.norm(self.matrix - self.matrix.conj().T)
             raise NotHermitianError(
                 f"operator is not Hermitian (defect {gap:.3e}, norm {self.norm():.3e})"

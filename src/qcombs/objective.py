@@ -469,12 +469,11 @@ def _task_objective(
     structure = CombStructure.standard(dims)
     _check_dim(structure.dim, "the objective")
     w = structure.wires
-    vec = LabeledVector((), np.ones(1))
+    vec = LabeledVector((), np.array([norm**-0.5]))
     for i, j in pairs:
         vec = vec.tensor(max_entangled((w[i], w[j])))
-    base = vec.permuted(structure.labels).outer()
     spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
-    omega = _averaged(spec, base) * (1.0 / norm)
+    omega = _averaged(spec, vec.permuted(structure.labels).outer())
     return PerformanceOperator(omega, structure, spec)
 
 

@@ -146,18 +146,16 @@ def _psd_part(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
     return coords.from_blocks([_clip(b) for b in coords.blocks(k)])
 
 
-def _polish(
-    x: np.ndarray, mixed: np.ndarray, floor: float, coords: _Coordinates
-) -> np.ndarray:
-    """Mix an affine-exact iterate toward the maximally mixed comb until
-    positive.  Affine combinations stay on the affine set, and the mixing
+def _polish(x: np.ndarray, floor: float, coords: _Coordinates) -> np.ndarray:
+    """Mix an affine-exact iterate toward the maximally mixed comb, floor * I,
+    until positive.  Affine combinations stay on the affine set, and the mixing
     weight is the smallest that lifts the most negative eigenvalue to zero.
     """
     lo = coords.min_eigenvalue(x)
     if lo >= 0.0:
         return x
     beta = -lo / (floor - lo)
-    return (1.0 - beta) * x + beta * mixed
+    return (1.0 - beta) * x + beta * (floor * coords.identity)
 
 
 def _dual_range_projection(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
@@ -215,11 +213,10 @@ def solve(p: SdpProblem) -> SdpSolution:
     coords = _Coordinates(p.omega.twirl, structure.wires)
     om = coords.of(p.omega.omega.permuted(structure.labels).matrix)
 
-    mixed = (tv / D) * coords.identity
     floor = tv / D
+    mixed = floor * coords.identity
     flat = coords.max_eigenvalue(om)
 
-    x = mixed.copy()
     z = mixed.copy()
     u = np.zeros_like(om)
     rho = 1.0
@@ -247,7 +244,7 @@ def solve(p: SdpProblem) -> SdpSolution:
 
         checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
         if k == 1 or checkpoint:
-            cand = _polish(x, mixed, floor, coords)
+            cand = _polish(x, floor, coords)
             val = _pair(cand, om)
             if val > best_val:
                 best_val = val
@@ -288,11 +285,10 @@ def project_to_comb(
     X: LabeledOperator,
     structure: CombStructure,
     iters: int = 20000,
-    tol: float = TOL_VERIFY,
 ) -> QuantumComb:
     """A comb near X, not in general the nearest: alternate solve's two
     projections on the one-block coordinates of X's Hermitian part until
-    they agree to tol in Frobenius norm, then polish the last affine
+    they agree to TOL_VERIFY in Frobenius norm, then polish the last affine
     projection as solve does, mixing it toward the maximally mixed comb
     until positive.  The result meets the causality constraints and
     positivity up to rounding, so it passes its own verify().
@@ -309,18 +305,18 @@ def project_to_comb(
     for _ in range(iters):
         z = _psd_part(y, coords)
         gap = float(np.linalg.norm(z - y))
-        if gap <= tol:
+        if gap <= TOL_VERIFY:
             break
         y = _affine_projection(z, coords, tv)
-    y = _polish(y, floor * coords.identity, floor, coords)
+    y = _polish(y, floor, coords)
     comb = QuantumComb(LabeledOperator._wrap(structure.wires, coords.matrix(y)), structure)
-    if gap <= tol:
+    if gap <= TOL_VERIFY:
         return comb
     raise NoConvergenceError(
         f"alternating projections stalled at gap {gap:.3e} after {iters} "
-        f"iterations (tol {tol:.1e})",
+        f"iterations (tol {TOL_VERIFY:.1e})",
         best=comb,
-        diagnostics={"gap": gap, "iterations": iters, "tol": tol},
+        diagnostics={"gap": gap, "iterations": iters, "tol": TOL_VERIFY},
     )
 
 
@@ -363,8 +359,8 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
 def solve_probabilistic(
     omegas: Sequence[PerformanceOperator],
     structure: CombStructure,
-    tol_gap: float = 1e-6,
-    max_iters: int = 50000,
+    tol_gap: float = SdpProblem.tol_gap,
+    max_iters: int = SdpProblem.max_iters,
 ) -> ProbabilisticComb:
     """Maximize sum_i Tr[R_i Omega_i] over comb-shaped instruments.
 
@@ -372,8 +368,8 @@ def solve_probabilistic(
     carries an orthogonal outcome register (the register_comb layout), the
     block-diagonal objective sum_i Omega_i (x) |i><i| is solved as a single
     deterministic problem, and the register blocks of the optimizer are the
-    optimal branches.  tol_gap and max_iters go to solve, and the branches
-    are checked to ProbabilisticComb's default tolerance, TOL_VERIFY.
+    optimal branches.  tol_gap and max_iters go to solve, and
+    ProbabilisticComb checks the branches to TOL_VERIFY.
     """
     omegas = list(omegas)
     if not omegas:

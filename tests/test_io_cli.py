@@ -1,14 +1,19 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qcombs import (
+    OPERATOR_FORMAT_VERSION,
+    TOL_VERIFY,
     BoundUnavailableError,
     LabeledOperator,
     OperatorFile,
     OperatorFileError,
     ResultRecord,
+    SdpProblem,
     Wire,
     max_entangled,
 )
@@ -36,6 +41,15 @@ def test_roundtrip_is_bit_identical():
     assert g.wires == f.wires
     assert np.array_equal(g.matrix, f.matrix)
     assert g.metadata == f.metadata
+
+
+def test_every_dumped_file_loads():
+    # The format version is not a field: dumps always writes the one that
+    # loads reads.
+    assert "format_version" not in {f.name for f in dataclasses.fields(OperatorFile)}
+    text = sample_file().dumps()
+    assert json.loads(text)["format_version"] == OPERATOR_FORMAT_VERSION
+    assert OperatorFile.loads(text).dumps() == text
 
 
 def test_awkward_floats_survive_exactly():
@@ -415,6 +429,13 @@ def test_learn_json_record(capsys):
     assert rec.backend == "projection-splitting"
 
 
+def test_learn_record_holds_only_the_parameters_the_solve_reads(capsys):
+    assert main(["learn", "--uses", "1", "--json"]) == 0
+    rec = ResultRecord.from_json(capsys.readouterr().out)
+    assert set(rec.parameters) == {"dim", "tol", "uses"}
+    assert rec.parameters["tol"] == SdpProblem.tol_gap
+
+
 def test_learn_quotes_the_true_qubit_constant(capsys):
     code = main(["learn", "--uses", "2", "--json"])
     rec = ResultRecord.from_json(capsys.readouterr().out)
@@ -481,6 +502,65 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["learn", "--uses", "1", "--max-iters", "0"]) == 2
     assert main(["random-comb", "--dims", "2,2,2"]) == 2  # odd count
     capsys.readouterr()
+
+
+COMMAND_OPTIONS = {
+    "clone": {"--n", "--m", "--dim", "--tol", "--max-iters", "--json", "--out", "--force"},
+    "learn": {"--uses", "--dim", "--tol", "--max-iters", "--json", "--out", "--force"},
+    "verify": {"file", "--teeth", "--tol", "--json"},
+    "random-comb": {"--dims", "--memory", "--seed", "--json", "--out", "--force"},
+}
+
+
+def _subparsers():
+    (action,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_each_command_takes_exactly_the_options_it_reads():
+    subs = _subparsers()
+    assert set(subs) == set(COMMAND_OPTIONS)
+    for name, sub in subs.items():
+        opts = {
+            a.option_strings[-1] if a.option_strings else a.dest: a
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert set(opts) == COMMAND_OPTIONS[name], name
+        if "--max-iters" in opts:
+            assert opts["--tol"].default == SdpProblem.tol_gap
+            assert opts["--max-iters"].default == SdpProblem.max_iters
+    assert subs["verify"]._option_string_actions["--tol"].default == TOL_VERIFY
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 25
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    [
+        (["clone", "--n", "1", "--m", "2"], [["--seed", "1"]]),
+        (["learn", "--uses", "1", "--json"], [["--seed", "123"]]),
+        (
+            ["verify", "f.json", "--teeth", "0:1"],
+            [["--out", "x.json"], ["--force"], ["--max-iters", "0"], ["--seed", "9"]],
+        ),
+        (
+            ["random-comb", "--dims", "2,2", "--out", "c.json"],
+            [["--tol", "1e-3"], ["--max-iters", "5"]],
+        ),
+    ],
+    ids=["clone", "learn", "verify", "random-comb"],
+)
+def test_removed_options_are_input_errors(tmp_path, monkeypatch, capsys, argv, removed):
+    monkeypatch.chdir(tmp_path)
+    for extra in removed:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exhausted_budget_exits_3(capsys):
