@@ -42,7 +42,6 @@ from .errors import (
     NoConvergenceError,
     NotAPermutationError,
     NotHermitianError,
-    NotInvariantError,
     NotPSDError,
     OperatorFileError,
     QCombsError,
@@ -94,7 +93,6 @@ __all__ = [
     "NoConvergenceError",
     "NotAPermutationError",
     "NotHermitianError",
-    "NotInvariantError",
     "NotPSDError",
     "OPERATOR_FORMAT_VERSION",
     "OperatorFile",

@@ -393,59 +393,37 @@ def _as_operator(x: CombLike) -> LabeledOperator:
     raise TypeError(f"cannot interpret {type(x).__name__} as a labeled operator")
 
 
-def supermap_apply(
-    comb: QuantumComb,
-    inputs: Sequence[CombLike],
-    slot_assignment: Sequence[int] | None = None,
-) -> ChoiOperator:
+def supermap_apply(comb: QuantumComb, inputs: Sequence[CombLike]) -> ChoiOperator:
     """Insert circuit fragments into the comb's open slots.
 
-    Slot n connects out_n to in_{n+1}; an input occupying it must carry
-    exactly those two wire labels (a fragment with 2k wires occupies the k
-    consecutive slots starting at its assigned index).  Unfilled slots stay
-    open, so partial insertion returns the residual board.  The result is a
-    Choi operator whose outputs are the remaining odd-position wires and
-    whose inputs are the remaining even-position wires.
+    Slot n connects out_n to in_{n+1}, and an input fills the slots whose
+    wire labels it carries: it must carry exactly the wires of one or more
+    consecutive slots (LabelMismatchError otherwise), and no slot may be
+    filled twice (SlotArityMismatchError).  The inputs are contracted in
+    the order given.  Unfilled slots stay open, so partial insertion
+    returns the residual board.  The result is a Choi operator whose
+    outputs are the remaining odd-position wires and whose inputs are the
+    remaining even-position wires.
     """
-    slots = comb.structure.slots
-    if slot_assignment is None:
-        slot_assignment = range(len(inputs))
-    slot_assignment = [int(s) for s in slot_assignment]
-    if len(slot_assignment) != len(inputs):
-        raise SlotArityMismatchError(
-            f"{len(inputs)} inputs but {len(slot_assignment)} slot assignments"
-        )
-
-    covered: set[int] = set()
-    ops = []
-    for x, start in zip(inputs, slot_assignment):
-        op = _as_operator(x)
-        if len(op.labels) % 2 != 0:
+    slot_of = {}
+    for n, (out_w, in_w) in enumerate(comb.structure.slots):
+        slot_of[out_w.label] = slot_of[in_w.label] = n
+    filled: set[int] = set()
+    ops = [_as_operator(x) for x in inputs]
+    for op in ops:
+        took = sorted({slot_of.get(lbl, -1) for lbl in op.labels})
+        # Sorted distinct slots are consecutive when they span len(took).
+        consecutive = bool(took) and took[0] >= 0 and took[-1] - took[0] < len(took)
+        if not consecutive or len(op.labels) != 2 * len(took):
             raise LabelMismatchError(
-                f"slot input must have an even number of wires, got {len(op.labels)}"
+                f"input wires {sorted(op.labels)} are not the wires of "
+                f"consecutive slots of the comb"
             )
-        span = len(op.labels) // 2
-        if start < 0 or start + span > len(slots):
+        if filled.intersection(took):
             raise SlotArityMismatchError(
-                f"input spans slots {start}..{start + span - 1}, but the comb "
-                f"has slots 0..{len(slots) - 1}"
+                f"slots {sorted(filled.intersection(took))} filled more than once"
             )
-        took = set(range(start, start + span))
-        if took & covered:
-            raise SlotArityMismatchError(
-                f"slots {sorted(took & covered)} assigned more than once"
-            )
-        covered |= took
-        expected = set()
-        for s in range(start, start + span):
-            expected.add(slots[s][0].label)
-            expected.add(slots[s][1].label)
-        if set(op.labels) != expected:
-            raise LabelMismatchError(
-                f"input wires {sorted(op.labels)} do not match slot wires "
-                f"{sorted(expected)}"
-            )
-        ops.append(op)
+        filled.update(took)
 
     result = comb.op
     for op in ops:

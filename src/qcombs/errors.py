@@ -33,11 +33,6 @@ class NotHermitianError(QCombsError):
     """An operand required to be Hermitian is not, beyond tolerance."""
 
 
-class NotInvariantError(QCombsError):
-    """An operator required to be fixed by a twirl is not, beyond
-    tolerance."""
-
-
 class NotPSDError(QCombsError):
     """An operand required to be positive semidefinite has a negative
     eigenvalue beyond tolerance."""

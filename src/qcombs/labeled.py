@@ -105,6 +105,15 @@ def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(half)), float(np.linalg.eigvalsh(mat - half)[0])
 
 
+def _eigenvalue_floor(w: np.ndarray) -> float:
+    """Lower bound on the least eigenvalue of a Hermitian M of order len(w)
+    from its computed eigenvalues w (ascending): w[0] less the eigensolver
+    allowance len(w) * u * ||M||_2, u = eps / 2, as VSDP does (Jansson,
+    Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007))."""
+    u = np.finfo(float).eps / 2.0
+    return float(w[0]) - len(w) * u * max(abs(float(w[0])), abs(float(w[-1])))
+
+
 def _frozen(arr) -> np.ndarray:
     """``arr`` contiguous and write-protected, in complex128 or float64."""
     arr = np.asarray(arr)

@@ -26,11 +26,13 @@ inexact one raises instead of averaging wrongly.  The solver runs in the
 same coordinates, where each block is a reshaped slice, and so does the
 affine projection onto the causality constraints (_affine_projection), so
 this module alone knows their encoding; no twirl is the one-block case.
+A PerformanceOperator carries a twirl only when this averaging made its
+Omega, so the twirl fixes Omega by construction and is never re-checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
@@ -42,11 +44,9 @@ from .comb import CombStructure, _check_dim, _check_labels
 from .errors import (
     LabelMismatchError,
     NotHermitianError,
-    NotInvariantError,
     UnsupportedError,
 )
 from .labeled import (
-    EPS_HERMITIAN,
     LabeledOperator,
     LabeledVector,
     Wire,
@@ -399,14 +399,17 @@ class PerformanceOperator:
     and, when produced for a concrete task, the comb wire layout it scores.
 
     omega must be Hermitian to EPS_HERMITIAN and is stored as its Hermitian
-    part, so the stored Omega is exactly Hermitian.  twirl, when given, is
-    a twirl that fixes Omega; the solver then works in its coordinates (see
-    _Coordinates).
+    part, so the stored Omega is exactly Hermitian.  twirl is not an
+    argument: haar_average and the task objectives set it to the twirl they
+    averaged Omega with, which fixes Omega by construction, and the solver
+    works in its coordinates (see _Coordinates).  dataclasses.replace drops
+    it, and the copy is solved dense with the same values.  haar_average
+    attaches a twirl to an Omega it fixes, returning Omega up to rounding.
     """
 
     omega: LabeledOperator
     structure: CombStructure | None = None
-    twirl: TwirlSpec | None = None
+    twirl: TwirlSpec | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not self.omega.is_hermitian():
@@ -414,14 +417,6 @@ class PerformanceOperator:
         object.__setattr__(self, "omega", self.omega.hermitized())
         if self.structure is not None:
             _check_labels(self.omega, self.structure)
-        if self.twirl is not None:
-            coords = _Coordinates(self.twirl, self.omega.wires)
-            mat = self.omega.matrix
-            moved = np.linalg.norm(coords.matrix(coords.of(mat)) - mat)
-            if moved > EPS_HERMITIAN * max(np.linalg.norm(mat), 1e-300):
-                raise NotInvariantError(
-                    "the performance operator is not fixed by its twirl"
-                )
 
     def value(self, R: LabeledOperator) -> float:
         """Tr[R Omega] as a real number."""
@@ -436,18 +431,26 @@ def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
     The average is the exact projection onto the commutant of the twirl,
     spanned by the partially transposed permutation operators on the unit
     factors, so it fixes precisely the operators commuting with every
-    W(U); in particular it is idempotent and Hermiticity-preserving.  The
+    W(U); in particular it is idempotent and Hermiticity-preserving, and a
+    base whose average is not Hermitian raises NotHermitianError.  The
     result carries spec as its twirl.
     """
-    return PerformanceOperator(_averaged(spec, base), twirl=spec)
+    return _twirled(spec, base)
+
+
+def _twirled(
+    spec: TwirlSpec, base: LabeledOperator, structure: CombStructure | None = None
+) -> PerformanceOperator:
+    """The performance operator of the average of base, carrying spec."""
+    po = PerformanceOperator(_averaged(spec, base), structure)
+    object.__setattr__(po, "twirl", spec)
+    return po
 
 
 def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
-    """The twirl of base, in base's wire order; PerformanceOperator takes
-    its exact Hermitian part."""
+    """The twirl of base, in base's wire order; PerformanceOperator checks
+    that it is Hermitian and takes its exact Hermitian part."""
     coords = _Coordinates(spec, base.wires)
-    if not base.is_hermitian():
-        raise NotHermitianError("twirl input must be Hermitian")
     return LabeledOperator._wrap(base.wires, coords.matrix(coords.of(base.matrix)))
 
 
@@ -473,8 +476,7 @@ def _task_objective(
     for i, j in pairs:
         vec = vec.tensor(max_entangled((w[i], w[j])))
     spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
-    omega = _averaged(spec, vec.permuted(structure.labels).outer())
-    return PerformanceOperator(omega, structure, spec)
+    return _twirled(spec, vec.permuted(structure.labels).outer(), structure)
 
 
 @lru_cache(maxsize=None)

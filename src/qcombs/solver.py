@@ -23,7 +23,9 @@ the fixed trace), so any such T with T - Omega >= 0 certifies
 optimum <= alpha * trace_value.  The scaled ADMM dual variable converges
 to Omega - T for the optimal T; projecting it back into the constraint
 range and shifting along the identity until T - Omega is positive repairs
-it into a valid certificate at any accuracy.
+it into a valid certificate at any accuracy.  dual_bound re-checks it to
+tolerances and pays for the slack they accept, so a certificate that only
+just passes still yields a true bound.
 
 The solve stops on that certificate, as SCS does: every checkpoint
 polishes, repairs the current dual variable into a certificate and stops
@@ -75,7 +77,7 @@ from .comb import (
 )
 from .errors import BoundUnavailableError, InvalidBranchSumError
 from .errors import NoConvergenceError
-from .labeled import LabeledOperator
+from .labeled import LabeledOperator, _eigenvalue_floor
 from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator, _affine_projection, _Coordinates
 
@@ -324,10 +326,14 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     """Verified upper bound on the optimum of p from a solved candidate.
 
     Re-checks, independently of the solve run, that the stored certificate
-    T lies in the constraint range and dominates Omega; only then is
-    Tr[T] * trace_value / D a sound bound.  Raises BoundUnavailableError
-    when no certificate is stored or it fails either check.  Every check
-    runs on the dense D x D matrices, whatever twirl Omega carries.
+    T is finite, Hermitian and within tol = 1e-8 * (1 + ||T||_F) of its
+    projection P(T) onto the constraint range, and that lambda_lo >= -tol,
+    where lambda_lo is lambda_min(P(T) - Omega) less the eigensolver
+    allowance of labeled._eigenvalue_floor.  Raises BoundUnavailableError
+    when no certificate is stored or a check fails.  The bound pays for the
+    slack the checks accept: it is trace_value * (Tr[P(T)] / D +
+    max(0, -lambda_lo)), with P(T) taken Hermitian.  Every check runs on
+    the dense D x D matrices, whatever twirl Omega carries.
     """
     cert = candidate.dual_certificate
     if cert is None:
@@ -342,18 +348,20 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:
         raise BoundUnavailableError("the dual certificate is not Hermitian")
     dense = _Coordinates(None, structure.wires)
-    if float(np.linalg.norm(cert - _dual_range_projection(cert[None], dense)[0])) > tol:
+    proj = _dual_range_projection(cert[None], dense)
+    if float(np.linalg.norm(cert - proj[0])) > tol:
         raise BoundUnavailableError(
             "the dual certificate leaves the constraint range, so it is not "
             "constant on the comb set"
         )
-    lo = float(np.linalg.eigvalsh(cert - om)[0])
+    proj = dense.hermitian(proj)
+    lo = _eigenvalue_floor(np.linalg.eigvalsh(proj[0] - om))
     if lo < -tol:
         raise BoundUnavailableError(
             f"the dual certificate does not dominate the objective "
             f"(min eigenvalue {lo:.3e})"
         )
-    return float(np.trace(cert).real) * structure.trace_value / D
+    return float(structure.trace_value * (dense.trace(proj) / D + max(0.0, -lo)))
 
 
 def solve_probabilistic(

@@ -20,6 +20,7 @@ from qcombs import (
     Wire,
     is_channel,
     kraus_to_choi,
+    link_product,
     max_entangled,
     project_to_comb,
     random_comb,
@@ -207,10 +208,42 @@ def test_supermap_argument_errors():
     op = kraus_to_choi(kmap).op
     with pytest.raises(SlotArityMismatchError):
         supermap_apply(comb, [op, op])
-    with pytest.raises(SlotArityMismatchError):
-        supermap_apply(comb, [op], [1])
     with pytest.raises(LabelMismatchError):
         supermap_apply(comb, [op.relabeled({"1": "9"})])
+
+
+def slot_channels(structure, rng):
+    """The Choi operator of a random channel for each slot of structure."""
+    return [
+        kraus_to_choi(KrausMap(out_w, in_w, rand_kraus(out_w.dim, in_w.dim, 2, rng))).op
+        for out_w, in_w in structure.slots
+    ]
+
+
+def test_an_input_fills_the_slots_of_its_wires():
+    comb = random_comb(CombStructure.standard([2] * 6), [2, 2], 3)
+    first, second = slot_channels(comb.structure, np.random.default_rng(4))
+    partial = supermap_apply(comb, [second])
+    assert partial.in_labels == ("0", "2")
+    assert partial.out_labels == ("1", "5")
+    full = supermap_apply(comb, [first, second])
+    assert (link_product(partial.op, first) - full.op).norm() < 1e-14
+
+
+def test_inputs_in_any_order_give_the_same_board():
+    comb = random_comb(CombStructure.standard([2] * 6), [2, 2], 3)
+    first, second = slot_channels(comb.structure, np.random.default_rng(4))
+    full = supermap_apply(comb, [first, second])
+    reverse = supermap_apply(comb, [second, first])
+    assert (reverse.op - full.op).norm() < 1e-14
+    assert (reverse.in_labels, reverse.out_labels) == (full.in_labels, full.out_labels)
+
+
+def test_an_input_must_fill_consecutive_slots():
+    comb = random_comb(CombStructure.standard([2] * 8), [2, 2, 2], 5)
+    first, _, third = slot_channels(comb.structure, np.random.default_rng(6))
+    with pytest.raises(LabelMismatchError, match="consecutive slots"):
+        supermap_apply(comb, [first.tensor(third)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from qcombs import (
     LabeledOperator,
     LabelMismatchError,
     NotHermitianError,
-    NotInvariantError,
     PerformanceOperator,
     TwirlSpec,
     UnsupportedError,
@@ -261,13 +260,41 @@ def test_performance_operator_is_exactly_hermitian():
     assert np.array_equal(omega.matrix, omega.adjoint().matrix)
 
 
-def test_twirl_that_does_not_fix_omega_is_rejected():
+def test_twirl_is_not_a_constructor_argument():
     po = learning_objective(1, 2)
-    rng = np.random.default_rng(5)
-    moved = po.omega + LabeledOperator(po.omega.wires, 1e-3 * rand_hermitian(16, rng))
-    PerformanceOperator(moved, po.structure)
-    with pytest.raises(NotInvariantError):
-        PerformanceOperator(moved, po.structure, po.twirl)
+    with pytest.raises(TypeError):
+        PerformanceOperator(po.omega, po.structure, po.twirl)
+    assert PerformanceOperator(po.omega, po.structure).twirl is None
+    # haar_average attaches the twirl to an Omega it already fixes, unchanged
+    again = haar_average(po.twirl, po.omega)
+    assert again.twirl == po.twirl
+    assert np.abs(again.omega.matrix - po.omega.matrix).max() < 1e-15
+
+
+def test_an_objective_is_averaged_and_checked_once(monkeypatch):
+    calls = {"of": 0, "is_hermitian": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(_Coordinates, "of")
+    counted(LabeledOperator, "is_hermitian")
+    cloning_objective.__wrapped__(1, 2, 2)
+    assert calls == {"of": 1, "is_hermitian": 1}
+
+
+def test_haar_average_of_a_non_hermitian_base_is_refused():
+    # Wire b is not twirled, so the average keeps its non-Hermitian part.
+    raised = np.kron(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    base = LabeledOperator((Wire("a", 2), Wire("b", 2)), raised)
+    with pytest.raises(NotHermitianError):
+        haar_average(TwirlSpec(2, (("a", "U", 1),)), base)
 
 
 def test_cloning_objective_shape_and_trace():

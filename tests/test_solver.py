@@ -15,6 +15,7 @@ from qcombs import (
     SdpProblem,
     cloning_objective,
     dual_bound,
+    haar_average,
     learning_objective,
     project_to_comb,
     random_comb,
@@ -120,14 +121,13 @@ def test_blocked_solve_matches_one_block_solve(build):
     po = build()
     assert po.twirl is not None
     reordered = po.omega.permuted(po.structure.labels[::-1])
-    variants = [
-        po,
-        dataclasses.replace(po, twirl=None),
-        PerformanceOperator(reordered, po.structure, po.twirl),
+    problems = [
+        problem_for(po),
+        problem_for(PerformanceOperator(po.omega, po.structure)),
+        SdpProblem(haar_average(po.twirl, reordered), po.structure),
     ]
     sols = []
-    for q in variants:
-        p = problem_for(q)
+    for p in problems:
         sol = solve(p)
         assert sol.value - 1e-12 <= dual_bound(p, sol)
         sols.append(sol)
@@ -232,6 +232,29 @@ def test_dual_bound_requires_valid_certificate():
     skew[0, 1], skew[1, 0] = 0.1, -0.1
     with pytest.raises(BoundUnavailableError, match="not Hermitian"):
         dual_bound(p, dataclasses.replace(sol, dual_certificate=sol.dual_certificate + skew))
+
+
+@pytest.mark.parametrize(
+    "build, optimum",
+    [
+        (lambda: cloning_objective(1, 2, 2), (2 + math.sqrt(3)) / 8),
+        (lambda: learning_objective(2, 2), math.cos(math.pi / 5) ** 2),
+        (lambda: learning_objective(3, 2), 0.75),
+    ],
+    ids=["clone12", "learn2", "learn3"],
+)
+def test_dual_bound_pays_for_the_slack_it_accepts(build, optimum):
+    # Shifting the solver's certificate down by just under the tolerance
+    # keeps it in the range and passes every check; the bound must still
+    # hold the true optimum.
+    p = problem_for(build())
+    sol = solve(p)
+    cert = sol.dual_certificate
+    tol = 1e-8 * (1.0 + np.linalg.norm(cert))
+    shifted = cert - 0.99 * tol * np.eye(cert.shape[0])
+    bound = dual_bound(p, dataclasses.replace(sol, dual_certificate=shifted))
+    assert type(bound) is float
+    assert bound >= optimum
 
 
 def test_probabilistic_single_branch_reduces_to_solve():
