@@ -32,6 +32,21 @@ polishes, repairs the current dual variable into a certificate and stops
 as soon as bound - value <= tol_gap * (1 + |value|).  The polished point
 is exactly feasible, so feasibility needs no stopping test of its own.
 
+One ADMM step is a fixed-point map g: (z, u) -> (z', u'), and solve
+evaluates it where safeguarded type-II Anderson acceleration points
+(Zhang, O'Donoghue & Boyd, arXiv:1808.03971): the next iterate is the
+image of the last accepted one less a real combination of the last
+_ANDERSON_MEMORY differences of accepted images, with the weights that
+minimize the combined residual g(x) - x.  An extrapolated iterate whose
+residual norm exceeds that of the last accepted iterate is rejected: the
+plain step from the accepted iterate follows and the memory is cleared,
+as it is whenever the residual balancing changes rho.  One iteration is
+one evaluation of g, rejected or not, and costs one eigenvalue clip, so
+iterations, trace_log and max_iters count the work done.  The
+acceleration only chooses where g is evaluated; the polish, the
+certificate and the stopping rule are unchanged, so soundness does not
+rest on it.
+
 Every array keeps the field of Omega (see labeled): a real Omega, which
 every cloning and learning objective is, is solved, certified and
 re-checked in float64, and a complex one in complex128.
@@ -82,6 +97,7 @@ from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator, _affine_projection, _Coordinates
 
 _OVER_RELAXATION = 1.6
+_ANDERSON_MEMORY = 5
 _POLISH_EVERY = 10
 _BALANCE_EVERY = 100
 
@@ -115,8 +131,10 @@ class SdpSolution:
     violation); value = Tr[R_star Omega].  gap_bound, when present, is a
     dual upper bound minus value; once dual_bound has re-checked the bound,
     the true optimum lies in [value, value + gap_bound].  converged means the solve
-    stopped on gap_bound <= tol_gap * (1 + |value|).  trace_log holds one
-    (best feasible value, relative primal residual) row per iteration.
+    stopped on gap_bound <= tol_gap * (1 + |value|).  iterations counts
+    evaluations of the ADMM map, including those the Anderson safeguard
+    rejected, so each is one eigenvalue clip.  trace_log holds one (best
+    feasible value, relative primal residual) row per iteration.
     """
 
     R_star: QuantumComb
@@ -200,6 +218,50 @@ def _build_certificate(
     return cand, bound
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map x -> g(x)
+    (Zhang, O'Donoghue & Boyd, arXiv:1808.03971), memory _ANDERSON_MEMORY.
+
+    step(g, f) takes the image g and residual f = g - x of an accepted
+    iterate x and returns the next iterate, g - sum_i gamma_i dG_i, where
+    dG_i and dF_i are differences of successive accepted images and
+    residuals and gamma minimizes ||f - sum_i gamma_i dF_i||.  gamma solves
+    the normal equations with the Gram matrix of real inner products
+    Re<dF_i, dF_j> (the pairing of _pair), so it is real and Hermitian
+    coordinates stay Hermitian.  The differences live in fixed ring
+    buffers, as real views, and each step adds one row to the Gram matrix.
+    With no difference in memory the next iterate is g itself, the plain
+    step.
+    """
+
+    def __init__(self, like: np.ndarray):
+        size = like.reshape(-1).view(float).size
+        self._df = np.empty((_ANDERSON_MEMORY, size))
+        self._dg = np.empty((_ANDERSON_MEMORY, size))
+        self._gram = np.empty((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
+        self.clear()
+
+    def clear(self):
+        self._last = None
+        self._count = 0
+
+    def step(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        fr, gr = f.reshape(-1).view(float), g.reshape(-1).view(float)
+        if self._last is not None:
+            i = self._count % _ANDERSON_MEMORY
+            self._count += 1
+            np.subtract(fr, self._last[0], out=self._df[i])
+            np.subtract(gr, self._last[1], out=self._dg[i])
+            n = min(self._count, _ANDERSON_MEMORY)
+            self._gram[i, :n] = self._gram[:n, i] = self._df[:n] @ self._df[i]
+        self._last = (fr, gr)
+        n = min(self._count, _ANDERSON_MEMORY)
+        if n == 0:
+            return g
+        gamma = np.linalg.lstsq(self._gram[:n, :n], self._df[:n] @ fr, rcond=None)[0]
+        return g - (gamma @ self._dg[:n]).view(g.dtype).reshape(g.shape)
+
+
 def solve(p: SdpProblem) -> SdpSolution:
     """Maximize Tr[R Omega] over deterministic combs on p.structure.
 
@@ -219,9 +281,13 @@ def solve(p: SdpProblem) -> SdpSolution:
     mixed = floor * coords.identity
     flat = coords.max_eigenvalue(om)
 
-    z = mixed.copy()
-    u = np.zeros_like(om)
+    # The iterate is the pair (z, u), stacked, and one iteration is one
+    # evaluation of the ADMM map (z, u) -> (z', u') at it.
+    state = np.stack([mixed, np.zeros_like(om)])
     rho = 1.0
+    anderson = _Anderson(state)
+    # The image and fixed-point residual of the last accepted iterate.
+    anchor, anchor_res = state, np.inf
 
     best = mixed
     best_val = _pair(mixed, om)
@@ -231,17 +297,20 @@ def solve(p: SdpProblem) -> SdpSolution:
     # max_iters >= 1 and the last iteration is a checkpoint, so the loop
     # always leaves k, cert and gap set by its final checkpoint.
     for k in range(1, p.max_iters + 1):
+        z, u = state
         w_in = coords.hermitian(z - u + om / rho)
         x = _affine_projection(w_in, coords, tv)
 
         xh = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
-        z_prev = z
-        z = _psd_part(xh + u, coords)
-        u = u + xh - z
+        image = np.empty_like(state)
+        image[0] = _psd_part(xh + u, coords)
+        image[1] = u + xh - image[0]
+        f = image - state
+        res = float(np.linalg.norm(f))
 
-        r = float(np.linalg.norm(x - z))
-        s = rho * float(np.linalg.norm(z - z_prev))
-        scale = 1.0 + max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
+        r = float(np.linalg.norm(x - image[0]))
+        s = rho * float(np.linalg.norm(f[0]))
+        scale = 1.0 + max(float(np.linalg.norm(x)), float(np.linalg.norm(image[0])))
         r_rel = r / scale
 
         checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
@@ -254,19 +323,31 @@ def solve(p: SdpProblem) -> SdpSolution:
         trace_log.append((best_val, r_rel))
 
         if checkpoint:
-            cert, bound = _build_certificate(om, rho * u, coords, tv, flat)
+            cert, bound = _build_certificate(om, rho * image[1], coords, tv, flat)
             gap = None if bound is None else max(bound - best_val, 0.0)
             if gap is not None and gap <= p.tol_gap * (1.0 + abs(best_val)):
                 converged = True
                 break
 
-        if k % _BALANCE_EVERY == 0:
-            if r > 10.0 * s and rho < 1e4:
-                rho *= 2.0
-                u /= 2.0
-            elif s > 10.0 * r and rho > 1e-4:
-                rho /= 2.0
-                u *= 2.0
+        # Safeguard: an extrapolated iterate (any but the accepted image)
+        # whose residual exceeds that of the last accepted one is rejected,
+        # and the plain step from the accepted one follows.
+        if state is not anchor and res > anchor_res:
+            anderson.clear()
+            state = anchor
+        else:
+            anchor, anchor_res = image, res
+            state = anderson.step(image, f)
+
+        if k % _BALANCE_EVERY == 0 and (
+            r > 10.0 * s and rho < 1e4 or s > 10.0 * r and rho > 1e-4
+        ):
+            factor = 2.0 if r > s else 0.5
+            rho *= factor
+            anderson.clear()
+            anchor = anchor.copy()
+            anchor[1] /= factor
+            state = anchor
 
     R_star = QuantumComb(
         LabeledOperator._wrap(structure.wires, coords.matrix(best)), structure

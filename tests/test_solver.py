@@ -22,7 +22,7 @@ from qcombs import (
     solve,
     solve_probabilistic,
 )
-from qcombs import comb, objective
+from qcombs import comb, objective, solver
 from conftest import conjugation_operator
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
@@ -150,6 +150,46 @@ def test_deterministic_trace_log():
     assert a.value == b.value
 
 
+def test_safeguarded_solve_is_deterministic():
+    # Qutrit 1 -> 2 cloning at the default tolerance rejects many
+    # accelerated steps; the rejections must repeat exactly.
+    p = problem_for(cloning_objective(1, 2, 3))
+    a, b = solve(p), solve(p)
+    assert a.converged
+    assert a.trace_log == b.trace_log
+    assert a.value == b.value
+    target = (3 + math.sqrt(8)) / 27
+    assert a.value - 1e-12 <= target <= dual_bound(p, a) + 1e-12
+
+
+def test_paper_qubit_problems_certify_in_few_iterations():
+    problems = [(cloning_objective(1, 2, 2), (2 + math.sqrt(3)) / 8)]
+    for n in (1, 2, 3):
+        problems.append((learning_objective(n, 2), math.cos(math.pi / (n + 3)) ** 2))
+    total = 0
+    for po, target in problems:
+        p = problem_for(po)
+        sol = solve(p)
+        assert sol.converged
+        assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
+        total += sol.iterations
+    assert total <= 200
+
+
+def test_budget_is_one_eigenvalue_clip_per_iteration(monkeypatch):
+    calls = []
+    clip = solver._psd_part
+
+    def counted(*args):
+        calls.append(1)
+        return clip(*args)
+
+    monkeypatch.setattr(solver, "_psd_part", counted)
+    sol = solve(problem_for(cloning_objective(1, 2, 3), max_iters=5))
+    assert sol.iterations == 5
+    assert len(calls) == 5
+
+
 def test_best_feasible_sequence_is_monotone():
     sol = solve(problem_for(cloning_objective(1, 2, 2)))
     values = [v for v, _ in sol.trace_log]
@@ -181,7 +221,7 @@ def test_converged_means_certified_gap(build, tol):
     assert sol.converged
     assert sol.gap_bound <= p.tol_gap * (1.0 + abs(sol.value))
     assert dual_bound(p, sol) - sol.value <= p.tol_gap * (1.0 + abs(sol.value))
-    short = solve(dataclasses.replace(p, max_iters=40))
+    short = solve(dataclasses.replace(p, max_iters=5))
     assert not short.converged
     assert short.gap_bound > p.tol_gap * (1.0 + abs(short.value))
 
