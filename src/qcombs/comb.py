@@ -20,7 +20,7 @@ their users: the affine one in objective, project_to_comb in solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -42,9 +42,13 @@ from .labeled import (
     _Wired,
     _check_wires,
     _defect_and_min_eigenvalue,
+    _hermitian_part,
     _total_dim,
 )
 from .link import link_product
+
+if TYPE_CHECKING:
+    from .objective import TwirlSpec
 
 #: Hard cap on any operator dimension materialized while generating,
 #: projecting or solving combs or building their objectives (a D x D
@@ -128,15 +132,20 @@ class QuantumComb:
 
     The constructor checks labels and dimensions and stores the operator in
     canonical wire order; it does not re-verify causality, which remains the
-    producer's responsibility (see verify_causality).
+    producer's responsibility (see verify_causality).  twirl is not an
+    argument and is None unless solve made the comb: solve sets it on
+    R_star to the twirl of the objective, whose fixed algebra holds R_star,
+    and verify then certifies positivity on that twirl's blocks.  A twirl
+    that does not fix the operator can only make verify fail.
     """
 
-    __slots__ = ("op", "structure")
+    __slots__ = ("op", "structure", "twirl")
 
     def __init__(self, op: LabeledOperator, structure: CombStructure):
         _check_labels(op, structure)
         object.__setattr__(self, "op", op.permuted(structure.labels))
         object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "twirl", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumComb is immutable")
@@ -149,7 +158,7 @@ class QuantumComb:
         return reduced_comb(self.op, self.structure, n)
 
     def verify(self, tol: float = TOL_VERIFY) -> "CausalityReport":
-        return verify_causality(self.op, self.structure, tol)
+        return verify_causality(self.op, self.structure, tol, self.twirl)
 
     def __repr__(self):
         dims = "x".join(str(d) for d in self.structure.dims)
@@ -246,6 +255,8 @@ class CausalityReport:
 
     residuals[n] is the Frobenius norm of Tr_out_n[R^(n)] - I_in_n (x) R^(n-1),
     the violation of the constraint cutting the comb after tooth n.
+    min_eigenvalue is a certified lower bound on the least eigenvalue of
+    the Hermitian part of R, never above it (_Coordinates.eigenvalue_floor).
     """
 
     passed: bool
@@ -271,18 +282,28 @@ class CausalityReport:
 
 
 def verify_causality(
-    R: LabeledOperator, structure: CombStructure, tol: float = TOL_VERIFY
+    R: LabeledOperator,
+    structure: CombStructure,
+    tol: float = TOL_VERIFY,
+    twirl: TwirlSpec | None = None,
 ) -> CausalityReport:
     """Check positivity and the telescoping causality constraints of R.
 
-    Passes iff every level residual is at most tol, the smallest eigenvalue
-    is at least -tol, and R is Hermitian to within tol in Frobenius norm.
-    The eigenvalue is that of the Hermitian part of R, so a non-Hermitian R
-    fails on its hermiticity and never raises.
+    Passes iff every level residual is at most tol, a lower bound on the
+    smallest eigenvalue is at least -tol, and R is Hermitian to within tol
+    in Frobenius norm.  The eigenvalue is that of the Hermitian part of R,
+    so a non-Hermitian R fails on its hermiticity and never raises.  The
+    bound is taken on the blocks of twirl when one is given, and on the
+    dense matrix otherwise; it never exceeds the least eigenvalue, so a
+    twirl that does not fix R can only make the check fail.
     """
+    from .objective import _coordinates  # objective imports this module
+
     _check_labels(R, structure)
     cur = R.permuted(structure.labels)
-    hermiticity, min_eig = _defect_and_min_eigenvalue(cur.matrix)
+    hermiticity, h = _hermitian_part(cur.matrix)
+    min_eig = _coordinates(twirl, structure.wires).eigenvalue_floor(h)
+    del h
 
     residuals = []
     for k in range(structure.n_teeth - 1, -1, -1):

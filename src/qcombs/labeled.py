@@ -97,12 +97,19 @@ def _psd_part(mat: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
-    """||D|| / 2 with D = M - M^dagger, and the smallest eigenvalue of the
-    Hermitian part M - D / 2: the one rule of the dense checks, which
-    report a non-Hermitian M through its defect and never raise on it."""
+def _hermitian_part(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """||D|| / 2 with D = M - M^dagger, and the Hermitian part M - D / 2:
+    the one rule of the positivity checks, which report a non-Hermitian M
+    through its defect and never raise on it."""
     half = (mat - mat.conj().T) / 2.0
-    return float(np.linalg.norm(half)), float(np.linalg.eigvalsh(mat - half)[0])
+    return float(np.linalg.norm(half)), mat - half
+
+
+def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
+    """The defect of _hermitian_part and a lower bound on the least
+    eigenvalue of the Hermitian part (_eigenvalue_floor), both dense."""
+    defect, h = _hermitian_part(mat)
+    return defect, _eigenvalue_floor(np.linalg.eigvalsh(h))
 
 
 def _eigenvalue_floor(w: np.ndarray) -> float:

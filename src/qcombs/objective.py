@@ -26,6 +26,9 @@ inexact one raises instead of averaging wrongly.  The solver runs in the
 same coordinates, where each block is a reshaped slice, and so does the
 affine projection onto the causality constraints (_affine_projection), so
 this module alone knows their encoding; no twirl is the one-block case.
+Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
+less the distance of the dense operator from the algebra, so an operator
+the twirl does not fix fails the check instead of passing it.
 A PerformanceOperator carries a twirl only when this averaging made its
 Omega, so the twirl fixes Omega by construction and is never re-checked.
 """
@@ -50,6 +53,7 @@ from .labeled import (
     LabeledOperator,
     LabeledVector,
     Wire,
+    _eigenvalue_floor,
     _total_dim,
 )
 
@@ -98,6 +102,11 @@ def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
 # and for the checks that the computed change of basis is exact.
 _EIG_GAP = 1e-8
 _BLOCK_TOL = 1e-10
+
+# Unit roundoff, and the number of entries eigenvalue_floor takes its
+# residual over at a time.
+_U = np.finfo(float).eps / 2.0
+_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -251,13 +260,20 @@ class _Coordinates:
     times its (m * d_rest)-square block, so the eigenvalues of X are those
     of the blocks divided by sqrt(copies).  With no twirl, or no twirled
     wire, s = 1, E = [[1]] and K is X with a leading axis of length one.
+    Every array is write-protected, so _coordinates can share one object.
     """
 
     def __init__(self, twirl: TwirlSpec | None, wires: Sequence[Wire]):
         labels, t, conj = ([], 0, ()) if twirl is None else twirl._factor(wires)
+        # The measured orthogonality defect of Q, a bound on ||Q^T Q - I||_2:
+        # the Frobenius norm of the computed defect plus the rounding of the
+        # product Q^T Q, gamma_n ||Q||_F^2 <= 2 n^2 u (see eigenvalue_floor).
+        self._q_defect = 0.0
         if labels:
             q, irreps = _commutant_blocks(twirl.d, t, conj)
             units, copies = _matrix_units(q, irreps)
+            gram = q.T @ q - np.eye(len(q))
+            self._q_defect = float(np.linalg.norm(gram)) + 2 * len(q) ** 2 * _U
         else:
             irreps, units, copies = ((0, 1, 1),), np.ones((1, 1)), np.ones(1)
         n = len(wires)
@@ -277,9 +293,8 @@ class _Coordinates:
             adjoint.append(row + np.arange(m * m).reshape(m, m).T.ravel())
             row += m * m
         self._adjoint = np.concatenate(adjoint)
+        self._copies = float(copies.max())
         self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
-        self.identity = self.tau[:, None, None] * np.eye(self._dr)
-        self.identity.flags.writeable = False
 
         # Depolarizing the wires from position w on maps E_a (x) K_a to
         # sum_b C_ba E_b (x) (the marginal of K_a on the other wires before
@@ -301,12 +316,25 @@ class _Coordinates:
             elif w < n:
                 k -= 1
             self.mixers[k] += ((-1) ** w / tails[k]) * (self._units @ moved.T)
+        self.mixers = tuple(self.mixers)
+        for arr in (self._units, self._adjoint, self.tau, *self.mixers):
+            arr.flags.writeable = False
+
+    @property
+    def identity(self) -> np.ndarray:
+        """Coordinates of the identity, made on each use: without a twirl
+        they are the D x D identity, which a shared object should not hold."""
+        return self.tau[:, None, None] * np.eye(self._dr)
+
+    def _transposed(self, mat: np.ndarray) -> np.ndarray:
+        """mat with the twirled factor's row and column indices first, as
+        one (d_twirled^2, d_rest^2) array; of reads the coordinates off it."""
+        dr = self._dr
+        return mat.reshape(self._tensor).transpose(self._axes).reshape(-1, dr * dr)
 
     def of(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of the twirl of mat."""
-        dr = self._dr
-        x = mat.reshape(self._tensor).transpose(self._axes).reshape(-1, dr * dr)
-        return (self._units @ x).reshape(-1, dr, dr)
+        return (self._units @ self._transposed(mat)).reshape(-1, self._dr, self._dr)
 
     def matrix(self, k: np.ndarray) -> np.ndarray:
         """The operator on the wires with coordinates k."""
@@ -346,6 +374,66 @@ class _Coordinates:
 
     def max_eigenvalue(self, k: np.ndarray) -> float:
         return -self.min_eigenvalue(-k)
+
+    def eigenvalue_floor(self, h: np.ndarray) -> float:
+        """A lower bound on the least eigenvalue of the Hermitian D x D
+        matrix h, in or out of the algebra, from the eigenvalues of the
+        twirl's blocks.
+
+        With no twirled wire this is the one-block case: the computed
+        eigenvalues of h less the eigensolver allowance of
+        labeled._eigenvalue_floor.  Otherwise let K be the Hermitian part of
+        the computed coordinates of h, B_b its blocks and W the exact
+        operator they stand for, W = S Z S^T with S = Q (x) I_rest and Z
+        block diagonal with eigenvalues those of the B_b / sqrt(c_b).  Then
+        lambda_min(Z) >= l = min_b _eigenvalue_floor(B_b) / sqrt(c_b), and
+        by Ostrowski's theorem, with ||S^T S - I||_2 = ||Q^T Q - I||_2 <=
+        delta (measured, and checked to 1e-10 by _commutant_blocks),
+        lambda_min(W) >= l - delta |l|.  By Weyl's inequality,
+        lambda_min(h) >= lambda_min(W) - ||h - W||_F, and ||h - W||_F is at
+        most the computed residual r = ||h - matrix(K)||_F plus the rounding
+        of matrix(K): gamma_s ||U||_F ||K||_F for the product with the
+        scaled matrix units U (||U||_F^2 = s), and (c + 3) u sqrt(c s)
+        ||K||_F for the rounding of U itself, c the largest number of
+        copies.  The bound returned is
+
+            l - (delta + 2u) |l| - (1 + D^2 u) r - u sqrt(s) (s + (c + 3) sqrt(c)) ||K||_F,
+
+        u = eps / 2, the extra terms covering the division by sqrt(c_b) and
+        the summation in r.  It never exceeds lambda_min(h): an h off the
+        algebra, or a twirl that is not its own, only makes it lower.  r is
+        summed in column chunks of the transposed copy that of makes, so no
+        second D x D array is built.
+        """
+        if self._dr == self.dim:
+            return _eigenvalue_floor(np.linalg.eigvalsh(h))
+        x = self._transposed(h)
+        k = self.hermitian((self._units @ x).reshape(-1, self._dr, self._dr))
+        low = min(
+            _eigenvalue_floor(np.linalg.eigvalsh(b)) / sc
+            for b, (_, _, sc) in zip(self.blocks(k), self._irreps)
+        )
+        flat, back = k.reshape(len(k), -1), self._units.T
+        step = max(1, _CHUNK // len(x))
+        squares = 0.0
+        for j in range(0, x.shape[1], step):
+            y = back @ flat[:, j : j + step]
+            np.subtract(x[:, j : j + step], y, out=y)
+            squares += float(np.vdot(y, y).real)
+        s, c = len(k), self._copies
+        rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) * float(np.linalg.norm(k))
+        return (
+            low
+            - (self._q_defect + 2 * _U) * abs(low)
+            - (1.0 + self.dim**2 * _U) * squares**0.5
+            - rounding
+        )
+
+
+@lru_cache(maxsize=32)
+def _coordinates(twirl: TwirlSpec | None, wires: tuple[Wire, ...]) -> _Coordinates:
+    """The one shared _Coordinates of twirl on wires."""
+    return _Coordinates(twirl, wires)
 
 
 def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarray:
@@ -450,7 +538,7 @@ def _twirled(
 def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
     """The twirl of base, in base's wire order; PerformanceOperator checks
     that it is Hermitian and takes its exact Hermitian part."""
-    coords = _Coordinates(spec, base.wires)
+    coords = _coordinates(spec, base.wires)
     return LabeledOperator._wrap(base.wires, coords.matrix(coords.of(base.matrix)))
 
 

@@ -64,12 +64,17 @@ diagonalize one copy of each irrep block instead of the D x D matrix.
 Omega enters the coordinates once per solve, and R_star and the final
 certificate leave them once.  An objective with no twirl is the one-block
 case, whose coordinates are the matrix.  Soundness does not rest on the
-symmetry: the value is Tr[R Omega] of a polished comb whose feas_residual
-comes from a dense verify_causality, and dual_bound re-checks the
-certificate on the dense matrices, so a wrong decomposition would show as
-a failed check, never as a certified false number.  Those dense edges are
-what bounds a solve, so it takes the one cap comb.MAX_DIM on D, as every
-dense build does.
+symmetry: the value is Tr[R Omega] of a polished comb, and positivity is
+certified on the dense operators, those of R_star for feas_residual (R_star
+carries the twirl, so R_star.verify() does the same) and P(T) - Omega in
+dual_bound, by _Coordinates.eigenvalue_floor.  That lower bound on the
+least eigenvalue reads the twirl's blocks and subtracts the distance of the
+dense operator from the algebra (Weyl's inequality) and allowances for the
+measured orthogonality defect of Q and for rounding, so it never exceeds
+the true least eigenvalue: a wrong decomposition would show as a failed
+check, never as a certified false number.  The level residuals, the range
+projection of dual_bound and the operators themselves stay D x D, so a
+solve takes the one cap comb.MAX_DIM on D, as every dense build does.
 """
 
 from __future__ import annotations
@@ -88,13 +93,17 @@ from .comb import (
     _check_labels,
     _register_merge,
     _register_split,
-    verify_causality,
 )
 from .errors import BoundUnavailableError, InvalidBranchSumError
 from .errors import NoConvergenceError
-from .labeled import LabeledOperator, _eigenvalue_floor
+from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
-from .objective import PerformanceOperator, _affine_projection, _Coordinates
+from .objective import (
+    PerformanceOperator,
+    _affine_projection,
+    _coordinates,
+    _Coordinates,
+)
 
 _OVER_RELAXATION = 1.6
 _ANDERSON_MEMORY = 5
@@ -127,8 +136,9 @@ class SdpProblem:
 class SdpSolution:
     """Outcome of a solve run.
 
-    R_star is exactly feasible (feas_residual is its verify_causality
-    violation); value = Tr[R_star Omega].  gap_bound, when present, is a
+    R_star is exactly feasible (feas_residual is the violation of
+    R_star.verify(), which R_star's twirl, Omega's, runs on the blocks);
+    value = Tr[R_star Omega].  gap_bound, when present, is a
     dual upper bound minus value; once dual_bound has re-checked the bound,
     the true optimum lies in [value, value + gap_bound].  converged means the solve
     stopped on gap_bound <= tol_gap * (1 + |value|).  iterations counts
@@ -186,8 +196,10 @@ def _dual_range_projection(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
     is the orthogonal complement of the affine set's direction space.
     """
     tr = coords.trace(k)
-    centered = _affine_projection(k, coords, tr)
-    return k - centered + (tr / coords.dim) * coords.identity
+    out = k - _affine_projection(k, coords, tr)
+    h = out.shape[1]
+    out[:, range(h), range(h)] += (tr / coords.dim) * coords.tau[:, None]
+    return out
 
 
 def _build_certificate(
@@ -274,7 +286,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     D = structure.dim
     _check_dim(D, "solve")
     tv = float(structure.trace_value)
-    coords = _Coordinates(p.omega.twirl, structure.wires)
+    coords = _coordinates(p.omega.twirl, structure.wires)
     om = coords.of(p.omega.omega.permuted(structure.labels).matrix)
 
     floor = tv / D
@@ -352,10 +364,11 @@ def solve(p: SdpProblem) -> SdpSolution:
     R_star = QuantumComb(
         LabeledOperator._wrap(structure.wires, coords.matrix(best)), structure
     )
+    object.__setattr__(R_star, "twirl", p.omega.twirl)
     return SdpSolution(
         R_star=R_star,
         value=best_val,
-        feas_residual=verify_causality(R_star.op, structure).violation,
+        feas_residual=R_star.verify().violation,
         gap_bound=gap,
         iterations=k,
         converged=converged,
@@ -378,7 +391,7 @@ def project_to_comb(
     """
     _check_labels(X, structure)
     _check_dim(structure.dim, "project_to_comb")
-    coords = _Coordinates(None, structure.wires)
+    coords = _coordinates(None, structure.wires)
     z = coords.of(X.permuted(structure.labels).hermitized().matrix)
     tv = float(structure.trace_value)
     floor = tv / structure.dim
@@ -409,12 +422,15 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     Re-checks, independently of the solve run, that the stored certificate
     T is finite, Hermitian and within tol = 1e-8 * (1 + ||T||_F) of its
     projection P(T) onto the constraint range, and that lambda_lo >= -tol,
-    where lambda_lo is lambda_min(P(T) - Omega) less the eigensolver
-    allowance of labeled._eigenvalue_floor.  Raises BoundUnavailableError
-    when no certificate is stored or a check fails.  The bound pays for the
-    slack the checks accept: it is trace_value * (Tr[P(T)] / D +
-    max(0, -lambda_lo)), with P(T) taken Hermitian.  Every check runs on
-    the dense D x D matrices, whatever twirl Omega carries.
+    where lambda_lo is the certified lower bound on lambda_min(P(T) - Omega)
+    of _Coordinates.eigenvalue_floor, taken on the blocks of Omega's twirl
+    (one dense block when Omega carries none).  Raises
+    BoundUnavailableError when no certificate is stored or a check fails.
+    The bound pays for the slack the checks accept: it is trace_value *
+    (Tr[P(T)] / D + max(0, -lambda_lo)), with P(T) taken Hermitian.  The
+    Hermitian and range checks run on the dense D x D matrices; a
+    certificate off the twirl's algebra lowers lambda_lo by its distance
+    from it, so it can only fail.
     """
     cert = candidate.dual_certificate
     if cert is None:
@@ -428,7 +444,7 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     tol = 1e-8 * scale
     if float(np.linalg.norm(cert - cert.conj().T)) > tol:
         raise BoundUnavailableError("the dual certificate is not Hermitian")
-    dense = _Coordinates(None, structure.wires)
+    dense = _coordinates(None, structure.wires)
     proj = _dual_range_projection(cert[None], dense)
     if float(np.linalg.norm(cert - proj[0])) > tol:
         raise BoundUnavailableError(
@@ -436,7 +452,7 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
             "constant on the comb set"
         )
     proj = dense.hermitian(proj)
-    lo = _eigenvalue_floor(np.linalg.eigvalsh(proj[0] - om))
+    lo = _coordinates(p.omega.twirl, structure.wires).eigenvalue_floor(proj[0] - om)
     if lo < -tol:
         raise BoundUnavailableError(
             f"the dual certificate does not dominate the objective "

@@ -87,6 +87,9 @@ def test_comb_constructor_checks():
         QuantumComb(wrong, S2222)
     with pytest.raises(AttributeError):
         comb.op = comb.op
+    assert comb.twirl is None
+    with pytest.raises(AttributeError):
+        comb.twirl = None
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ from qcombs import (
     learning_objective,
     link_product,
     random_comb,
+    verify_causality,
 )
 from qcombs import objective
 from qcombs.objective import (
     _affine_projection,
     _commutant_basis,
     _commutant_blocks,
+    _coordinates,
     _Coordinates,
 )
 from conftest import (
@@ -434,3 +436,56 @@ def test_coordinates_without_twirl_are_the_matrix():
     assert k.shape == (1, s.dim, s.dim)
     assert np.array_equal(k[0], x)
     assert np.array_equal(coords.matrix(k), x)
+
+
+def test_coordinates_are_built_once_and_read_only():
+    po = learning_objective(3, 2)
+    coords = _coordinates(po.twirl, po.structure.wires)
+    assert _coordinates(po.twirl, po.structure.wires) is coords
+    for arr in (coords.tau, *coords.mixers):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 3),
+        lambda: learning_objective(3, 2),
+        lambda: learning_objective(4, 2),
+    ],
+    ids=["clone12-d3", "learn3", "learn4"],
+)
+def test_block_eigenvalue_floor_never_exceeds_the_dense_minimum(build):
+    po = build()
+    s = po.structure
+    D, tv = s.dim, float(s.trace_value)
+    coords = _coordinates(po.twirl, s.wires)
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        a = rand_hermitian(D, rng)
+        inside = coords.matrix(coords.hermitian(coords.of(a)))
+        inside = (inside + inside.conj().T) / 2
+        dense = np.linalg.eigvalsh(inside)[0]
+        lo = coords.eigenvalue_floor(inside)
+        assert lo <= dense
+        assert dense - lo < 1e-10
+        for size in (1e-6, 1.0):
+            push = rand_hermitian(D, rng)
+            off = inside + size * push / np.linalg.norm(push)
+            assert coords.eigenvalue_floor(off) <= np.linalg.eigvalsh(off)[0]
+
+    # A causal direction off the algebra makes the maximally mixed comb
+    # indefinite while every level residual stays at rounding: only the
+    # positivity check can fail it, and under its twirl it must.
+    flat = _Coordinates(None, s.wires)
+    y = _affine_projection(flat.of(rand_hermitian(D, rng)), flat, 0.0)[0]
+    y = (y + y.conj().T) / 2
+    mixed = np.eye(D) * (tv / D)
+    x = mixed - (1.1 * tv / D / np.linalg.eigvalsh(y)[-1]) * y
+    dense = np.linalg.eigvalsh(x)[0]
+    assert dense < -0.05 * tv / D
+    report = verify_causality(LabeledOperator(s.wires, x), s, twirl=po.twirl)
+    assert max(report.residuals) < 1e-12
+    assert report.min_eigenvalue <= dense
+    assert not report.passed

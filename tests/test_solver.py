@@ -190,6 +190,30 @@ def test_budget_is_one_eigenvalue_clip_per_iteration(monkeypatch):
     assert len(calls) == 5
 
 
+def test_budgeted_qutrit_certificate_takes_no_full_eigendecomposition(monkeypatch):
+    orders = []
+
+    def recorded(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            orders.append(a.shape[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    recorded("eigh")
+    recorded("eigvalsh")
+    po = cloning_objective(1, 2, 3)
+    p = problem_for(po, max_iters=5)
+    sol = solve(p)
+    dual_bound(p, sol)
+    assert sol.R_star.twirl is po.twirl
+    assert sol.R_star.verify().passed
+    assert orders
+    assert max(orders) < 729
+
+
 def test_best_feasible_sequence_is_monotone():
     sol = solve(problem_for(cloning_objective(1, 2, 2)))
     values = [v for v, _ in sol.trace_log]
