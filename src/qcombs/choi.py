@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
 from .labeled import LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
-from .labeled import _defect_and_min_eigenvalue
+from .labeled import _defect_and_min_eigenvalue, _level_residuals
 from .link import link_product
 
 # Eigenvalues below this absolute threshold are dropped when extracting
@@ -154,14 +154,12 @@ def is_channel(choi: ChoiOperator, tol: float = 1e-9) -> tuple[bool, float]:
     """Check the trace-preserving and positivity conditions of a Choi operator.
 
     Returns:
-        ``(ok, residual)`` where ``residual`` is the largest of the
-        Frobenius distance of the reduced input marginal from the identity,
+        ``(ok, residual)`` where ``residual`` is the largest of the trace
+        residual (level 0 of labeled._level_residuals on (inputs, outputs)),
         the Hermitian defect and the most negative eigenvalue's magnitude
         (see labeled._defect_and_min_eigenvalue); it never raises.
     """
-    marg = choi.op.ptrace(choi.out_labels)
-    ident = LabeledOperator.identity(marg.wires)
-    tp_residual = (marg - ident).norm()
-    defect, min_eig = _defect_and_min_eigenvalue(choi.op.matrix)
-    residual = max(tp_residual, defect, -min_eig)
+    mat = choi.op.permuted(choi.in_labels + choi.out_labels).matrix
+    defect, min_eig = _defect_and_min_eigenvalue(mat)
+    residual = max(_level_residuals(mat, (choi.in_dim, choi.out_dim))[0], defect, -min_eig)
     return residual <= tol, float(residual)

@@ -94,14 +94,14 @@ def _emit_record(record: ResultRecord, args, extra_rows=()) -> None:
 
 def _write_and_recheck(comb: QuantumComb, metadata: dict, args) -> CausalityReport:
     """Write the comb as an operator file, re-read it, and return the
-    causality report of the re-read operator."""
+    report of verify_causality under comb.twirl, which can only fail it."""
     f = OperatorFile.from_operator(comb.op, metadata)
     try:
         f.save(args.out, force=args.force)
     except FileExistsError as e:
         raise _CliInputError(f"{args.out} exists; pass --force to overwrite") from e
     back = OperatorFile.load(args.out).to_operator()
-    report = verify_causality(back, comb.structure)
+    report = verify_causality(back, comb.structure, twirl=comb.twirl)
     if not report.passed:
         raise _CliDomainError(
             f"the written operator failed re-verification: {report}"

@@ -13,8 +13,9 @@ tensored with the Choi operator of the one-tooth-shorter comb,
 where R^(n-1) = Tr_tooth_n[R^(n)] / dim(in_n).  Together with positivity
 these constraints carve out exactly the set of boards realizable as a
 concatenation of channels with memory, which is the feasible set of every
-optimization in this package.  The projections onto that set sit beside
-their users: the affine one in objective, project_to_comb in solver.
+optimization in this package.  One marginal chain (labeled._marginals)
+evaluates them for verify_causality, reduced_comb, choi.is_channel and
+the affine projection in objective; project_to_comb is in solver.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .labeled import (
     _check_wires,
     _defect_and_min_eigenvalue,
     _hermitian_part,
+    _level_residuals,
+    _marginals,
     _total_dim,
 )
 from .link import link_product
@@ -197,9 +200,7 @@ class ProbabilisticComb:
                     f"{defect:.3e}, min eigenvalue {lo:.3e}"
                 )
             ordered.append((oid, op))
-        total = ordered[0][1]
-        for _, op in ordered[1:]:
-            total = total + op
+        total = sum((op for _, op in ordered[1:]), ordered[0][1])
         report = verify_causality(total, structure)
         if not report.passed:
             raise InvalidBranchSumError(
@@ -230,11 +231,11 @@ class ProbabilisticComb:
 
 
 def reduced_comb(R: LabeledOperator, structure: CombStructure, n: int) -> LabeledOperator:
-    """Comb left after discarding teeth n+1..N: trace them out, dividing by
-    each discarded input dimension.
+    """Comb left after discarding teeth n+1..N: R's marginal on the wires
+    up to out_n (labeled._marginals) over the discarded input dimensions.
 
-    n = N returns R itself; n = -1 telescopes everything away, leaving the
-    scalar operator 1 for any causal comb.
+    n = N returns R; n = -1 telescopes everything away, leaving the scalar
+    operator 1 for any causal comb.
     """
     last = structure.n_teeth - 1
     if not -1 <= n <= last:
@@ -242,11 +243,10 @@ def reduced_comb(R: LabeledOperator, structure: CombStructure, n: int) -> Labele
             f"reduction level {n} outside [-1, {last}] for {structure.n_teeth} teeth"
         )
     _check_labels(R, structure)
-    out = R.permuted(structure.labels)
-    for k in range(last, n, -1):
-        in_w, out_w = structure.teeth[k]
-        out = out.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
-    return out
+    mat = R.permuted(structure.labels).matrix
+    c = _total_dim(in_w for in_w, _ in structure.teeth[n + 1 :])
+    marg = _marginals(mat[None], structure.dims[2 * n + 2 :])[0][0]
+    return LabeledOperator._wrap(structure.wires[: 2 * n + 2], marg / c)
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,9 @@ class CausalityReport:
         return max(*self.residuals, -self.min_eigenvalue, 0.0, self.hermiticity)
 
     def __str__(self):
-        worst = max(self.residuals) if self.residuals else 0.0
         status = "pass" if self.passed else "FAIL"
         return (
-            f"{status}: max level residual {worst:.3e}, "
+            f"{status}: max level residual {max(self.residuals, default=0.0):.3e}, "
             f"min eigenvalue {self.min_eigenvalue:+.3e}, "
             f"hermiticity {self.hermiticity:.3e} (tol {self.tol:.1e})"
         )
@@ -295,35 +294,17 @@ def verify_causality(
     so a non-Hermitian R fails on its hermiticity and never raises.  The
     bound is taken on the blocks of twirl when one is given, and on the
     dense matrix otherwise; it never exceeds the least eigenvalue, so a
-    twirl that does not fix R can only make the check fail.
+    twirl that does not fix R can only make the check fail.  The level
+    residuals are labeled._level_residuals of the dense matrix.
     """
     from .objective import _coordinates  # objective imports this module
 
     _check_labels(R, structure)
-    cur = R.permuted(structure.labels)
-    hermiticity, h = _hermitian_part(cur.matrix)
+    mat = R.permuted(structure.labels).matrix
+    residuals = _level_residuals(mat, structure.dims)
+    hermiticity, h = _hermitian_part(mat)
     min_eig = _coordinates(twirl, structure.wires).eigenvalue_floor(h)
-    del h
-
-    residuals = []
-    for k in range(structure.n_teeth - 1, -1, -1):
-        in_w, out_w = structure.teeth[k]
-        lhs = cur.ptrace([out_w.label])
-        nxt = cur.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
-        if k == 0:
-            # base level is absolute: it pins the overall normalization
-            rhs = LabeledOperator.identity([in_w])
-        else:
-            rhs = nxt.tensor(LabeledOperator.identity([in_w]))
-        residuals.append((lhs - rhs).norm())
-        cur = nxt
-    residuals.reverse()
-
-    passed = (
-        all(r <= tol for r in residuals)
-        and min_eig >= -tol
-        and hermiticity <= tol
-    )
+    passed = all(r <= tol for r in residuals + [-min_eig, hermiticity])
     return CausalityReport(
         passed=passed,
         residuals=tuple(residuals),
@@ -451,13 +432,9 @@ def supermap_apply(comb: QuantumComb, inputs: Sequence[CombLike]) -> ChoiOperato
         result = link_product(result, op)
 
     consumed = {lbl for op in ops for lbl in op.labels}
-    out_labels = []
-    in_labels = []
-    for k, (in_w, out_w) in enumerate(comb.structure.teeth):
-        if in_w.label not in consumed:
-            in_labels.append(in_w.label)
-        if out_w.label not in consumed:
-            out_labels.append(out_w.label)
+    teeth = comb.structure.teeth
+    out_labels = [w.label for _, w in teeth if w.label not in consumed]
+    in_labels = [w.label for w, _ in teeth if w.label not in consumed]
     return ChoiOperator(result, out_labels, in_labels)
 
 

@@ -166,9 +166,11 @@ class OperatorFile:
         for key in ("format_version", "wires", "entries"):
             if key not in doc:
                 raise OperatorFileError(f"missing key {key!r}")
-        if doc["format_version"] != OPERATOR_FORMAT_VERSION:
+        version = doc["format_version"]
+        # bool and float equal to 1 compare equal to it, so check the type too
+        if type(version) is not int or version != OPERATOR_FORMAT_VERSION:
             raise OperatorFileError(
-                f"unsupported format_version {doc['format_version']!r}, "
+                f"unsupported format_version {version!r}, "
                 f"expected {OPERATOR_FORMAT_VERSION}"
             )
         raw_wires = doc["wires"]

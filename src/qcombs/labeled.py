@@ -112,6 +112,31 @@ def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
     return defect, _eigenvalue_floor(np.linalg.eigvalsh(h))
 
 
+def _marginals(k: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """M_w = Tr_{dims[w:]}[X], w = 0 .. len(dims), for each X of the stack k
+    (s, D, D) whose last wires have the dims; each is a trace of the next."""
+    marg = [k]
+    for d in reversed(dims):
+        h = marg[-1].shape[1] // d
+        marg.append(np.einsum("saibi->sab", marg[-1].reshape(-1, h, d, h, d)))
+    marg.reverse()
+    return marg
+
+
+def _level_residuals(mat: np.ndarray, dims: Sequence[int]) -> list[float]:
+    """Residuals of the comb conditions of mat on wires of dims (in_0, out_0,
+    in_1, ...): level n is ||M_{2n+1} / c_n - M_{2n} / (c_n d_in_n) (x)
+    I_in_n||_F, c_n the product of the input dims after tooth n and M the
+    _marginals, with I_in_0 alone at level 0 to pin the normalization."""
+    marg, ins, residuals = _marginals(mat[None], dims), dims[::2], []
+    for n, d in enumerate(ins):
+        c = math.prod(ins[n + 1 :])
+        head = marg[2 * n][0] / (c * d) if n else np.ones((1, 1))
+        gap = marg[2 * n + 1][0] / c - np.kron(head, np.eye(d))
+        residuals.append(float(np.linalg.norm(gap)))
+    return residuals
+
+
 def _eigenvalue_floor(w: np.ndarray) -> float:
     """Lower bound on the least eigenvalue of a Hermitian M of order len(w)
     from its computed eigenvalues w (ascending): w[0] less the eigensolver

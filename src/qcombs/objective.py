@@ -26,6 +26,8 @@ inexact one raises instead of averaging wrongly.  The solver runs in the
 same coordinates, where each block is a reshaped slice, and so does the
 affine projection onto the causality constraints (_affine_projection), so
 this module alone knows their encoding; no twirl is the one-block case.
+That projection reads the marginal chain (labeled._marginals) that
+verify_causality, reduced_comb and is_channel check the constraints with.
 Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
 less the distance of the dense operator from the algebra, so an operator
 the twirl does not fix fails the check instead of passing it.
@@ -54,6 +56,7 @@ from .labeled import (
     LabeledVector,
     Wire,
     _eigenvalue_floor,
+    _marginals,
     _total_dim,
 )
 
@@ -447,11 +450,11 @@ def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarra
     mutually orthogonal projectors (depolarizing a larger tail absorbs a
     smaller one), so projecting onto their joint kernel just subtracts every
     G_n(X), and the trace constraint shifts along the identity, which the
-    G_n annihilate.  With M_w = Tr_{wires w..}[X] and t_w the dimension of
-    those wires, the projection before the shift is the sum over w of
-    (-1)^w M_w / t_w (x) I.  On the coordinates, coords.mixers[i] sums the
-    terms whose w leave i of coords.dims ((-1)^w / t_w without a twirl).
-    Each marginal is a partial trace of the next, and the sum is
+    G_n annihilate.  With M_w = Tr_{wires w..}[X] (labeled._marginals, the
+    chain verify_causality reads too) and t_w the dimension of those wires,
+    the projection before the shift is the sum over w of (-1)^w M_w / t_w
+    (x) I.  On the coordinates, coords.mixers[i] sums the terms whose w
+    leave i of coords.dims ((-1)^w / t_w without a twirl).  The sum is
     accumulated in Horner form, adding the running sum to the diagonal
     blocks of the next term, so no Kronecker product is built.
     """
@@ -460,12 +463,7 @@ def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarra
     def mixed(i, marg):
         return (mixers[i] @ marg.reshape(len(tau), -1)).reshape(marg.shape)
 
-    marg = [k]
-    for d in reversed(coords.dims):
-        h = marg[-1].shape[1] // d
-        marg.append(np.einsum("saibi->sab", marg[-1].reshape(-1, h, d, h, d)))
-    marg.reverse()
-
+    marg = _marginals(k, coords.dims)
     out = mixed(0, marg[0])
     for i, d in enumerate(coords.dims, start=1):
         nxt = mixed(i, marg[i])

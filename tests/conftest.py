@@ -7,9 +7,10 @@ Clifford twirl sums explicit conjugations over a finite group and the
 Gram average solves the normal equations of the permutation operators
 (never through the commutant's block form), the alternating projections
 build the affine projection from its definition with Kronecker products
-(never through the coordinates' mixers), and the brute-force channel
-search parameterizes Stinespring isometries directly (never through the
-solver).
+(never through the coordinates' mixers), the comb conditions are
+re-evaluated by one partial trace per wire and level (never through the
+marginal chain), and the brute-force channel search parameterizes
+Stinespring isometries directly (never through the solver).
 """
 
 from __future__ import annotations
@@ -224,6 +225,49 @@ def alternating_projections(mat, dims, trace_value, iters=20000, tol=1e-9):
     return None
 
 
+def ptrace_level_residuals(R: LabeledOperator, structure: CombStructure) -> list[float]:
+    """The level residuals of verify_causality, one ptrace loop per level:
+    ||Tr_out_n[R^(n)] - I_in_n (x) R^(n-1)||_F with R^(n-1) =
+    Tr_tooth_n[R^(n)] / dim(in_n), and ||Tr_out_0[R^(0)] - I_in_0||_F."""
+    cur = R.permuted(structure.labels)
+    residuals = []
+    for k in range(structure.n_teeth - 1, -1, -1):
+        in_w, out_w = structure.teeth[k]
+        lhs = cur.ptrace([out_w.label])
+        nxt = cur.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
+        rhs = LabeledOperator.identity([in_w])
+        if k > 0:
+            rhs = nxt.tensor(rhs)
+        residuals.append((lhs - rhs).norm())
+        cur = nxt
+    return residuals[::-1]
+
+
+def ptrace_reduced_comb(R: LabeledOperator, structure: CombStructure, n: int):
+    """reduced_comb(R, structure, n) by tracing out teeth N..n+1 one at a
+    time, dividing by each discarded input dimension."""
+    out = R.permuted(structure.labels)
+    for in_w, out_w in structure.teeth[n + 1 :][::-1]:
+        out = out.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
+    return out
+
+
+def ptrace_trace_residual(choi) -> float:
+    """||Tr_out[C] - I_in||_F of a Choi operator, by one ptrace."""
+    marg = choi.op.ptrace(choi.out_labels)
+    return (marg - LabeledOperator.identity(marg.wires)).norm()
+
+
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n successive haar_unitary(d, rng) draws, bit for bit, in one batch:
+    the same normals in the same order (the real, then the imaginary part
+    of each Ginibre matrix), one stacked QR and the same phase fix."""
+    z = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases)).conj()[:, None, :]
+
+
 def mc_gate_fidelity(
     comb: QuantumComb,
     n_uses: int,
@@ -233,35 +277,54 @@ def mc_gate_fidelity(
 ):
     """Monte-Carlo estimate of the learning fidelity of a storage comb.
 
-    For each Haar sample U the N uses are plugged into the first N slots
-    through link_product, the retrieved operator is read off the last
-    tooth, and the gate fidelity <<U| C'_U |U>> / d^2 is taken as a plain
-    matrix sandwich.  Returns (mean, standard error).
+    The samples are those of n_samples calls of haar_unitary(d, rng), drawn
+    in one batch (haar_unitaries); the first is checked against one call.
+    For each Haar sample U the N uses fill the first N slots, and the gate
+    fidelity <<U| C'_U |U>> / d^2 of the retrieved operator is read off the
+    last tooth.  All samples are contracted in one einsum over a sample
+    axis; the first is also plugged in through link_product and read by a
+    plain matrix sandwich (linked_gate_fidelity), and the two must agree to
+    1e-12, so slot insertion stays covered.  Returns (mean, standard error).
     """
-    rng = np.random.default_rng(seed)
-    op = comb.op
+    us = haar_unitaries(d, n_samples, np.random.default_rng(seed))
+    assert np.array_equal(us[0], haar_unitary(d, np.random.default_rng(seed)))
+    # In comb order, the Choi vector of one use of U on slot k, on (in 2k+1,
+    # out 2k+2), is U^T.ravel(), and so is the sandwich vector on (in 2N+2,
+    # out 2N+3); the link product contracts the slot wires against the
+    # conjugate of the N uses' vector.
+    v = us.transpose(0, 2, 1).reshape(n_samples, d * d)
+    uses = v
+    for _ in range(n_uses - 1):
+        uses = np.einsum("si,sj->sij", uses, v).reshape(n_samples, -1)
+    # Wires 0 and 2N+1 have dimension 1, so the comb's matrix is indexed by
+    # (slot wires, retrieval wires) and bra has the same length.
+    bra = np.einsum("si,sj->sij", uses, v.conj()).reshape(n_samples, -1)
+    vals = np.einsum("si,si->s", bra @ comb.op.matrix, bra.conj()).real / d**2
+    linked = linked_gate_fidelity(comb, us[0], n_uses, d)
+    assert abs(vals[0] - linked) <= 1e-12, (vals[0], linked)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
+
+
+def linked_gate_fidelity(comb: QuantumComb, u: np.ndarray, n_uses: int, d: int) -> float:
+    """The gate fidelity of one sample U of mc_gate_fidelity, with the N
+    uses plugged into the first N slots through link_product and the
+    retrieved operator read by a plain matrix sandwich."""
     wires = []
     for k in range(n_uses):
         wires.append(Wire(str(2 * k + 2), d))
         wires.append(Wire(str(2 * k + 1), d))
     keep = [str(2 * n_uses + 2), str(2 * n_uses + 3)]
-    out_dim = d * d  # retrieval tooth (in 2N+2, out 2N+3)
-    vals = np.empty(n_samples)
-    for s in range(n_samples):
-        u = haar_unitary(d, rng)
-        # Choi vector of one use of U on slot k lives on (out 2k+2, in 2k+1),
-        # out-major, so it is just U.ravel(); N uses tensor together.
-        ins = reduce(np.kron, [u.ravel()] * n_uses)
-        inserted = LabeledOperator(tuple(wires), np.outer(ins, ins.conj()))
-        res = link_product(op, inserted)
-        # trailing wires all have dim 1, so the matrix stays out_dim x out_dim
-        res = res.permuted(keep + [l for l in res.labels if l not in keep])
-        # Sandwich vector on (in 2N+2, out 2N+3) wire order is U^T.ravel().
-        t = u.T.ravel()
-        vals[s] = np.einsum(
-            "a,ab,b->", t.conj(), res.matrix.reshape(out_dim, out_dim), t
-        ).real / d**2
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
+    # Choi vector of one use of U on slot k lives on (out 2k+2, in 2k+1),
+    # out-major, so it is just U.ravel(); N uses tensor together.
+    ins = reduce(np.kron, [u.ravel()] * n_uses)
+    inserted = LabeledOperator(tuple(wires), np.outer(ins, ins.conj()))
+    res = link_product(comb.op, inserted)
+    # trailing wires all have dim 1, so the matrix stays d^2 x d^2
+    res = res.permuted(keep + [l for l in res.labels if l not in keep])
+    # Sandwich vector on (in 2N+2, out 2N+3) wire order is U^T.ravel().
+    t = u.T.ravel()
+    sandwich = np.einsum("a,ab,b->", t.conj(), res.matrix.reshape(d * d, d * d), t)
+    return float(sandwich.real) / d**2
 
 
 def brute_force_channel_value(

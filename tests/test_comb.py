@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qcombs import (
+    ChoiOperator,
     CombStructure,
     DimMismatchError,
     DimOverflowError,
@@ -20,6 +21,7 @@ from qcombs import (
     Wire,
     is_channel,
     kraus_to_choi,
+    learning_objective,
     link_product,
     max_entangled,
     project_to_comb,
@@ -30,10 +32,15 @@ from qcombs import (
     verify_causality,
 )
 from qcombs.comb import _register_merge, _register_split
+from qcombs.labeled import _defect_and_min_eigenvalue
 from qcombs.objective import _affine_projection, _Coordinates
 from conftest import (
     alternating_projections,
     depolarize_each_tail,
+    learning_memory,
+    ptrace_level_residuals,
+    ptrace_reduced_comb,
+    ptrace_trace_residual,
     rand_hermitian,
     rand_kraus,
     sample_sequential_network,
@@ -140,6 +147,68 @@ def test_reduced_comb_telescopes():
         comb.reduced(2)
     with pytest.raises(IndexOutOfRangeError):
         reduced_comb(comb.op, S2222, -2)
+
+
+def _oracle_board(case):
+    """The operator and structure of one board: a random comb, or the
+    two-tooth board, a multi-wire Choi operator, that filling the last slot
+    of a three-tooth comb leaves."""
+    if case == "partial-choi":
+        comb = random_comb(CombStructure.standard([2] * 6), [2, 2], 21)
+        _, second = slot_channels(comb.structure, np.random.default_rng(22))
+        choi = supermap_apply(comb, [second])
+        w = {lbl: choi.op.wire(lbl) for lbl in choi.op.labels}
+        structure = CombStructure(((w["0"], w["1"]), (w["2"], w["5"])))
+        return choi.op, structure
+    if case == "learn3":
+        structure = learning_objective(3, 2).structure
+        return random_comb(structure, learning_memory(3), 23).op, structure
+    dims, memory = {
+        "qubits6": ([2] * 6, [2, 2]),
+        "qutrits4": ([3] * 4, [3]),
+        "one-tooth": ([2, 3], []),
+    }[case]
+    structure = CombStructure.standard(dims)
+    return random_comb(structure, memory, 24).op, structure
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-15
+
+
+@pytest.mark.parametrize("case", ["qubits6", "qutrits4", "learn3", "one-tooth", "partial-choi"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_comb_conditions_match_the_partial_trace_loop(case, field, hermitian):
+    """verify_causality's level residuals, reduced_comb at every level and
+    is_channel's residual agree with the ptrace loop on boards pushed off
+    by perturbations of three sizes; the real part of a comb is a comb."""
+    op, structure = _oracle_board(case)
+    rng = np.random.default_rng(len(case) + 2 * hermitian)
+    D = structure.dim
+    base = op.matrix.real if field == "real" else op.matrix
+    for size in (1e-9, 1e-2, 1.0):
+        g = rng.standard_normal((D, D))
+        if field == "complex":
+            g = g + 1j * rng.standard_normal((D, D))
+        if hermitian:
+            g = g + g.conj().T
+        r = LabeledOperator(op.wires, base + size * np.linalg.norm(base) / np.linalg.norm(g) * g)
+        got = verify_causality(r, structure).residuals
+        want = ptrace_level_residuals(r, structure)
+        assert len(got) == len(want) == structure.n_teeth
+        assert all(_close(a, b) for a, b in zip(got, want)), (got, want)
+        for n in range(-1, structure.n_teeth):
+            red, ref = reduced_comb(r, structure, n), ptrace_reduced_comb(r, structure, n)
+            assert red.wires == ref.wires
+            assert (red - ref).norm() <= 1e-12 * ref.norm() + 1e-15
+            assert red.matrix.dtype == ref.matrix.dtype
+        outs = [o.label for _, o in structure.teeth]
+        choi = ChoiOperator(r, outs, [i.label for i, _ in structure.teeth])
+        defect, lo = _defect_and_min_eigenvalue(choi.op.matrix)
+        _, residual = is_channel(choi)
+        want = max(ptrace_trace_residual(choi), defect, -lo)
+        assert _close(residual, want), (residual, want)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,14 @@ def test_loads_names_the_malformed_entry(index, value):
         OperatorFile.loads(_set_entry(doc, index, value))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", [1], None, 2])
+def test_loads_accepts_only_the_integer_format_version(version):
+    doc = json.loads(sample_file().dumps())
+    with pytest.raises(OperatorFileError, match="unsupported format_version"):
+        OperatorFile.loads(_set_key(doc, "format_version", version))
+    assert OperatorFile.loads(_set_key(doc, "format_version", 1)).dumps() == sample_file().dumps()
+
+
 def test_loads_accepts_integer_and_boolean_components():
     doc = json.loads(sample_file().dumps())
     doc["entries"] = [[i, -i] for i in range(35)] + [[True, False]]
@@ -390,6 +398,28 @@ def test_clone_writes_verified_file(tmp_path, capsys):
     assert f.metadata["task"] == "clone"
     assert f.metadata["converged"] is True
     assert f.metadata["value"] == pytest.approx((2 + np.sqrt(3)) / 8, abs=1e-4)
+
+
+def test_written_qutrit_comb_is_reverified_on_the_blocks(tmp_path, monkeypatch, capsys):
+    orders = []
+
+    def recorded(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            orders.append(a.shape[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    recorded("eigh")
+    recorded("eigvalsh")
+    out = tmp_path / "qutrit.json"
+    argv = ["clone", "--n", "1", "--m", "2", "--dim", "3", "--max-iters", "5"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "re-verified: pass" in capsys.readouterr().out
+    assert orders
+    assert max(orders) <= 54
 
 
 def test_clone_is_deterministic(tmp_path, capsys):
