@@ -197,6 +197,9 @@ class OperatorFile:
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise OperatorFileError("metadata must be an object")
+        # The writer's own rule, so every file that loads can be saved again.
+        for value in metadata.values():
+            _scalar(value)
         try:
             return cls(tuple(wires), flat.reshape(d, d), dict(metadata))
         except Exception as e:

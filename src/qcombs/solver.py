@@ -39,8 +39,9 @@ image of the last accepted one less a real combination of the last
 _ANDERSON_MEMORY differences of accepted images, with the weights that
 minimize the combined residual g(x) - x.  An extrapolated iterate whose
 residual norm exceeds that of the last accepted iterate is rejected: the
-plain step from the accepted iterate follows and the memory is cleared,
-as it is whenever the residual balancing changes rho.  One iteration is
+plain step from the accepted iterate follows and the memory is cleared.
+g is fixed for the whole solve: the penalty rho is set once, to the scale
+of Omega against the maximally mixed comb (see solve).  One iteration is
 one evaluation of g, rejected or not, and costs one eigenvalue clip, so
 iterations, trace_log and max_iters count the work done.  The
 acceleration only chooses where g is evaluated; the polish, the
@@ -108,7 +109,6 @@ from .objective import (
 _OVER_RELAXATION = 1.6
 _ANDERSON_MEMORY = 5
 _POLISH_EVERY = 10
-_BALANCE_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,9 @@ class SdpSolution:
     stopped on gap_bound <= tol_gap * (1 + |value|).  iterations counts
     evaluations of the ADMM map, including those the Anderson safeguard
     rejected, so each is one eigenvalue clip.  trace_log holds one (best
-    feasible value, relative primal residual) row per iteration.
+    feasible value, relative primal residual) row per iteration; since rho
+    scales with Omega, scaling Omega by a power of two scales the values by
+    it and leaves the residuals unchanged, up to the stopping iteration.
     """
 
     R_star: QuantumComb
@@ -280,7 +282,9 @@ def solve(p: SdpProblem) -> SdpSolution:
     Deterministic: identical problems produce identical trace logs.  Stops
     at the first checkpoint whose certified gap is within tol_gap; on
     hitting max_iters the best feasible iterate is still returned, with
-    converged = False.
+    converged = False.  The ADMM penalty rho is set once, before the loop,
+    to ||Omega||_F / ||(tv/D) I||_F (1 when Omega = 0), which scales it to
+    the data (Boyd et al., FnT ML 3(1) 2011, sec. 3.4.1).
     """
     structure = p.structure
     D = structure.dim
@@ -296,7 +300,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     # The iterate is the pair (z, u), stacked, and one iteration is one
     # evaluation of the ADMM map (z, u) -> (z', u') at it.
     state = np.stack([mixed, np.zeros_like(om)])
-    rho = 1.0
+    rho = float(np.linalg.norm(om) / np.linalg.norm(mixed)) or 1.0
     anderson = _Anderson(state)
     # The image and fixed-point residual of the last accepted iterate.
     anchor, anchor_res = state, np.inf
@@ -320,10 +324,8 @@ def solve(p: SdpProblem) -> SdpSolution:
         f = image - state
         res = float(np.linalg.norm(f))
 
-        r = float(np.linalg.norm(x - image[0]))
-        s = rho * float(np.linalg.norm(f[0]))
         scale = 1.0 + max(float(np.linalg.norm(x)), float(np.linalg.norm(image[0])))
-        r_rel = r / scale
+        r_rel = float(np.linalg.norm(x - image[0])) / scale
 
         checkpoint = k % _POLISH_EVERY == 0 or k == p.max_iters
         if k == 1 or checkpoint:
@@ -350,16 +352,6 @@ def solve(p: SdpProblem) -> SdpSolution:
         else:
             anchor, anchor_res = image, res
             state = anderson.step(image, f)
-
-        if k % _BALANCE_EVERY == 0 and (
-            r > 10.0 * s and rho < 1e4 or s > 10.0 * r and rho > 1e-4
-        ):
-            factor = 2.0 if r > s else 0.5
-            rho *= factor
-            anderson.clear()
-            anchor = anchor.copy()
-            anchor[1] /= factor
-            state = anchor
 
     R_star = QuantumComb(
         LabeledOperator._wrap(structure.wires, coords.matrix(best)), structure

@@ -173,6 +173,27 @@ def test_metadata_scalar_types_are_preserved():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[1, 2]', "must be scalars"),
+        ('{"a": 1}', "must be scalars"),
+        ("1e400", "not finite"),
+        ("-1e400", "not finite"),
+        ("NaN", "not finite"),
+    ],
+)
+def test_loads_rejects_metadata_its_writer_cannot_write(text, message):
+    # Every file that loads must save again: the reader checks each metadata
+    # value with the rule dumps applies.
+    good = sample_file().dumps()
+    assert OperatorFile.loads(good).dumps() == good
+    bad = good.replace('"n": 1', f'"n": {text}')
+    assert bad != good
+    with pytest.raises(OperatorFileError, match=message):
+        OperatorFile.loads(bad)
+
+
+@pytest.mark.parametrize(
     "mangle",
     [
         lambda d: "{ truncated",

@@ -112,6 +112,20 @@ def test_qutrit_cloning_certified():
     assert sol.R_star.verify().passed
 
 
+def test_qudit_cloning_at_the_cap_certified():
+    # Qudit 1 -> 2 cloning at d = 4 is D = 4096, the cap; the optimum
+    # (d + sqrt(d^2 - 1))/d^3 (Chiribella, D'Ariano & Perinotti,
+    # arXiv:0804.0129) lies in the certified interval.  __wrapped__ skips the
+    # objective cache, so the D x D operator does not outlive the test.
+    po = cloning_objective.__wrapped__(1, 2, 4)
+    assert po.structure.dim == comb.MAX_DIM == 4096
+    p = problem_for(po)
+    sol = solve(p)
+    assert sol.converged
+    target = (4 + math.sqrt(15)) / 64
+    assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: cloning_objective(1, 2, 2), lambda: learning_objective(2, 2)],
@@ -150,12 +164,23 @@ def test_deterministic_trace_log():
     assert a.value == b.value
 
 
-def test_safeguarded_solve_is_deterministic():
-    # Qutrit 1 -> 2 cloning at the default tolerance rejects many
-    # accelerated steps; the rejections must repeat exactly.
+def test_safeguarded_solve_is_deterministic(monkeypatch):
+    # Qutrit 1 -> 2 cloning at the default tolerance rejects accelerated
+    # steps; the rejections must repeat exactly.
+    clears = []
+    clear = solver._Anderson.clear
+
+    def counted(self):
+        clears.append(1)
+        clear(self)
+
+    monkeypatch.setattr(solver._Anderson, "clear", counted)
     p = problem_for(cloning_objective(1, 2, 3))
     a, b = solve(p), solve(p)
+    # Each solve clears the memory once to set it up; the rest are rejections.
+    assert len(clears) > 2
     assert a.converged
+    assert a.iterations <= 100
     assert a.trace_log == b.trace_log
     assert a.value == b.value
     target = (3 + math.sqrt(8)) / 27
@@ -173,7 +198,34 @@ def test_paper_qubit_problems_certify_in_few_iterations():
         assert sol.converged
         assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
         total += sol.iterations
-    assert total <= 200
+    assert total <= 120
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 2),
+        lambda: learning_objective(2, 2),
+        lambda: cloning_objective(1, 2, 3),
+    ],
+    ids=["clone12", "learn2", "qutrit-clone"],
+)
+def test_iterate_path_does_not_depend_on_the_scale_of_omega(build):
+    # rho is read off ||Omega||_F, so Omega / rho, and with it every iterate,
+    # is the same for c * Omega when c is a power of two; only the values
+    # scale.  The stopping checkpoints may differ, since tol_gap is relative
+    # to 1 + |value|.
+    po = build()
+    base = solve(problem_for(po))
+    for c in (0.25, 8.0, 1024.0):
+        scaled = PerformanceOperator(po.omega * c, po.structure)
+        object.__setattr__(scaled, "twirl", po.twirl)
+        sol = solve(problem_for(scaled))
+        steps = min(base.iterations, sol.iterations)
+        assert steps >= 10
+        for (v, r), (vc, rc) in zip(base.trace_log[:steps], sol.trace_log[:steps]):
+            assert rc == r
+            assert vc == c * v
 
 
 def test_budget_is_one_eigenvalue_clip_per_iteration(monkeypatch):
@@ -221,10 +273,13 @@ def test_best_feasible_sequence_is_monotone():
 
 
 def test_budget_exhaustion_returns_best_feasible():
-    p = problem_for(cloning_objective(1, 2, 2), max_iters=40)
+    # The budget ends at the checkpoint before the first converged one.
+    full = solve(problem_for(cloning_objective(1, 2, 2)))
+    budget = full.iterations - solver._POLISH_EVERY
+    p = problem_for(cloning_objective(1, 2, 2), max_iters=budget)
     sol = solve(p)
     assert not sol.converged
-    assert sol.iterations == 40
+    assert sol.iterations == budget
     assert sol.R_star.verify().passed
     assert sol.value <= (2 + np.sqrt(3)) / 8 + 1e-9
 
