@@ -296,7 +296,10 @@ class _Coordinates:
             adjoint.append(row + np.arange(m * m).reshape(m, m).T.ravel())
             row += m * m
         self._adjoint = np.concatenate(adjoint)
-        self._copies = float(copies.max())
+        # The a-priori rounding term of eigenvalue_floor per unit ||K||_F,
+        # c the most copies; none in the one-block case.
+        s, c = len(units), float(copies.max())
+        self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) if labels else 0.0
         self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
 
         # Depolarizing the wires from position w on maps E_a (x) K_a to
@@ -423,13 +426,11 @@ class _Coordinates:
             y = back @ flat[:, j : j + step]
             np.subtract(x[:, j : j + step], y, out=y)
             squares += float(np.vdot(y, y).real)
-        s, c = len(k), self._copies
-        rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) * float(np.linalg.norm(k))
         return (
             low
             - (self._q_defect + 2 * _U) * abs(low)
             - (1.0 + self.dim**2 * _U) * squares**0.5
-            - rounding
+            - self.rounding * float(np.linalg.norm(k))
         )
 
 

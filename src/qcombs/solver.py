@@ -11,10 +11,10 @@ ends with the polish described next.
 
 Reported values are never read off a possibly-infeasible iterate.  At
 regular checkpoints the affine-exact iterate is mixed toward the maximally
-mixed comb just enough to clear its most negative eigenvalue, which yields
-an exactly feasible point; the running best of these is the certified
-value, so the (value, residual) trace is non-decreasing in value by
-construction.
+mixed comb just enough that its positivity check passes with margin, which
+yields an exactly feasible point; the running best of these is the
+certified value, so the (value, residual) trace is non-decreasing in value
+by construction.
 
 A matching upper bound comes from the dual side.  Functionals of the form
 X -> Tr[X (alpha I + sum_n kron(Z_n, I))], with Z_n traceless over the
@@ -180,13 +180,14 @@ def _psd_part(k: np.ndarray, coords: _Coordinates) -> np.ndarray:
 
 def _polish(x: np.ndarray, floor: float, coords: _Coordinates) -> np.ndarray:
     """Mix an affine-exact iterate toward the maximally mixed comb, floor * I,
-    until positive.  Affine combinations stay on the affine set, and the mixing
-    weight is the smallest that lifts the most negative eigenvalue to zero.
-    """
+    by the smallest weight that lifts its least eigenvalue to twice the
+    rounding term of the positivity check, which then certifies it positive.
+    Affine combinations stay on the affine set."""
     lo = coords.min_eigenvalue(x)
-    if lo >= 0.0:
+    margin = 2.0 * coords.rounding * float(np.linalg.norm(x))
+    if lo >= margin:
         return x
-    beta = -lo / (floor - lo)
+    beta = (margin - lo) / (floor - lo)
     return (1.0 - beta) * x + beta * (floor * coords.identity)
 
 

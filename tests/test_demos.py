@@ -52,7 +52,5 @@ def test_readme_tour_prints_what_it_says(tmp_path):
     optimum = (2 + math.sqrt(3)) / 8
     assert optimum - 1e-6 <= value <= optimum <= bound
     assert bound - value <= 1e-6 * (1 + value)
-    # R_star lies on the boundary of the positive cone, so its certified
-    # least eigenvalue is 0 less the rounding allowance of the twirl's blocks.
-    assert residual < 1e-13
+    assert residual < 1e-14
     assert printed[3] == "True"
