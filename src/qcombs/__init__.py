@@ -57,7 +57,6 @@ from .labeled import LabeledOperator, LabeledVector, Wire
 from .link import Network, assemble, link_product
 from .objective import (
     PerformanceOperator,
-    TwirlSpec,
     cloning_objective,
     estimation_reference,
     haar_average,
@@ -71,6 +70,7 @@ from .solver import (
     solve,
     solve_probabilistic,
 )
+from .twirl import TwirlSpec
 
 __version__ = "0.1.0"
 

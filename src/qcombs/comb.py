@@ -15,13 +15,13 @@ these constraints carve out exactly the set of boards realizable as a
 concatenation of channels with memory, which is the feasible set of every
 optimization in this package.  One marginal chain (labeled._marginals)
 evaluates them for verify_causality, reduced_comb, choi.is_channel and
-the affine projection in objective; project_to_comb is in solver.
+the affine projection in twirl; project_to_comb is in solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,9 +49,7 @@ from .labeled import (
     _total_dim,
 )
 from .link import link_product
-
-if TYPE_CHECKING:
-    from .objective import TwirlSpec
+from .twirl import TwirlSpec, _coordinates
 
 #: Hard cap on any operator dimension materialized while generating,
 #: projecting or solving combs or building their objectives (a D x D
@@ -297,8 +295,6 @@ def verify_causality(
     twirl that does not fix R can only make the check fail.  The level
     residuals are labeled._level_residuals of the dense matrix.
     """
-    from .objective import _coordinates  # objective imports this module
-
     _check_labels(R, structure)
     mat = R.permuted(structure.labels).matrix
     residuals = _level_residuals(mat, structure.dims)

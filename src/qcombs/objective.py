@@ -9,475 +9,25 @@ a Haar average of a sandwich between product vectors built from |U⟩⟩ and
 for a fixed Hermitian operator Omega, and maximizing F over causal combs
 is a linear objective over a convex set.
 
-The average is computed exactly, never by Monte-Carlo: the Haar twirl is
-the orthogonal projection onto the span of the (partially transposed)
-permutation operators, its fixed-point algebra, in any dimension and
-degree.  That span is a matrix algebra with real matrix entries, so one
-real orthogonal change of basis on the twirled factor splits every
-operator it fixes into small blocks, one per irrep, each repeated once
-per dimension of that irrep.  Its matrix units, scaled to unit norm,
-form an orthonormal basis of the algebra (_Coordinates): of(X) reads the
-coordinates of the twirl of X in one product with them, and the average
-Omega of a base operator X is matrix(of(X)).  A real base operator, which
-every task objective here is, therefore averages to an exactly real
-Omega.  The change of basis is found numerically and checked in
-_commutant_blocks against the spanning permutation operators, so an
-inexact one raises instead of averaging wrongly.  The solver runs in the
-same coordinates, where each block is a reshaped slice, and so does the
-affine projection onto the causality constraints (_affine_projection), so
-this module alone knows their encoding; no twirl is the one-block case.
-That projection reads the marginal chain (labeled._marginals) that
-verify_causality, reduced_comb and is_channel check the constraints with.
-Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
-less the distance of the dense operator from the algebra, so an operator
-the twirl does not fix fails the check instead of passing it.
-A PerformanceOperator carries a twirl only when this averaging made its
-Omega, so the twirl fixes Omega by construction and is never re-checked.
+The average is computed exactly, never by Monte-Carlo: it is the
+projection onto the fixed-point algebra of the twirl, taken in that
+algebra's coordinates (twirl._Coordinates).  A PerformanceOperator
+carries a twirl only when this averaging made its Omega, so the twirl
+fixes Omega by construction and is never re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 
 from .choi import max_entangled
 from .comb import CombStructure, _check_dim, _check_labels
-from .errors import (
-    LabelMismatchError,
-    NotHermitianError,
-    UnsupportedError,
-)
-from .labeled import (
-    LabeledOperator,
-    LabeledVector,
-    Wire,
-    _eigenvalue_floor,
-    _marginals,
-    _total_dim,
-)
-
-TAGS = ("U", "U*")
-
-
-# ---------------------------------------------------------------------------
-# Commutant of the mixed twirl
-
-
-def _permutation_operator(perm: Sequence[int], d: int) -> np.ndarray:
-    """Operator permuting t tensor factors: |i_1..i_t> -> factor k of the
-    output takes factor perm[k] of the input."""
-    t = len(perm)
-    p = np.eye(d**t).reshape((d,) * (2 * t))
-    p = np.transpose(p, axes=list(perm) + list(range(t, 2 * t)))
-    return p.reshape(d**t, d**t)
-
-
-def _partial_transpose(mat: np.ndarray, positions: Sequence[int], t: int, d: int) -> np.ndarray:
-    x = mat.reshape((d,) * (2 * t))
-    for p in positions:
-        x = np.swapaxes(x, p, t + p)
-    return x.reshape(d**t, d**t)
-
-
-@lru_cache(maxsize=None)
-def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
-    """Spanning set of the fixed-point algebra of the mixed twirl.
-
-    The twirl by U applied at every position (conjugated at conj_positions)
-    is the orthogonal projection onto the span of the permutation operators
-    partially transposed at those positions.  The set spans the algebra but
-    is not a basis of it once t > d.  _commutant_blocks finds the algebra's
-    block form from it and checks that form against every element; the
-    average Omega of X is then matrix(of(X)) in the coordinates of that
-    form (_Coordinates).
-    """
-    return tuple(
-        _partial_transpose(_permutation_operator(p, d), conj_positions, t, d)
-        for p in permutations(range(t))
-    )
-
-
-# Relative tolerances for telling eigenvalues of a generic element apart,
-# and for the checks that the computed change of basis is exact.
-_EIG_GAP = 1e-8
-_BLOCK_TOL = 1e-10
-
-# Unit roundoff, and the number of entries eigenvalue_floor takes its
-# residual over at a time.
-_U = np.finfo(float).eps / 2.0
-_CHUNK = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _commutant_blocks(d: int, t: int, conj_positions: tuple[int, ...]):
-    """Real orthogonal Q (d^t x d^t) bringing the fixed-point algebra of the
-    mixed twirl into block form, and (offset, m, copies) for each irrep.
-
-    In the columns offset .. offset + m * copies of Q, every element of the
-    algebra reads M (x) I_copies, with one m x m block M per irrep: the
-    irrep of the twirling group has dimension copies and occurs m times.
-    Each eigenspace of a generic symmetric element A of the algebra is one
-    of those m occurrences.  A second generic element B couples two
-    eigenspaces exactly when they belong to the same irrep, and then
-    V_1^T B V_j is a multiple of the orthogonal map that aligns the basis
-    of eigenspace j with that of the irrep's first eigenspace V_1.  The
-    coefficients of A and B are fixed, so Q is deterministic, and a check
-    that Q is orthogonal and puts every basis element in block form guards
-    against an unlucky choice.
-    """
-    basis = _commutant_basis(d, t, conj_positions)
-    n = d**t
-    flat = np.stack([el.reshape(-1) for el in basis])
-    k = np.arange(len(basis))
-    a = (np.cos(k) @ flat).reshape(n, n)
-    b = (np.sin(k * np.sqrt(2.0)) @ flat).reshape(n, n)
-    a, b = a + a.T, b + b.T
-    w, v = np.linalg.eigh(a)
-    gap = _EIG_GAP * (1.0 + float(np.abs(w).max()))
-    spaces = np.split(v, np.flatnonzero(np.diff(w) > gap) + 1, axis=1)
-    coupled = _EIG_GAP * (1.0 + float(np.linalg.norm(b)))
-    irreps: list[list[np.ndarray]] = []
-    for vj in spaces:
-        for irrep in irreps:
-            c = irrep[0].T @ b @ vj
-            if c.shape[0] == c.shape[1] and np.linalg.norm(c) > coupled:
-                u, _, vh = np.linalg.svd(c.T)
-                irrep.append(vj @ (u @ vh))
-                break
-        else:
-            irreps.append([vj])
-    q = np.hstack([vj for irrep in irreps for vj in irrep])
-
-    blocks, offset = [], 0
-    for irrep in irreps:
-        blocks.append((offset, len(irrep), irrep[0].shape[1]))
-        offset += len(irrep) * irrep[0].shape[1]
-    # With Q orthogonal, the matrix units are orthogonal and span exactly the
-    # operators in block form, so projecting onto them must fix the basis.
-    units, copies = _matrix_units(q, blocks)
-    moved = (flat @ units.T / copies) @ units - flat
-    if (
-        np.abs(q.T @ q - np.eye(n)).max() > _BLOCK_TOL
-        or np.abs(moved).max() > _BLOCK_TOL
-    ):
-        raise ArithmeticError(
-            f"the twirl's fixed algebra did not split into irrep blocks "
-            f"(d={d}, t={t}, conjugated at {conj_positions})"
-        )
-    return q, tuple(blocks)
-
-
-def _matrix_units(q: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix units E_ij = sum_c q_ic q_jc^T of every irrep, one
-    flattened per row, and the number of copies c each one sums over; q_ic
-    is the column of Q for row i of the irrep's block in copy c."""
-    dt = q.shape[0]
-    units, copies = [], []
-    for off, m, c in blocks:
-        qb = q[:, off : off + m * c].reshape(dt, m, c)
-        units.append(np.einsum("aic,bjc->ijab", qb, qb).reshape(m * m, dt * dt))
-        copies += [c] * (m * m)
-    return np.concatenate(units), np.array(copies, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Twirl specification and exact averaging
-
-
-@dataclass(frozen=True)
-class TwirlSpec:
-    """Which factor of U^(x)a (x) conj(U)^(x)b acts on each wire.
-
-    pattern lists (wire label, tag, copies) for the twirled wires; a tag of
-    "U" or "U*" applies the unitary or its entrywise conjugate as a
-    copies-fold tensor power on that wire (whose dimension must then be
-    d**copies).  Wires absent from the pattern are left alone.
-    """
-
-    d: int
-    pattern: tuple[tuple[str, str, int], ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        seen = set()
-        for label, tag, copies in self.pattern:
-            if tag not in TAGS:
-                raise ValueError(f"unknown tag {tag!r} on wire {label!r}")
-            if copies < 1:
-                raise ValueError(f"copies must be >= 1 on wire {label!r}")
-            if label in seen:
-                raise ValueError(f"wire {label!r} repeats in the pattern")
-            seen.add(label)
-
-    def _factor(self, wires: Sequence[Wire]) -> tuple[list[str], int, tuple[int, ...]]:
-        """Labels of the twirled wires in pattern order, the number t of unit
-        factors they hold, and the positions of the conjugated ones.
-
-        A wire of dimension d**copies is copies consecutive factors of d.
-        """
-        dims = {w.label: w.dim for w in wires}
-        twirled, conj = [], []
-        for label, tag, copies in self.pattern:
-            if label not in dims:
-                raise LabelMismatchError(f"pattern wire {label!r} not on the operator")
-            if dims[label] != self.d**copies:
-                raise LabelMismatchError(
-                    f"wire {label!r} has dim {dims[label]}, but the pattern "
-                    f"promises {self.d}**{copies}"
-                )
-            twirled.append(label)
-            conj += [tag == "U*"] * copies
-        return twirled, len(conj), tuple(i for i, c in enumerate(conj) if c)
-
-
-def _depolarized(units: np.ndarray, d: int, t: int, factors) -> np.ndarray:
-    """The rows of units, flattened operators on t factors of dimension d,
-    with each of the given factors traced out and replaced by I / d."""
-    x = units.reshape((len(units),) + (d,) * (2 * t))
-    for f in factors:
-        shape = [1] * x.ndim
-        shape[1 + f] = shape[1 + t + f] = d
-        traced = np.trace(x, axis1=1 + f, axis2=1 + t + f) / d
-        x = np.expand_dims(traced, (1 + f, 1 + t + f)) * np.eye(d).reshape(shape)
-    return x.reshape(units.shape)
-
-
-class _Coordinates:
-    """Coordinates of the operators a twirl fixes, on one wire order.
-
-    Such an operator is X = sum_a E_a (x) K_a, where the E_a are the matrix
-    units of the commutant on the twirled factor (see _matrix_units), each
-    divided by the square root of its number of copies so that they are
-    orthonormal, and K_a acts on the other wires in their order.  The array
-    K of shape (s, d_rest, d_rest), s = sum m^2, holds the coordinates.  The
-    basis is orthonormal, so norms, inner products and linear combinations
-    of coordinates are those of the operators, and of(X) followed by
-    matrix(K) is the twirl of X; each costs one product with the matrix
-    units and one transpose.  The identity has coordinates tau (x) I with
-    tau_a = Tr E_a.  The rows of one irrep, reshaped, form sqrt(copies)
-    times its (m * d_rest)-square block, so the eigenvalues of X are those
-    of the blocks divided by sqrt(copies).  With no twirl, or no twirled
-    wire, s = 1, E = [[1]] and K is X with a leading axis of length one.
-    Every array is write-protected, so _coordinates can share one object.
-    """
-
-    def __init__(self, twirl: TwirlSpec | None, wires: Sequence[Wire]):
-        labels, t, conj = ([], 0, ()) if twirl is None else twirl._factor(wires)
-        # The measured orthogonality defect of Q, a bound on ||Q^T Q - I||_2:
-        # the Frobenius norm of the computed defect plus the rounding of the
-        # product Q^T Q, gamma_n ||Q||_F^2 <= 2 n^2 u (see eigenvalue_floor).
-        self._q_defect = 0.0
-        if labels:
-            q, irreps = _commutant_blocks(twirl.d, t, conj)
-            units, copies = _matrix_units(q, irreps)
-            gram = q.T @ q - np.eye(len(q))
-            self._q_defect = float(np.linalg.norm(gram)) + 2 * len(q) ** 2 * _U
-        else:
-            irreps, units, copies = ((0, 1, 1),), np.ones((1, 1)), np.ones(1)
-        n = len(wires)
-        position = {w.label: i for i, w in enumerate(wires)}
-        front = [position[lbl] for lbl in labels]
-        back = [i for i in range(n) if i not in front]
-        self._axes = front + [n + i for i in front] + back + [n + i for i in back]
-        self._inverse = list(np.argsort(self._axes))
-        self._tensor = tuple(w.dim for w in wires) * 2
-        self.dim = _total_dim(wires)
-        self.dims = tuple(wires[i].dim for i in back)
-        self._dr = _total_dim(wires[i] for i in back)
-        self._units = units / np.sqrt(copies)[:, None]
-        self._irreps, adjoint, row = [], [], 0
-        for _, m, c in irreps:
-            self._irreps.append((row, m, c**0.5))
-            adjoint.append(row + np.arange(m * m).reshape(m, m).T.ravel())
-            row += m * m
-        self._adjoint = np.concatenate(adjoint)
-        # The a-priori rounding term of eigenvalue_floor per unit ||K||_F,
-        # c the most copies; none in the one-block case.
-        s, c = len(units), float(copies.max())
-        self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) if labels else 0.0
-        self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
-
-        # Depolarizing the wires from position w on maps E_a (x) K_a to
-        # sum_b C_ba E_b (x) (the marginal of K_a on the other wires before
-        # w, padded with I / t), with C the depolarizing of the twirled
-        # factors at positions >= w; mixers[k] sums (-1)^w C / t over the w
-        # that keep the first k other wires (see _affine_projection).
-        d = 1 if twirl is None else twirl.d
-        copies_of = {} if twirl is None else {lbl: c for lbl, _, c in twirl.pattern}
-        factors, f = {}, 0
-        for i, lbl in zip(front, labels):
-            factors[i] = range(f, f + copies_of[lbl])
-            f += copies_of[lbl]
-        tails = np.cumprod((1,) + self.dims[::-1])[::-1]
-        self.mixers = [np.zeros((len(units), len(units))) for _ in tails]
-        moved, k = self._units, len(back)
-        for w in range(n, -1, -1):
-            if w in factors:
-                moved = _depolarized(moved, d, t, factors[w])
-            elif w < n:
-                k -= 1
-            self.mixers[k] += ((-1) ** w / tails[k]) * (self._units @ moved.T)
-        self.mixers = tuple(self.mixers)
-        for arr in (self._units, self._adjoint, self.tau, *self.mixers):
-            arr.flags.writeable = False
-
-    @property
-    def identity(self) -> np.ndarray:
-        """Coordinates of the identity, made on each use: without a twirl
-        they are the D x D identity, which a shared object should not hold."""
-        return self.tau[:, None, None] * np.eye(self._dr)
-
-    def _transposed(self, mat: np.ndarray) -> np.ndarray:
-        """mat with the twirled factor's row and column indices first, as
-        one (d_twirled^2, d_rest^2) array; of reads the coordinates off it."""
-        dr = self._dr
-        return mat.reshape(self._tensor).transpose(self._axes).reshape(-1, dr * dr)
-
-    def of(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of the twirl of mat."""
-        return (self._units @ self._transposed(mat)).reshape(-1, self._dr, self._dr)
-
-    def matrix(self, k: np.ndarray) -> np.ndarray:
-        """The operator on the wires with coordinates k."""
-        y = self._units.T @ k.reshape(len(k), -1)
-        shape = [self._tensor[a] for a in self._axes]
-        return y.reshape(shape).transpose(self._inverse).reshape(self.dim, self.dim)
-
-    def trace(self, k: np.ndarray) -> float:
-        return float(self.tau @ np.einsum("sii->s", k).real)
-
-    def hermitian(self, k: np.ndarray) -> np.ndarray:
-        """Coordinates of the Hermitian part: X^dagger has coordinates
-        K_ji^dagger at the row of E_ij."""
-        return (k + k[self._adjoint].conj().transpose(0, 2, 1)) / 2.0
-
-    def blocks(self, k: np.ndarray) -> list[np.ndarray]:
-        """sqrt(copies) times one copy of each irrep block."""
-        dr = self._dr
-        return [
-            k[r : r + m * m].reshape(m, m, dr, dr).swapaxes(1, 2).reshape(m * dr, -1)
-            for r, m, _ in self._irreps
-        ]
-
-    def from_blocks(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """The coordinates whose blocks are blocks."""
-        dr = self._dr
-        return np.concatenate([
-            b.reshape(m, dr, m, dr).swapaxes(1, 2).reshape(m * m, dr, dr)
-            for b, (_, m, _) in zip(blocks, self._irreps)
-        ])
-
-    def min_eigenvalue(self, k: np.ndarray) -> float:
-        return min(
-            float(np.linalg.eigvalsh(b)[0]) / sc
-            for b, (_, _, sc) in zip(self.blocks(k), self._irreps)
-        )
-
-    def max_eigenvalue(self, k: np.ndarray) -> float:
-        return -self.min_eigenvalue(-k)
-
-    def eigenvalue_floor(self, h: np.ndarray) -> float:
-        """A lower bound on the least eigenvalue of the Hermitian D x D
-        matrix h, in or out of the algebra, from the eigenvalues of the
-        twirl's blocks.
-
-        With no twirled wire this is the one-block case: the computed
-        eigenvalues of h less the eigensolver allowance of
-        labeled._eigenvalue_floor.  Otherwise let K be the Hermitian part of
-        the computed coordinates of h, B_b its blocks and W the exact
-        operator they stand for, W = S Z S^T with S = Q (x) I_rest and Z
-        block diagonal with eigenvalues those of the B_b / sqrt(c_b).  Then
-        lambda_min(Z) >= l = min_b _eigenvalue_floor(B_b) / sqrt(c_b), and
-        by Ostrowski's theorem, with ||S^T S - I||_2 = ||Q^T Q - I||_2 <=
-        delta (measured, and checked to 1e-10 by _commutant_blocks),
-        lambda_min(W) >= l - delta |l|.  By Weyl's inequality,
-        lambda_min(h) >= lambda_min(W) - ||h - W||_F, and ||h - W||_F is at
-        most the computed residual r = ||h - matrix(K)||_F plus the rounding
-        of matrix(K): gamma_s ||U||_F ||K||_F for the product with the
-        scaled matrix units U (||U||_F^2 = s), and (c + 3) u sqrt(c s)
-        ||K||_F for the rounding of U itself, c the largest number of
-        copies.  The bound returned is
-
-            l - (delta + 2u) |l| - (1 + D^2 u) r - u sqrt(s) (s + (c + 3) sqrt(c)) ||K||_F,
-
-        u = eps / 2, the extra terms covering the division by sqrt(c_b) and
-        the summation in r.  It never exceeds lambda_min(h): an h off the
-        algebra, or a twirl that is not its own, only makes it lower.  r is
-        summed in column chunks of the transposed copy that of makes, so no
-        second D x D array is built.
-        """
-        if self._dr == self.dim:
-            return _eigenvalue_floor(np.linalg.eigvalsh(h))
-        x = self._transposed(h)
-        k = self.hermitian((self._units @ x).reshape(-1, self._dr, self._dr))
-        low = min(
-            _eigenvalue_floor(np.linalg.eigvalsh(b)) / sc
-            for b, (_, _, sc) in zip(self.blocks(k), self._irreps)
-        )
-        flat, back = k.reshape(len(k), -1), self._units.T
-        step = max(1, _CHUNK // len(x))
-        squares = 0.0
-        for j in range(0, x.shape[1], step):
-            y = back @ flat[:, j : j + step]
-            np.subtract(x[:, j : j + step], y, out=y)
-            squares += float(np.vdot(y, y).real)
-        return (
-            low
-            - (self._q_defect + 2 * _U) * abs(low)
-            - (1.0 + self.dim**2 * _U) * squares**0.5
-            - self.rounding * float(np.linalg.norm(k))
-        )
-
-
-@lru_cache(maxsize=32)
-def _coordinates(twirl: TwirlSpec | None, wires: tuple[Wire, ...]) -> _Coordinates:
-    """The one shared _Coordinates of twirl on wires."""
-    return _Coordinates(twirl, wires)
-
-
-def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarray:
-    """Orthogonal projection of the operator with coordinates k onto the
-    affine set of the causality constraints.
-
-    Level n of the telescoping family is equivalent, after padding both
-    sides back to the full space with maximally mixed factors, to
-    Delta_{2n+1}(X) = Delta_{2n}(X), where Delta_w depolarizes all wires
-    from position w on.  The maps G_n = Delta_{2n+1} - Delta_{2n} are
-    mutually orthogonal projectors (depolarizing a larger tail absorbs a
-    smaller one), so projecting onto their joint kernel just subtracts every
-    G_n(X), and the trace constraint shifts along the identity, which the
-    G_n annihilate.  With M_w = Tr_{wires w..}[X] (labeled._marginals, the
-    chain verify_causality reads too) and t_w the dimension of those wires,
-    the projection before the shift is the sum over w of (-1)^w M_w / t_w
-    (x) I.  On the coordinates, coords.mixers[i] sums the terms whose w
-    leave i of coords.dims ((-1)^w / t_w without a twirl).  The sum is
-    accumulated in Horner form, adding the running sum to the diagonal
-    blocks of the next term, so no Kronecker product is built.
-    """
-    mixers, tau = coords.mixers, coords.tau
-
-    def mixed(i, marg):
-        return (mixers[i] @ marg.reshape(len(tau), -1)).reshape(marg.shape)
-
-    marg = _marginals(k, coords.dims)
-    out = mixed(0, marg[0])
-    for i, d in enumerate(coords.dims, start=1):
-        nxt = mixed(i, marg[i])
-        h = nxt.shape[1] // d
-        blocks = nxt.reshape(-1, h, d, h, d)
-        for j in range(d):
-            blocks[:, :, j, :, j] += out
-        out = nxt
-    # Shift along the identity, whose coordinates are tau (x) I.
-    h = out.shape[1]
-    shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
-    out[:, range(h), range(h)] += (shift * tau)[:, None]
-    return out
+from .errors import NotHermitianError, UnsupportedError
+from .labeled import LabeledOperator, LabeledVector
+from .twirl import TwirlSpec, _coordinates
 
 
 @dataclass(frozen=True)

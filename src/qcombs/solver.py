@@ -5,7 +5,7 @@ causality set, and the objective is linear, so this is a semidefinite
 program.  The default backend is an operator-splitting method (ADMM on the
 consensus form X = Z) whose two half-steps are exactly the two cheap
 projections already available: the closed-form affine projection
-(objective._affine_projection) and the eigenvalue clip onto the positive
+(twirl._affine_projection) and the eigenvalue clip onto the positive
 cone (_psd_part).  project_to_comb alternates the same two steps and
 ends with the polish described next.
 
@@ -53,7 +53,7 @@ every cloning and learning objective is, is solved, certified and
 re-checked in float64, and a complex one in complex128.
 
 The whole iteration runs in the coordinates of the objective's twirl
-(objective._Coordinates).  The comb set is invariant under every
+(twirl._Coordinates).  The comb set is invariant under every
 wire-local unitary, so the affine projection commutes with the twirl, and
 so does the eigenvalue clip; starting from the maximally mixed comb, every
 iterate stays in the algebra the twirl fixes.  Each iterate, the dual
@@ -99,12 +99,8 @@ from .errors import BoundUnavailableError, InvalidBranchSumError
 from .errors import NoConvergenceError
 from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
-from .objective import (
-    PerformanceOperator,
-    _affine_projection,
-    _coordinates,
-    _Coordinates,
-)
+from .objective import PerformanceOperator
+from .twirl import _affine_projection, _coordinates, _Coordinates
 
 _OVER_RELAXATION = 1.6
 _ANDERSON_MEMORY = 5

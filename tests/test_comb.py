@@ -33,7 +33,7 @@ from qcombs import (
 )
 from qcombs.comb import _register_merge, _register_split
 from qcombs.labeled import _defect_and_min_eigenvalue
-from qcombs.objective import _affine_projection, _Coordinates
+from qcombs.twirl import _affine_projection, _Coordinates
 from conftest import (
     alternating_projections,
     depolarize_each_tail,

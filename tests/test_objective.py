@@ -25,7 +25,7 @@ from qcombs import (
     verify_causality,
 )
 from qcombs import objective
-from qcombs.objective import (
+from qcombs.twirl import (
     _affine_projection,
     _commutant_basis,
     _commutant_blocks,

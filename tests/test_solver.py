@@ -22,7 +22,7 @@ from qcombs import (
     solve,
     solve_probabilistic,
 )
-from qcombs import comb, objective, solver
+from qcombs import comb, objective, solver, twirl
 from conftest import conjugation_operator
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
@@ -312,7 +312,7 @@ def test_objective_over_the_cap_raises_before_building(monkeypatch):
         raise AssertionError("an operator was built past the cap")
 
     monkeypatch.setattr(objective, "max_entangled", forbidden)
-    monkeypatch.setattr(objective, "_Coordinates", forbidden)
+    monkeypatch.setattr(twirl, "_Coordinates", forbidden)
     with pytest.raises(DimOverflowError, match="needs dimension 16384, over the cap 4096"):
         learning_objective(6, 2)
 
