@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
 from .labeled import LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
-from .labeled import _defect_and_min_eigenvalue, _level_residuals
+from .labeled import _hermitian_part, _level_residuals
 from .link import link_product
+from .twirl import _coordinates
 
 # Eigenvalues below this absolute threshold are dropped when extracting
 # Kraus operators from a Choi operator.
@@ -156,10 +157,13 @@ def is_channel(choi: ChoiOperator, tol: float = 1e-9) -> tuple[bool, float]:
     Returns:
         ``(ok, residual)`` where ``residual`` is the largest of the trace
         residual (level 0 of labeled._level_residuals on (inputs, outputs)),
-        the Hermitian defect and the most negative eigenvalue's magnitude
-        (see labeled._defect_and_min_eigenvalue); it never raises.
+        the Hermitian defect (labeled._hermitian_part) and the magnitude of a
+        lower bound on the most negative eigenvalue of the Hermitian part
+        (twirl._Coordinates.eigenvalue_floor, one dense block); it never raises.
     """
-    mat = choi.op.permuted(choi.in_labels + choi.out_labels).matrix
-    defect, min_eig = _defect_and_min_eigenvalue(mat)
-    residual = max(_level_residuals(mat, (choi.in_dim, choi.out_dim))[0], defect, -min_eig)
+    op = choi.op.permuted(choi.in_labels + choi.out_labels)
+    defect, h = _hermitian_part(op.matrix)
+    min_eig = _coordinates(None, op.wires).eigenvalue_floor(h)
+    trace = _level_residuals(op.matrix, (choi.in_dim, choi.out_dim))[0]
+    residual = max(trace, defect, -min_eig)
     return residual <= tol, float(residual)

@@ -42,7 +42,6 @@ from .labeled import (
     Wire,
     _Wired,
     _check_wires,
-    _defect_and_min_eigenvalue,
     _hermitian_part,
     _level_residuals,
     _marginals,
@@ -191,7 +190,8 @@ class ProbabilisticComb:
         for oid, op in branches:
             _check_labels(op, structure)
             op = op.permuted(structure.labels)
-            defect, lo = _defect_and_min_eigenvalue(op.matrix)
+            defect, h = _hermitian_part(op.matrix)
+            lo = _coordinates(None, op.wires).eigenvalue_floor(h)
             if defect > TOL_VERIFY or lo < -TOL_VERIFY:
                 raise InvalidBranchSumError(
                     f"branch {oid!r} is not Hermitian and positive: defect "

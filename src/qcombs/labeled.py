@@ -105,13 +105,6 @@ def _hermitian_part(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(half)), mat - half
 
 
-def _defect_and_min_eigenvalue(mat: np.ndarray) -> tuple[float, float]:
-    """The defect of _hermitian_part and a lower bound on the least
-    eigenvalue of the Hermitian part (_eigenvalue_floor), both dense."""
-    defect, h = _hermitian_part(mat)
-    return defect, _eigenvalue_floor(np.linalg.eigvalsh(h))
-
-
 def _marginals(k: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """M_w = Tr_{dims[w:]}[X], w = 0 .. len(dims), for each X of the stack k
     (s, D, D) whose last wires have the dims; each is a trace of the next."""
@@ -135,15 +128,6 @@ def _level_residuals(mat: np.ndarray, dims: Sequence[int]) -> list[float]:
         gap = marg[2 * n + 1][0] / c - np.kron(head, np.eye(d))
         residuals.append(float(np.linalg.norm(gap)))
     return residuals
-
-
-def _eigenvalue_floor(w: np.ndarray) -> float:
-    """Lower bound on the least eigenvalue of a Hermitian M of order len(w)
-    from its computed eigenvalues w (ascending): w[0] less the eigensolver
-    allowance len(w) * u * ||M||_2, u = eps / 2, as VSDP does (Jansson,
-    Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007))."""
-    u = np.finfo(float).eps / 2.0
-    return float(w[0]) - len(w) * u * max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def _frozen(arr) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LabelMismatchError
-from .labeled import Wire, _eigenvalue_floor, _marginals, _total_dim
+from .labeled import Wire, _marginals, _total_dim
 
 TAGS = ("U", "U*")
 
@@ -227,6 +227,15 @@ def _depolarized(units: np.ndarray, d: int, t: int, factors) -> np.ndarray:
     return x.reshape(units.shape)
 
 
+def _eigenvalue_floor(w: np.ndarray) -> float:
+    """Lower bound on the least eigenvalue of a Hermitian M of order len(w)
+    from its computed eigenvalues w (ascending): w[0] less the eigensolver
+    allowance len(w) * u * ||M||_2, u = eps / 2, as VSDP does (Jansson,
+    Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007))."""
+    u = np.finfo(float).eps / 2.0
+    return float(w[0]) - len(w) * u * max(abs(float(w[0])), abs(float(w[-1])))
+
+
 class _Coordinates:
     """Coordinates of the operators a twirl fixes, on one wire order.
 
@@ -368,7 +377,7 @@ class _Coordinates:
 
         With no twirled wire this is the one-block case: the computed
         eigenvalues of h less the eigensolver allowance of
-        labeled._eigenvalue_floor.  Otherwise let K be the Hermitian part of
+        _eigenvalue_floor.  Otherwise let K be the Hermitian part of
         the computed coordinates of h, B_b its blocks and W the exact
         operator they stand for, W = S Z S^T with S = Q (x) I_rest and Z
         block diagonal with eigenvalues those of the B_b / sqrt(c_b).  Then

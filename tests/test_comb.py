@@ -32,8 +32,8 @@ from qcombs import (
     verify_causality,
 )
 from qcombs.comb import _register_merge, _register_split
-from qcombs.labeled import _defect_and_min_eigenvalue
-from qcombs.twirl import _affine_projection, _Coordinates
+from qcombs.labeled import _hermitian_part
+from qcombs.twirl import _affine_projection, _Coordinates, _eigenvalue_floor
 from conftest import (
     alternating_projections,
     depolarize_each_tail,
@@ -205,7 +205,8 @@ def test_comb_conditions_match_the_partial_trace_loop(case, field, hermitian):
             assert red.matrix.dtype == ref.matrix.dtype
         outs = [o.label for _, o in structure.teeth]
         choi = ChoiOperator(r, outs, [i.label for i, _ in structure.teeth])
-        defect, lo = _defect_and_min_eigenvalue(choi.op.matrix)
+        defect, h = _hermitian_part(choi.op.matrix)
+        lo = _eigenvalue_floor(np.linalg.eigvalsh(h))
         _, residual = is_channel(choi)
         want = max(ptrace_trace_residual(choi), defect, -lo)
         assert _close(residual, want), (residual, want)
