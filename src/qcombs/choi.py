@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, LabelMismatchError, NotPSDError
-from .labeled import LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
+from .labeled import TOL_VERIFY, LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
 from .labeled import _hermitian_part, _level_residuals
 from .link import link_product
 from .twirl import _coordinates
@@ -151,7 +151,7 @@ def choi_to_kraus(choi: ChoiOperator) -> KrausMap:
     return KrausMap(in_w, out_w, kraus)
 
 
-def is_channel(choi: ChoiOperator, tol: float = 1e-9) -> tuple[bool, float]:
+def is_channel(choi: ChoiOperator, tol: float = TOL_VERIFY) -> tuple[bool, float]:
     """Check the trace-preserving and positivity conditions of a Choi operator.
 
     Returns:
@@ -163,7 +163,6 @@ def is_channel(choi: ChoiOperator, tol: float = 1e-9) -> tuple[bool, float]:
     """
     op = choi.op.permuted(choi.in_labels + choi.out_labels)
     defect, h = _hermitian_part(op.matrix)
-    min_eig = _coordinates(None, op.wires).eigenvalue_floor(h)
-    trace = _level_residuals(op.matrix, (choi.in_dim, choi.out_dim))[0]
-    residual = max(trace, defect, -min_eig)
+    lo = _coordinates(None, op.wires).eigenvalue_floor(h)
+    residual = max(_level_residuals(op.matrix, (choi.in_dim, choi.out_dim))[0], defect, -lo)
     return residual <= tol, float(residual)

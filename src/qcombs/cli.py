@@ -7,8 +7,8 @@ verify --tol to TOL_VERIFY.  Human-readable rows go to stdout by default;
 with --json the machine-readable result record is the only stdout output
 and informational notes move to stderr.  Exit codes are a stable contract:
 0 success, 1 domain failure (a verification that should pass does not),
-2 input error (bad or unknown options, unreadable or existing files,
-dimension caps), 3 convergence failure (the result record is still
+2 input error (bad or unknown options, unreadable, unwritable or existing
+files, dimension caps), 3 convergence failure (the result record is still
 written, with converged false).
 """
 

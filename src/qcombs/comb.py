@@ -37,6 +37,7 @@ from .errors import (
 )
 from .haar import haar_isometry
 from .labeled import (
+    TOL_VERIFY,
     LabeledOperator,
     LabeledVector,
     Wire,
@@ -54,9 +55,6 @@ from .twirl import TwirlSpec, _coordinates
 #: projecting or solving combs or building their objectives (a D x D
 #: complex matrix at D = 4096 is 256 MiB).
 MAX_DIM = 4096
-
-#: Default verification tolerance.
-TOL_VERIFY = 1e-9
 
 
 def _check_dim(dim: int, what: str) -> None:

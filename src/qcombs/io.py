@@ -209,7 +209,11 @@ class OperatorFile:
         path = Path(path)
         if path.exists() and not force:
             raise FileExistsError(f"{path} exists; pass force to overwrite")
-        path.write_text(self.dumps())
+        text = self.dumps()
+        try:
+            path.write_text(text)
+        except OSError as e:
+            raise OperatorFileError(f"cannot write {path}: {e}") from e
         return path
 
     @classmethod

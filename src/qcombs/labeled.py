@@ -36,6 +36,9 @@ from .errors import (
 # Relative Frobenius tolerance below which a matrix counts as Hermitian.
 EPS_HERMITIAN = 1e-9
 
+#: Default verification tolerance.
+TOL_VERIFY = 1e-9
+
 #: Most wires one einsum contraction can index: numpy has 52 axis ids, and
 #: every wire takes two of them (its row and its column index).
 MAX_EINSUM_WIRES = 26

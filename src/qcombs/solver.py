@@ -409,25 +409,27 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     """Verified upper bound on the optimum of p from a solved candidate.
 
     Re-checks, independently of the solve run, that the stored certificate
-    T is finite, Hermitian and within tol = 1e-8 * (1 + ||T||_F) of its
-    projection P(T) onto the constraint range, and that lambda_lo >= -tol,
-    where lambda_lo is the certified lower bound on lambda_min(P(T) - Omega)
-    of _Coordinates.eigenvalue_floor, taken on the blocks of Omega's twirl
-    (one dense block when Omega carries none).  Raises
-    BoundUnavailableError when no certificate is stored or a check fails.
-    The bound pays for the slack the checks accept: it is trace_value *
-    (Tr[P(T)] / D + max(0, -lambda_lo)), with P(T) taken Hermitian.  The
-    Hermitian and range checks run on the dense D x D matrices; a
-    certificate off the twirl's algebra lowers lambda_lo by its distance
-    from it, so it can only fail.
+    T is a finite D x D matrix, Hermitian and within tol = 1e-8 * (1 +
+    ||T||_F) of its projection P(T) onto the constraint range, and that
+    lambda_lo >= -tol, where lambda_lo is the certified lower bound on
+    lambda_min(P(T) - Omega) of _Coordinates.eigenvalue_floor, taken on the
+    blocks of Omega's twirl (one dense block when Omega carries none).
+    Raises BoundUnavailableError when no certificate is stored or a check
+    fails.  The bound pays for the slack the checks accept: it is
+    trace_value * (Tr[P(T)] / D + max(0, -lambda_lo)), with P(T) taken
+    Hermitian.  The Hermitian and range checks run on the dense D x D
+    matrices; a certificate off the twirl's algebra lowers lambda_lo by its
+    distance from it, so it can only fail.
     """
     cert = candidate.dual_certificate
     if cert is None:
         raise BoundUnavailableError("the candidate carries no dual certificate")
-    if not np.all(np.isfinite(cert)):
-        raise BoundUnavailableError("the dual certificate is not finite")
     structure = p.structure
     D = structure.dim
+    if cert.shape != (D, D):
+        raise BoundUnavailableError(f"the dual certificate has shape {cert.shape}, not {(D, D)}")
+    if not np.all(np.isfinite(cert)):
+        raise BoundUnavailableError("the dual certificate is not finite")
     om = p.omega.omega.permuted(structure.labels).matrix
     scale = 1.0 + float(np.linalg.norm(cert))
     tol = 1e-8 * scale

@@ -63,7 +63,6 @@ def _partial_transpose(mat: np.ndarray, positions: Sequence[int], t: int, d: int
     return x.reshape(d**t, d**t)
 
 
-@lru_cache(maxsize=None)
 def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
     """Spanning set of the fixed-point algebra of the mixed twirl.
 

@@ -645,6 +645,23 @@ def test_random_comb_verify_chain(tmp_path, capsys):
     assert "FAIL" not in report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["random-comb", "--dims", "2,2"], ["clone", "--n", "1", "--m", "1"]],
+    ids=["random-comb", "clone"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    if where == "directory":
+        out = [str(tmp_path), "--force"]
+    else:
+        out = [str(tmp_path / "missing" / "x.json")]
+    assert main(argv + ["--out"] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
 def test_random_comb_requires_out(capsys):
     assert main(["random-comb", "--dims", "2,2"]) == 2
     capsys.readouterr()

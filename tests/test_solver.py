@@ -353,6 +353,11 @@ def test_dual_bound_requires_valid_certificate():
     skew[0, 1], skew[1, 0] = 0.1, -0.1
     with pytest.raises(BoundUnavailableError, match="not Hermitian"):
         dual_bound(p, dataclasses.replace(sol, dual_certificate=sol.dual_certificate + skew))
+    # one of the wrong shape (D = 16) is refused before any arithmetic
+    for shape in [(8, 8), (16,), (16, 8), (32, 32)]:
+        bad = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+        with pytest.raises(BoundUnavailableError, match="shape"):
+            dual_bound(p, dataclasses.replace(sol, dual_certificate=bad))
 
 
 @pytest.mark.parametrize(
