@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 from .comb import (
     TOL_VERIFY,
@@ -90,6 +91,16 @@ def _emit_record(record: ResultRecord, args, extra_rows=()) -> None:
     rows.append(("backend", record.backend))
     for key, val in rows:
         print(f"{key:<12} {val}")
+
+
+def _refuse_unwritable_out(args) -> None:
+    """Refuse, before any work, an --out that is a directory, lies in a
+    missing directory, or exists without --force."""
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise _CliInputError(f"cannot write {out}: not a file in an existing directory")
+    if out.exists() and not args.force:
+        raise _CliInputError(f"cannot write {out}: it exists; pass --force to overwrite")
 
 
 def _write_and_recheck(comb: QuantumComb, metadata: dict, args) -> CausalityReport:
@@ -247,8 +258,6 @@ def _parse_teeth(spec: str, op) -> CombStructure:
                 f"like 0:1,2:3"
             )
         teeth.append((bits[0], bits[1]))
-    if not teeth:
-        raise _CliInputError("--teeth names no teeth")
     named = [lab for pair in teeth for lab in pair]
     have = set(op.labels)
     missing = [lab for lab in named if lab not in have]
@@ -392,6 +401,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _refuse_unwritable_out(args)
         return args.func(args)
     except _CliDomainError as e:
         print(f"error: {e}", file=sys.stderr)

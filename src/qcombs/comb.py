@@ -39,7 +39,6 @@ from .haar import haar_isometry
 from .labeled import (
     TOL_VERIFY,
     LabeledOperator,
-    LabeledVector,
     Wire,
     _Wired,
     _check_wires,
@@ -308,15 +307,6 @@ def verify_causality(
     )
 
 
-def _fresh_label(base: str, taken: set) -> str:
-    label = base
-    k = 0
-    while label in taken:
-        k += 1
-        label = f"{base}.{k}"
-    return label
-
-
 def random_comb(
     structure: CombStructure, memory_dims: Sequence[int], seed: int
 ) -> QuantumComb:
@@ -325,6 +315,10 @@ def random_comb(
     Tooth k applies an isometry (mem_{k-1} (x) in_k) -> (out_k (x) mem_k)
     with memory dimensions taken from memory_dims (length n_teeth - 1); the
     final environment is sized as dim(mem_{N-1}) * dim(in_N) and traced out.
+    Each isometry is contracted into Psi, the Choi vector of the teeth so
+    far with one column per index of the open memory, and the comb is
+    Psi Psi^dagger.  The cap checks D, then each isometry's rows before it
+    is drawn, so nothing larger than D x D or D x rows is built.
     The draw is a deterministic function of the seed.
     """
     T = structure.n_teeth
@@ -335,47 +329,23 @@ def random_comb(
         )
     if any(m < 1 for m in memory_dims):
         raise ValueError(f"memory dims must be >= 1, got {memory_dims}")
+    _check_dim(structure.dim, "random_comb")
 
-    taken = set(structure.labels)
     rng = np.random.default_rng(seed)
-
-    assembled = None
-    open_dim = 1  # product of structure wires accumulated so far
-    mem_prev: Wire | None = None
-    for k in range(T):
-        in_w, out_w = structure.teeth[k]
-        m_prev = mem_prev.dim if mem_prev is not None else 1
-        if k < T - 1:
-            m_next = memory_dims[k]
-        else:
-            m_next = m_prev * in_w.dim  # environment: always large enough
-        a = m_prev * in_w.dim
-        b = out_w.dim * m_next
+    psi = np.ones((1, 1))
+    for k, (in_w, out_w) in enumerate(structure.teeth):
+        m_prev = psi.shape[1]
+        m_next = memory_dims[k] if k < T - 1 else m_prev * in_w.dim  # environment
+        a, b = m_prev * in_w.dim, out_w.dim * m_next
         if b < a:
             raise ValueError(
                 f"tooth {k}: no isometry from dim {a} into dim {b}; "
                 f"increase memory_dims[{k}]"
             )
-        # Linking contracts mem_prev away, so the largest operators built are
-        # the new chain (open wires so far, this tooth's wires, mem_next)
-        # and the tooth itself, which is larger when mem_prev exceeds the
-        # open wires so far.  At the last tooth the chain holds every wire,
-        # so this also bounds structure.dim.
-        work_dim = max(open_dim, m_prev) * in_w.dim * out_w.dim * m_next
-        _check_dim(work_dim, f"assembling tooth {k}")
-        mem_next = Wire(_fresh_label(f"mem{k}", taken), m_next)
-        taken.add(mem_next.label)
-
-        v = haar_isometry(b, a, rng)
-        wires = (out_w, mem_next) + ((mem_prev, in_w) if mem_prev else (in_w,))
-        tooth = LabeledVector(wires, v.reshape(-1)).outer()
-
-        open_dim *= in_w.dim * out_w.dim
-        assembled = tooth if assembled is None else link_product(assembled, tooth)
-        mem_prev = mem_next
-
-    assembled = assembled.ptrace([mem_prev.label])
-    return QuantumComb(assembled.permuted(structure.labels), structure)
+        _check_dim(b, f"the isometry of tooth {k}")
+        v = haar_isometry(b, a, rng).reshape(out_w.dim, m_next, m_prev, in_w.dim)
+        psi = np.einsum("xm,oqmi->xioq", psi, v).reshape(-1, m_next)
+    return QuantumComb(LabeledOperator._wrap(structure.wires, psi @ psi.conj().T), structure)
 
 
 CombLike = Union[LabeledOperator, ChoiOperator, QuantumComb]
@@ -439,21 +409,19 @@ def _register_merge(
 
     Returns the merged operator and its structure, which is structure with
     the last output widened to dim(out_N) * len(ops); the merged wire keeps
-    the last output's label, and the register is its fastest index.
+    the last output's label, and the register is its fastest index: ops[i]
+    fills block (i, i) of the six-axis view that _register_split reads.
     """
-    k = len(ops)
+    k, D = len(ops), structure.dim
     last_in, last_out = structure.teeth[-1]
-    reg = Wire(_fresh_label("reg", set(structure.labels)), k)
+    mats = [op.permuted(structure.labels).matrix for op in ops]
+    merged = np.zeros((D * k, D * k), dtype=np.result_type(*mats))
+    x6 = merged.reshape((D // last_out.dim, last_out.dim, k) * 2)
+    for i, mat in enumerate(mats):
+        x6[:, :, i, :, :, i] = mat.reshape(x6.shape[:2] * 2)
     merged_wire = Wire(last_out.label, last_out.dim * k)
-
-    acc = None
-    for i, op in enumerate(ops):
-        proj = np.zeros((k, k))
-        proj[i, i] = 1.0
-        term = op.permuted(structure.labels).tensor(LabeledOperator((reg,), proj))
-        acc = term if acc is None else acc + term
-    merged = acc.merge_wires([last_out.label, reg.label], merged_wire)
-    return merged, CombStructure(structure.teeth[:-1] + ((last_in, merged_wire),))
+    big = CombStructure(structure.teeth[:-1] + ((last_in, merged_wire),))
+    return LabeledOperator._wrap(big.wires, merged), big
 
 
 def _register_split(

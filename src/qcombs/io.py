@@ -262,8 +262,21 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
+        """The record in text; ValueError unless text is an object with
+        exactly the record's keys, parameters is an object, and to_json
+        can write the record again."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"not valid JSON: {e}") from e
-        return cls(**doc)
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(doc, dict) or sorted(doc) != sorted(keys):
+            raise ValueError(f"a result record is an object with the keys {keys}")
+        if not isinstance(doc["parameters"], dict):
+            raise ValueError("parameters must be an object")
+        record = cls(**doc)
+        try:
+            record.to_json()
+        except OperatorFileError as e:
+            raise ValueError(f"the record cannot be written: {e}") from None
+        return record

@@ -134,7 +134,7 @@ class SdpSolution:
 
     R_star is exactly feasible (feas_residual is the violation of
     R_star.verify(), which R_star's twirl, Omega's, runs on the blocks);
-    value = Tr[R_star Omega].  gap_bound, when present, is a
+    value = Tr[R_star Omega].  gap_bound is a
     dual upper bound minus value; once dual_bound has re-checked the bound,
     the true optimum lies in [value, value + gap_bound].  converged means the solve
     stopped on gap_bound <= tol_gap * (1 + |value|).  iterations counts
@@ -148,7 +148,7 @@ class SdpSolution:
     R_star: QuantumComb
     value: float
     feas_residual: float
-    gap_bound: float | None
+    gap_bound: float
     iterations: int
     converged: bool
     trace_log: tuple[tuple[float, float], ...]
@@ -156,9 +156,8 @@ class SdpSolution:
 
     def __repr__(self):
         tag = "converged" if self.converged else "not converged"
-        gap = "n/a" if self.gap_bound is None else f"{self.gap_bound:.2e}"
         return (
-            f"SdpSolution(value={self.value:.9f}, gap_bound={gap}, "
+            f"SdpSolution(value={self.value:.9f}, gap_bound={self.gap_bound:.2e}, "
             f"iters={self.iterations}, {tag})"
         )
 
@@ -211,7 +210,8 @@ def _build_certificate(
     """Repair the ADMM dual variable into a valid upper-bound certificate.
 
     flat is lambda_max(Omega).  Returns (T, bound) with T in the constraint
-    range and T - Omega >= 0, or (None, None) if the arithmetic degenerated.
+    range and T - Omega >= 0: the repaired dual variable, or the flat
+    certificate when that is tighter or the repair degenerated (a NaN bound).
     """
     cand = _dual_range_projection(coords.hermitian(om - u_scaled), coords)
     lo = coords.min_eigenvalue(cand - om)
@@ -220,12 +220,10 @@ def _build_certificate(
     bound = coords.trace(cand) * tv / coords.dim
 
     # The flat certificate lambda_max(Omega) * I is always valid; keep
-    # whichever is tighter.
-    if flat * tv < bound:
+    # whichever is tighter, and the flat one when the bound is NaN.
+    if not bound <= flat * tv:
         cand = flat * coords.identity
         bound = flat * tv
-    if not np.isfinite(bound):
-        return None, None
     return cand, bound
 
 
@@ -335,8 +333,8 @@ def solve(p: SdpProblem) -> SdpSolution:
 
         if checkpoint:
             cert, bound = _build_certificate(om, rho * image[1], coords, tv, flat)
-            gap = None if bound is None else max(bound - best_val, 0.0)
-            if gap is not None and gap <= p.tol_gap * (1.0 + abs(best_val)):
+            gap = max(bound - best_val, 0.0)
+            if gap <= p.tol_gap * (1.0 + abs(best_val)):
                 converged = True
                 break
 
@@ -362,7 +360,7 @@ def solve(p: SdpProblem) -> SdpSolution:
         iterations=k,
         converged=converged,
         trace_log=tuple(trace_log),
-        dual_certificate=None if cert is None else coords.matrix(cert),
+        dual_certificate=coords.matrix(cert),
     )
 
 

@@ -9,8 +9,11 @@ Gram average solves the normal equations of the permutation operators
 build the affine projection from its definition with Kronecker products
 (never through the coordinates' mixers), the comb conditions are
 re-evaluated by one partial trace per wire and level (never through the
-marginal chain), and the brute-force channel search parameterizes
-Stinespring isometries directly (never through the solver).
+marginal chain), the brute-force channel search parameterizes
+Stinespring isometries directly (never through the solver), and the
+random-comb oracle links one dense |V>><<V| per tooth with link_product,
+the last tooth summed over its Kraus operators (never through the
+contracted Choi vector).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from scipy.optimize import minimize
 
 from qcombs import (
     CombStructure,
-    DimOverflowError,
     LabeledOperator,
+    LabeledVector,
     QuantumComb,
     TwirlSpec,
     Wire,
@@ -50,8 +53,8 @@ def rand_kraus(d_in: int, d_out: int, rank: int, rng: np.random.Generator):
 def sample_sequential_network(rng: np.random.Generator) -> QuantumComb:
     """A random 1-3 tooth comb with wire dims 2-3 and memory dims 2-4.
 
-    Resamples combinations whose intermediate dimensions overflow the
-    dense cap or whose memory is too small to carry the tooth isometry.
+    Resamples combinations whose memory is too small to carry the tooth
+    isometry; none reaches the dense cap (D <= 729, isometries <= 36 rows).
     """
     while True:
         n_teeth = int(rng.integers(1, 4))
@@ -61,8 +64,37 @@ def sample_sequential_network(rng: np.random.Generator) -> QuantumComb:
             return random_comb(
                 CombStructure.standard(dims), memory, seed=int(rng.integers(2**31))
             )
-        except (DimOverflowError, ValueError):
+        except ValueError:
             continue
+
+
+def linked_random_comb(structure: CombStructure, memory_dims, seed: int) -> QuantumComb:
+    """random_comb from the realization theorem's definition, with no cap.
+
+    The same Haar isometries are drawn in the same order.  Tooth k is the
+    dense operator |V>><<V| on fresh memory wires; the last tooth's
+    environment is traced out first, as the sum of |K_e>><<K_e| over its
+    Kraus operators K_e = <e|V, which is the same as tracing it out of the
+    linked chain.  The teeth are linked in comb order with link_product.
+    """
+    rng = np.random.default_rng(seed)
+    last = structure.n_teeth - 1
+    assembled, mem_prev = None, None
+    for k, (in_w, out_w) in enumerate(structure.teeth):
+        m_prev = mem_prev.dim if mem_prev is not None else 1
+        m_next = memory_dims[k] if k < last else m_prev * in_w.dim
+        v = haar_isometry(out_w.dim * m_next, m_prev * in_w.dim, rng)
+        v = v.reshape(out_w.dim, m_next, -1)
+        ins = (mem_prev, in_w) if mem_prev else (in_w,)
+        if k == last:
+            kraus = [LabeledVector((out_w,) + ins, v[:, e].reshape(-1)) for e in range(m_next)]
+            tooth = sum((ke.outer() for ke in kraus[1:]), kraus[0].outer())
+        else:
+            mem_prev = Wire(f"mem{k}", m_next)
+            assert mem_prev.label not in structure.labels
+            tooth = LabeledVector((out_w, mem_prev) + ins, v.reshape(-1)).outer()
+        assembled = tooth if assembled is None else link_product(assembled, tooth)
+    return QuantumComb(assembled, structure)
 
 
 def learning_memory(n_uses: int) -> list[int]:

@@ -7,6 +7,8 @@ from qcombs import (
     DimMismatchError,
     KrausMap,
     LabeledOperator,
+    LabelMismatchError,
+    NotPSDError,
     Wire,
     apply_choi,
     choi_to_kraus,
@@ -77,6 +79,8 @@ def test_apply_choi_equals_kraus_action():
         choi = kraus_to_choi(kmap)
         rho = random_state(d_in, 1000 + seed)
         assert_allclose(apply_choi(choi, rho), kmap.apply(rho), atol=1e-12)
+    with pytest.raises(DimMismatchError, match="state shape"):
+        apply_choi(choi, np.eye(choi.in_dim + 1))
 
 
 def test_unitary_choi_is_rank_one():
@@ -99,6 +103,13 @@ def test_kraus_extraction_roundtrip():
         assert_allclose(again.op.matrix, choi.op.matrix, atol=1e-10)
         rho = random_state(2, 300 + seed)
         assert_allclose(back.apply(rho), kmap.apply(rho), atol=1e-10)
+    minus_one = -1.0 * LabeledOperator.identity(choi.op.wires)
+    negative = ChoiOperator(minus_one, choi.out_labels, choi.in_labels)
+    with pytest.raises(NotPSDError, match="negative eigenvalue"):
+        choi_to_kraus(negative)
+    two_outputs = ChoiOperator(choi.op, choi.out_labels + choi.in_labels, ())
+    with pytest.raises(LabelMismatchError, match="one output and one input"):
+        choi_to_kraus(two_outputs)
 
 
 def test_is_channel():

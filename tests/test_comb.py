@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -38,6 +40,7 @@ from conftest import (
     alternating_projections,
     depolarize_each_tail,
     learning_memory,
+    linked_random_comb,
     ptrace_level_residuals,
     ptrace_reduced_comb,
     ptrace_trace_residual,
@@ -230,16 +233,61 @@ def test_random_comb_argument_errors():
     s3 = CombStructure.standard([2, 2, 2, 2, 2, 2])
     with pytest.raises(ValueError):
         random_comb(s3, [2, 1], 0)
-    big = CombStructure.standard([4, 4, 4, 4, 4, 4])
-    with pytest.raises(DimOverflowError):
-        random_comb(big, [4, 4], 0)
+    big = CombStructure.standard([4, 4, 4, 4, 4, 4, 2, 2])
+    with pytest.raises(DimOverflowError, match="random_comb needs dimension 16384"):
+        random_comb(big, [4, 4, 4], 0)
 
 
 def test_random_comb_caps_a_tooth_wider_than_the_chain():
-    # A 32-dim memory makes the second tooth 8192-dim while the linked
-    # chain stays at 1024; the cap must refuse before building the tooth.
-    with pytest.raises(DimOverflowError, match="tooth 1 needs dimension 8192"):
-        random_comb(S2222, [32], 0)
+    # A 4096-dim memory gives tooth 0 an isometry with 8192 rows on a
+    # 16-dim board; the cap must refuse before drawing it.
+    with pytest.raises(DimOverflowError, match="isometry of tooth 0 needs dimension 8192"):
+        random_comb(S2222, [4096], 0)
+
+
+RANDOM_BOARDS = {
+    "2x2x2x2-mem2": ([2, 2, 2, 2], [2]),
+    "2x2x2x2-mem32": ([2, 2, 2, 2], [32]),
+    "1x2x2x1-mem2": ([1, 2, 2, 1], [2]),
+    "2x1x3x2x1x2-mem2x3": ([2, 1, 3, 2, 1, 2], [2, 3]),
+    "network-D64": ([2] * 6, [4, 4]),
+    "network-D81": ([3] * 4, [3]),
+    "network-D256": ([2] * 8, [2, 2, 2]),
+    "learn2": (None, learning_memory(2)),
+}
+NETWORK_BOARDS = [key for key in RANDOM_BOARDS if key.startswith("network")]
+
+
+@pytest.mark.parametrize("board", RANDOM_BOARDS)
+def test_random_comb_equals_the_linked_teeth(board):
+    dims, memory = RANDOM_BOARDS[board]
+    if dims is None:
+        structure = learning_objective(2, 2).structure
+    else:
+        structure = CombStructure.standard(dims)
+    for seed in range(4):
+        got = random_comb(structure, memory, seed)
+        want = linked_random_comb(structure, memory, seed)
+        assert got.op.wires == want.op.wires
+        assert np.max(np.abs(got.op.matrix - want.op.matrix)) <= 1e-13
+        assert got.verify().passed
+
+
+@pytest.mark.parametrize("board", NETWORK_BOARDS)
+def test_random_comb_peak_memory_is_of_the_comb(board):
+    dims, memory = RANDOM_BOARDS[board]
+    # Psi Psi^dagger is the one D x D array a draw builds; the contracted
+    # Choi vector Psi has D * (rows of one isometry) entries.
+    structure = CombStructure.standard(dims)
+    D = structure.dim
+    random_comb(structure, memory, 0)
+    tracemalloc.start()
+    try:
+        random_comb(structure, memory, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * D * D * 16, peak
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,7 @@ def test_loads_rejects_metadata_its_writer_cannot_write(text, message):
         lambda d: _drop_key(d, "entries"),
         lambda d: _set_key(d, "format_version", 99),
         lambda d: _set_key(d, "wires", []),
+        lambda d: _set_key(d, "wires", {"label": "0", "dim": 2}),
         lambda d: _set_key(d, "wires", [{"label": 3, "dim": 2}]),
         lambda d: _set_key(d, "entries", [[0.0, 0.0]] * 7),
         lambda d: _set_entry(d, 0, [0.0, "x"]),
@@ -242,6 +243,9 @@ def test_loads_accepts_integer_and_boolean_components():
     expected = np.array([i - 1j * i for i in range(35)] + [1], dtype=complex)
     assert np.array_equal(g.matrix.ravel(), expected)
     assert OperatorFile.loads(g.dumps()).dumps() == g.dumps()
+    # An integer beyond int64 is read as the nearest double.
+    doc["entries"][0] = [10**30, 0]
+    assert OperatorFile.loads(json.dumps(doc)).matrix[0, 0] == 1e30
 
 
 def _drop_key(doc, key):
@@ -318,6 +322,24 @@ def test_record_tag_validation():
         make_record(reference_value=None)  # tag still claims a source
     rec = make_record(reference_value=None, reference_source="none")
     assert ResultRecord.from_json(rec.to_json()).reference_value is None
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda d: [1], "keys"),
+        (lambda d: {"task": "x"}, "keys"),
+        (lambda d: {**d, "extra": 1}, "keys"),
+        (lambda d: {**d, "parameters": [1]}, "parameters must be an object"),
+        (lambda d: {**d, "parameters": {"dims": [2, 2]}}, "cannot be written"),
+        (lambda d: {**d, "gap_bound": float("inf")}, "cannot be written"),
+    ],
+    ids=["list", "one-key", "extra-key", "parameters-list", "list-parameter", "infinite"],
+)
+def test_record_from_json_rejects_what_it_cannot_write(mangle, message):
+    doc = json.loads(make_record().to_json())
+    with pytest.raises(ValueError, match=message):
+        ResultRecord.from_json(json.dumps(mangle(doc)))
 
 
 GOLDEN_RECORD = """\
@@ -647,19 +669,32 @@ def test_random_comb_verify_chain(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["random-comb", "--dims", "2,2"], ["clone", "--n", "1", "--m", "1"]],
-    ids=["random-comb", "clone"],
+    [
+        ["random-comb", "--dims", "2,2"],
+        ["clone", "--n", "1", "--m", "1"],
+        ["learn", "--uses", "1"],
+    ],
+    ids=["random-comb", "clone", "learn"],
 )
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "exists"])
+def test_unwritable_out_exits_2(monkeypatch, tmp_path, capsys, argv, where):
+    def forbidden(problem):
+        raise AssertionError("solved although --out cannot be written")
+
+    # Refused before any work: the solve is never reached.
+    monkeypatch.setattr(cli, "solve", forbidden)
     if where == "directory":
         out = [str(tmp_path), "--force"]
-    else:
+    elif where == "missing-directory":
         out = [str(tmp_path / "missing" / "x.json")]
+    else:
+        (tmp_path / "x.json").write_text("keep")
+        out = [str(tmp_path / "x.json")]
     assert main(argv + ["--out"] + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write")
     assert "Traceback" not in err
+    assert where != "exists" or (tmp_path / "x.json").read_text() == "keep"
 
 
 def test_random_comb_requires_out(capsys):
@@ -707,6 +742,9 @@ def test_verify_input_errors(tmp_path, capsys):
     main(["random-comb", "--dims", "2,2", "--seed", "1", "--out", str(path)])
     assert main(["verify", str(path), "--teeth", "0:9"]) == 2
     assert main(["verify", str(path), "--teeth", "garbage"]) == 2
+    capsys.readouterr()
+    assert main(["verify", str(path), "--teeth", ""]) == 2
+    assert "bad tooth" in capsys.readouterr().err
     truncated = tmp_path / "bad.json"
     truncated.write_text(path.read_text()[: 40])
     assert main(["verify", str(truncated), "--teeth", "0:1"]) == 2

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcombs import (
+    DimMismatchError,
     KrausMap,
     LabeledOperator,
     Network,
@@ -94,6 +95,13 @@ def test_link_names_the_wire_limit():
     # Shared wires count once: 14 + 14 wires, two of them shared, are 26.
     b = ident([f"a{i}" for i in range(2)] + [f"b{i}" for i in range(12)])
     assert link_product(a, b).labels == a.labels[2:] + b.labels[2:]
+
+
+def test_link_refuses_a_shared_wire_of_two_dimensions():
+    a = LabeledOperator.identity([Wire("s", 2), Wire("a", 2)])
+    b = LabeledOperator.identity([Wire("s", 3)])
+    with pytest.raises(DimMismatchError, match="'s'"):
+        link_product(a, b)
 
 
 def test_disjoint_labels_is_tensor_product():

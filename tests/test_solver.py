@@ -326,7 +326,7 @@ def test_every_dense_entry_checks_the_one_cap(monkeypatch):
         project_to_comb(po.omega, S2222)
     with pytest.raises(DimOverflowError, match="objective needs dimension 16, "):
         cloning_objective.__wrapped__(1, 1, 2)
-    with pytest.raises(DimOverflowError, match="tooth 1 needs dimension 64, "):
+    with pytest.raises(DimOverflowError, match="random_comb needs dimension 16, "):
         random_comb(S2222, [2], 0)
 
 
