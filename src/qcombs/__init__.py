@@ -10,6 +10,7 @@ semidefinite solver that maximizes such figures over all causal boards.
 """
 
 from .choi import (
+    CausalityReport,
     ChoiOperator,
     KrausMap,
     apply_choi,
@@ -21,7 +22,6 @@ from .choi import (
 from .comb import (
     MAX_DIM,
     TOL_VERIFY,
-    CausalityReport,
     CombStructure,
     ProbabilisticComb,
     QuantumComb,

@@ -4,7 +4,8 @@ A channel from wire ``a`` to wire ``b`` is stored as the operator obtained
 by acting with the channel on one half of the unnormalized maximally
 entangled pair on ``a``: the result lives on the wire pair ``(b, a)``,
 output first.  Action on a state recovers the channel:
-``C(rho) = Tr_in[(I_out (x) rho^T) C]``.
+``C(rho) = Tr_in[(I_out (x) rho^T) C]``.  A channel is the one-tooth comb,
+so _feasibility here judges channels, combs and instrument branches alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import DimMismatchError, LabelMismatchError, NotPSDError
 from .labeled import TOL_VERIFY, LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
 from .labeled import _hermitian_part, _level_residuals
 from .link import link_product
-from .twirl import _coordinates
+from .twirl import _Coordinates, _coordinates
 
 # Eigenvalues below this absolute threshold are dropped when extracting
 # Kraus operators from a Choi operator.
@@ -151,18 +152,61 @@ def choi_to_kraus(choi: ChoiOperator) -> KrausMap:
     return KrausMap(in_w, out_w, kraus)
 
 
+@dataclass(frozen=True)
+class CausalityReport:
+    """Outcome of _feasibility, with quantitative slack per level.
+
+    residuals[n] is the Frobenius norm of Tr_out_n[R^(n)] - I_in_n (x) R^(n-1),
+    the violation of the constraint cutting the comb after tooth n.
+    min_eigenvalue is a certified lower bound on the least eigenvalue of
+    the Hermitian part of R, never above it (_Coordinates.eigenvalue_floor).
+    """
+
+    passed: bool
+    residuals: tuple[float, ...]
+    min_eigenvalue: float
+    hermiticity: float
+    tol: float
+
+    @property
+    def violation(self) -> float:
+        """Worst of the level residuals, the negative part of the smallest
+        eigenvalue and the hermiticity: 0 on an exact comb."""
+        return max(*self.residuals, -self.min_eigenvalue, 0.0, self.hermiticity)
+
+    def __str__(self):
+        status = "pass" if self.passed else "FAIL"
+        return (
+            f"{status}: max level residual {max(self.residuals, default=0.0):.3e}, "
+            f"min eigenvalue {self.min_eigenvalue:+.3e}, "
+            f"hermiticity {self.hermiticity:.3e} (tol {self.tol:.1e})"
+        )
+
+
+def _feasibility(
+    mat: np.ndarray, dims: Sequence[int], coords: _Coordinates, tol: float
+) -> CausalityReport:
+    """Judge the Choi matrix mat of a board whose wires have dims in comb
+    order: labeled._level_residuals, the labeled._hermitian_part defect and
+    coords.eigenvalue_floor of the Hermitian part must each be within tol.
+    It never raises; with dims = () only positivity is judged."""
+    residuals = tuple(_level_residuals(mat, dims))
+    hermiticity, h = _hermitian_part(mat)
+    lo = coords.eigenvalue_floor(h)
+    passed = all(r <= tol for r in (*residuals, -lo, hermiticity))
+    return CausalityReport(passed, residuals, lo, hermiticity, tol)
+
+
 def is_channel(choi: ChoiOperator, tol: float = TOL_VERIFY) -> tuple[bool, float]:
     """Check the trace-preserving and positivity conditions of a Choi operator.
 
     Returns:
-        ``(ok, residual)`` where ``residual`` is the largest of the trace
-        residual (level 0 of labeled._level_residuals on (inputs, outputs)),
-        the Hermitian defect (labeled._hermitian_part) and the magnitude of a
-        lower bound on the most negative eigenvalue of the Hermitian part
-        (twirl._Coordinates.eigenvalue_floor, one dense block); it never raises.
+        ``(ok, residual)``: _feasibility of the one-tooth comb (inputs,
+        outputs) on one dense block, and its violation, the largest of the
+        trace residual, the Hermitian defect and the magnitude of a lower
+        bound on the most negative eigenvalue; it never raises.
     """
     op = choi.op.permuted(choi.in_labels + choi.out_labels)
-    defect, h = _hermitian_part(op.matrix)
-    lo = _coordinates(None, op.wires).eigenvalue_floor(h)
-    residual = max(_level_residuals(op.matrix, (choi.in_dim, choi.out_dim))[0], defect, -lo)
-    return residual <= tol, float(residual)
+    dims = (choi.in_dim, choi.out_dim)
+    report = _feasibility(op.matrix, dims, _coordinates(None, op.wires), tol)
+    return report.passed, float(report.violation)

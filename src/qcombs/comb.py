@@ -14,8 +14,9 @@ where R^(n-1) = Tr_tooth_n[R^(n)] / dim(in_n).  Together with positivity
 these constraints carve out exactly the set of boards realizable as a
 concatenation of channels with memory, which is the feasible set of every
 optimization in this package.  One marginal chain (labeled._marginals)
-evaluates them for verify_causality, reduced_comb, choi.is_channel and
-the affine projection in twirl; project_to_comb is in solver.
+evaluates them for reduced_comb and the affine projection in twirl, and
+one judge, choi._feasibility, for verify_causality, choi.is_channel and
+ProbabilisticComb's branches; project_to_comb is in solver.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .choi import ChoiOperator
+from .choi import CausalityReport, ChoiOperator, _feasibility
 from .errors import (
     DimMismatchError,
     DimOverflowError,
@@ -42,8 +43,6 @@ from .labeled import (
     Wire,
     _Wired,
     _check_wires,
-    _hermitian_part,
-    _level_residuals,
     _marginals,
     _total_dim,
 )
@@ -154,7 +153,7 @@ class QuantumComb:
     def reduced(self, n: int) -> LabeledOperator:
         return reduced_comb(self.op, self.structure, n)
 
-    def verify(self, tol: float = TOL_VERIFY) -> "CausalityReport":
+    def verify(self, tol: float = TOL_VERIFY) -> CausalityReport:
         return verify_causality(self.op, self.structure, tol, self.twirl)
 
     def __repr__(self):
@@ -167,7 +166,7 @@ class ProbabilisticComb:
 
     Branches are keyed by opaque outcome ids.  The constructor verifies
     that each branch is Hermitian and positive and that their sum is a
-    deterministic comb, all to within TOL_VERIFY.
+    deterministic comb, both with choi._feasibility, to within TOL_VERIFY.
     """
 
     __slots__ = ("branches", "structure")
@@ -187,12 +186,11 @@ class ProbabilisticComb:
         for oid, op in branches:
             _check_labels(op, structure)
             op = op.permuted(structure.labels)
-            defect, h = _hermitian_part(op.matrix)
-            lo = _coordinates(None, op.wires).eigenvalue_floor(h)
-            if defect > TOL_VERIFY or lo < -TOL_VERIFY:
+            r = _feasibility(op.matrix, (), _coordinates(None, op.wires), TOL_VERIFY)
+            if not r.passed:
                 raise InvalidBranchSumError(
                     f"branch {oid!r} is not Hermitian and positive: defect "
-                    f"{defect:.3e}, min eigenvalue {lo:.3e}"
+                    f"{r.hermiticity:.3e}, min eigenvalue {r.min_eigenvalue:.3e}"
                 )
             ordered.append((oid, op))
         total = sum((op for _, op in ordered[1:]), ordered[0][1])
@@ -244,37 +242,6 @@ def reduced_comb(R: LabeledOperator, structure: CombStructure, n: int) -> Labele
     return LabeledOperator._wrap(structure.wires[: 2 * n + 2], marg / c)
 
 
-@dataclass(frozen=True)
-class CausalityReport:
-    """Outcome of verify_causality, with quantitative slack per level.
-
-    residuals[n] is the Frobenius norm of Tr_out_n[R^(n)] - I_in_n (x) R^(n-1),
-    the violation of the constraint cutting the comb after tooth n.
-    min_eigenvalue is a certified lower bound on the least eigenvalue of
-    the Hermitian part of R, never above it (_Coordinates.eigenvalue_floor).
-    """
-
-    passed: bool
-    residuals: tuple[float, ...]
-    min_eigenvalue: float
-    hermiticity: float
-    tol: float
-
-    @property
-    def violation(self) -> float:
-        """Worst of the level residuals, the negative part of the smallest
-        eigenvalue and the hermiticity: 0 on an exact comb."""
-        return max(*self.residuals, -self.min_eigenvalue, 0.0, self.hermiticity)
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"{status}: max level residual {max(self.residuals, default=0.0):.3e}, "
-            f"min eigenvalue {self.min_eigenvalue:+.3e}, "
-            f"hermiticity {self.hermiticity:.3e} (tol {self.tol:.1e})"
-        )
-
-
 def verify_causality(
     R: LabeledOperator,
     structure: CombStructure,
@@ -283,28 +250,17 @@ def verify_causality(
 ) -> CausalityReport:
     """Check positivity and the telescoping causality constraints of R.
 
-    Passes iff every level residual is at most tol, a lower bound on the
-    smallest eigenvalue is at least -tol, and R is Hermitian to within tol
-    in Frobenius norm.  The eigenvalue is that of the Hermitian part of R,
-    so a non-Hermitian R fails on its hermiticity and never raises.  The
-    bound is taken on the blocks of twirl when one is given, and on the
-    dense matrix otherwise; it never exceeds the least eigenvalue, so a
-    twirl that does not fix R can only make the check fail.  The level
-    residuals are labeled._level_residuals of the dense matrix.
+    R is put in comb order and judged by choi._feasibility: it passes iff
+    every level residual, the hermiticity and minus a lower bound on the
+    least eigenvalue of its Hermitian part are at most tol, and a
+    non-Hermitian R fails and never raises.  The bound is taken on the
+    blocks of twirl when one is given, and on the dense matrix otherwise;
+    it never exceeds the least eigenvalue, so a twirl that does not fix R
+    can only make the check fail.
     """
     _check_labels(R, structure)
     mat = R.permuted(structure.labels).matrix
-    residuals = _level_residuals(mat, structure.dims)
-    hermiticity, h = _hermitian_part(mat)
-    min_eig = _coordinates(twirl, structure.wires).eigenvalue_floor(h)
-    passed = all(r <= tol for r in residuals + [-min_eig, hermiticity])
-    return CausalityReport(
-        passed=passed,
-        residuals=tuple(residuals),
-        min_eigenvalue=min_eig,
-        hermiticity=hermiticity,
-        tol=tol,
-    )
+    return _feasibility(mat, structure.dims, _coordinates(twirl, structure.wires), tol)
 
 
 def random_comb(

@@ -104,8 +104,6 @@ def _task_objective(
     (i, j) wire positions joined by sum_n |n>|n>; pattern lists the
     (position, tag, copies) of the twirled wires.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
     structure = CombStructure.standard(dims)
     _check_dim(structure.dim, "the objective")
     w = structure.wires

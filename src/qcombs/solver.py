@@ -122,6 +122,8 @@ class SdpProblem:
 
     def __post_init__(self):
         _check_labels(self.omega.omega, self.structure)
+        if not np.isfinite(self.omega.omega.norm()):
+            raise ValueError("the objective's Frobenius norm is not finite")
         if not self.tol_gap > 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
@@ -211,7 +213,7 @@ def _build_certificate(
 
     flat is lambda_max(Omega).  Returns (T, bound) with T in the constraint
     range and T - Omega >= 0: the repaired dual variable, or the flat
-    certificate when that is tighter or the repair degenerated (a NaN bound).
+    certificate when that is tighter.
     """
     cand = _dual_range_projection(coords.hermitian(om - u_scaled), coords)
     lo = coords.min_eigenvalue(cand - om)
@@ -220,7 +222,7 @@ def _build_certificate(
     bound = coords.trace(cand) * tv / coords.dim
 
     # The flat certificate lambda_max(Omega) * I is always valid; keep
-    # whichever is tighter, and the flat one when the bound is NaN.
+    # whichever is tighter.
     if not bound <= flat * tv:
         cand = flat * coords.identity
         bound = flat * tv

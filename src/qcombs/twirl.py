@@ -231,8 +231,7 @@ def _eigenvalue_floor(w: np.ndarray) -> float:
     from its computed eigenvalues w (ascending): w[0] less the eigensolver
     allowance len(w) * u * ||M||_2, u = eps / 2, as VSDP does (Jansson,
     Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007))."""
-    u = np.finfo(float).eps / 2.0
-    return float(w[0]) - len(w) * u * max(abs(float(w[0])), abs(float(w[-1])))
+    return float(w[0]) - len(w) * _U * max(abs(float(w[0])), abs(float(w[-1])))
 
 
 class _Coordinates:
@@ -463,6 +462,6 @@ def _affine_projection(k, coords: _Coordinates, trace_value: float) -> np.ndarra
         out = nxt
     # Shift along the identity, whose coordinates are tau (x) I.
     h = out.shape[1]
-    shift = (trace_value - tau @ np.einsum("sii->s", out).real) / (h * tau @ tau)
+    shift = (trace_value - coords.trace(out)) / (h * tau @ tau)
     out[:, range(h), range(h)] += (shift * tau)[:, None]
     return out

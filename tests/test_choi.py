@@ -118,6 +118,7 @@ def test_is_channel():
     ok, residual = is_channel(choi)
     assert ok
     assert residual < 1e-12
+    assert type(residual) is float
 
     bad = ChoiOperator(choi.op * 1.01, choi.out_labels, choi.in_labels)
     ok, residual = is_channel(bad)

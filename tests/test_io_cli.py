@@ -704,7 +704,14 @@ def test_random_comb_requires_out(capsys):
 
 @pytest.mark.parametrize(
     "dims, memory",
-    [("2,2,2,2", "1,1"), ("4,2,2,2", "1")],  # wrong count; no isometry
+    [
+        ("2,2,2,2", "1,1"),  # wrong count
+        ("4,2,2,2", "1"),  # no isometry
+        ("2,2,2", ""),  # odd count
+        ("0,2", ""),  # zero dimension
+        (",", ""),  # no dimension
+        ("2,2,2,2", "0"),  # zero memory
+    ],
 )
 def test_random_comb_argument_errors_exit_2(tmp_path, capsys, dims, memory):
     out = tmp_path / "comb.json"
@@ -741,6 +748,12 @@ def test_verify_input_errors(tmp_path, capsys):
     path = tmp_path / "op.json"
     main(["random-comb", "--dims", "2,2", "--seed", "1", "--out", str(path)])
     assert main(["verify", str(path), "--teeth", "0:9"]) == 2
+    two = tmp_path / "two.json"
+    main(["random-comb", "--dims", "2,2,2,2", "--memory", "2", "--out", str(two)])
+    capsys.readouterr()
+    assert main(["verify", str(two), "--teeth", "0:1"]) == 2  # unassigned wires
+    assert "do not match" in capsys.readouterr().err
+    assert main(["verify", str(two), "--teeth", "0:1,0:1"]) == 2  # repeated wire
     assert main(["verify", str(path), "--teeth", "garbage"]) == 2
     capsys.readouterr()
     assert main(["verify", str(path), "--teeth", ""]) == 2

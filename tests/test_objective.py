@@ -224,6 +224,14 @@ def test_twirl_spec_validation(d, pattern, message):
         TwirlSpec(d, pattern)
 
 
+def test_task_objectives_refuse_a_dimension_below_2():
+    # TwirlSpec owns this check; the task objectives reach it.
+    with pytest.raises(ValueError, match="at least 2"):
+        cloning_objective(1, 2, 1)
+    with pytest.raises(ValueError, match="at least 2"):
+        learning_objective(1, 1)
+
+
 def test_twirl_spec_must_match_the_wires():
     base = LabeledOperator.identity((Wire("a", 2), Wire("b", 4)))
     with pytest.raises(LabelMismatchError, match="not on the operator"):

@@ -40,6 +40,9 @@ def test_problem_validation():
         SdpProblem(po, po.structure, tol_gap=0.0)
     with pytest.raises(ValueError):
         SdpProblem(po, po.structure, max_iters=0)
+    # ||Omega||_F = inf would make rho inf and the certificate NaN.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        SdpProblem(PerformanceOperator(po.omega * 2.0**520, po.structure), po.structure)
 
 
 def test_constant_objective():
@@ -219,7 +222,7 @@ def test_iterate_path_does_not_depend_on_the_scale_of_omega(build):
     # to 1 + |value|.
     po = build()
     base = solve(problem_for(po))
-    for c in (0.25, 8.0, 1024.0):
+    for c in (0.25, 8.0, 1024.0, 2.0**510):
         scaled = PerformanceOperator(po.omega * c, po.structure)
         object.__setattr__(scaled, "twirl", po.twirl)
         sol = solve(problem_for(scaled))
