@@ -37,6 +37,7 @@ from .errors import (
     DimOverflowError,
     DuplicateLabelError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidBranchSumError,
     LabelMismatchError,
     NoConvergenceError,
@@ -83,6 +84,7 @@ __all__ = [
     "DimOverflowError",
     "DuplicateLabelError",
     "IndexOutOfRangeError",
+    "InvalidArgumentError",
     "InvalidBranchSumError",
     "KrausMap",
     "LabelMismatchError",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, LabelMismatchError, NotPSDError
+from .errors import DimMismatchError, InvalidArgumentError, LabelMismatchError, NotPSDError
 from .labeled import TOL_VERIFY, LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
 from .labeled import _hermitian_part, _level_residuals
 from .link import link_product
@@ -61,7 +61,7 @@ class KrausMap:
                 )
             ops.append(k)
         if not ops:
-            raise ValueError("at least one Kraus operator is required")
+            raise InvalidArgumentError("at least one Kraus operator is required")
         object.__setattr__(self, "in_wire", in_wire)
         object.__setattr__(self, "out_wire", out_wire)
         object.__setattr__(self, "kraus", tuple(ops))

@@ -7,9 +7,9 @@ verify --tol to TOL_VERIFY.  Human-readable rows go to stdout by default;
 with --json the machine-readable result record is the only stdout output
 and informational notes move to stderr.  Exit codes are a stable contract:
 0 success, 1 domain failure (a verification that should pass does not),
-2 input error (bad or unknown options, unreadable, unwritable or existing
-files, dimension caps), 3 convergence failure (the result record is still
-written, with converged false).
+2 input error (a bad option or any QCombsError: a refused value, an
+unreadable, unwritable or existing file, a dimension cap), 3 convergence
+failure (the result record is still written, with converged false).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .comb import (
     random_comb,
     verify_causality,
 )
-from .errors import BoundUnavailableError, QCombsError
+from .errors import BoundUnavailableError, InvalidArgumentError, QCombsError
 from .io import OperatorFile, ResultRecord
 from .objective import (
     cloning_objective,
@@ -43,10 +43,6 @@ EXIT_INPUT = 2
 EXIT_NOCONV = 3
 
 SOLVER_BACKEND = "projection-splitting"
-
-
-class _CliInputError(Exception):
-    pass
 
 
 class _CliDomainError(Exception):
@@ -98,9 +94,9 @@ def _refuse_unwritable_out(args) -> None:
     missing directory, or exists without --force."""
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():
-        raise _CliInputError(f"cannot write {out}: not a file in an existing directory")
+        raise InvalidArgumentError(f"cannot write {out}: not a file in an existing directory")
     if out.exists() and not args.force:
-        raise _CliInputError(f"cannot write {out}: it exists; pass --force to overwrite")
+        raise InvalidArgumentError(f"cannot write {out}: it exists; pass --force to overwrite")
 
 
 def _write_and_recheck(comb: QuantumComb, metadata: dict, args) -> CausalityReport:
@@ -110,7 +106,7 @@ def _write_and_recheck(comb: QuantumComb, metadata: dict, args) -> CausalityRepo
     try:
         f.save(args.out, force=args.force)
     except FileExistsError as e:
-        raise _CliInputError(f"{args.out} exists; pass --force to overwrite") from e
+        raise InvalidArgumentError(f"{args.out} exists; pass --force to overwrite") from e
     back = OperatorFile.load(args.out).to_operator()
     report = verify_causality(back, comb.structure, twirl=comb.twirl)
     if not report.passed:
@@ -153,7 +149,7 @@ def _int_list(text: str, what: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p]
     except ValueError:
-        raise _CliInputError(
+        raise InvalidArgumentError(
             f"{what} must be comma-separated integers, got {text!r}"
         ) from None
 
@@ -165,10 +161,7 @@ def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int
     operator file's metadata adds the value and converged.  The gap is
     dual_bound's re-checked one; a failed re-check writes no file.
     """
-    try:
-        problem = SdpProblem(po, po.structure, tol_gap=args.tol, max_iters=args.max_iters)
-    except ValueError as e:
-        raise _CliInputError(str(e)) from None
+    problem = SdpProblem(po, po.structure, tol_gap=args.tol, max_iters=args.max_iters)
     t0 = time.perf_counter()
     sol = solve(problem)
     wall = time.perf_counter() - t0
@@ -207,8 +200,6 @@ def _solve_task(args, task, po, params, reference, source, extra_rows=()) -> int
 
 
 def cmd_clone(args) -> int:
-    if args.n < 1 or args.m < 1 or args.dim < 2:
-        raise _CliInputError("need --n >= 1, --m >= 1, --dim >= 2")
     po = cloning_objective(args.n, args.m, args.dim)
 
     d = args.dim
@@ -224,8 +215,6 @@ def cmd_clone(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    if args.uses < 1 or args.dim < 2:
-        raise _CliInputError("need --uses >= 1, --dim >= 2")
     po = learning_objective(args.uses, args.dim)
 
     d = args.dim
@@ -249,7 +238,7 @@ def _parse_teeth(spec: str, op) -> CombStructure:
     for part in spec.split(","):
         bits = part.split(":")
         if len(bits) != 2 or not bits[0] or not bits[1]:
-            raise _CliInputError(
+            raise InvalidArgumentError(
                 f"bad tooth {part!r} in --teeth; expected in:out label pairs "
                 f"like 0:1,2:3"
             )
@@ -272,12 +261,9 @@ def cmd_random_comb(args) -> int:
     dims = _int_list(args.dims, "--dims")
     memory = _int_list(args.memory, "--memory") if args.memory else []
     if not args.out:
-        raise _CliInputError("random-comb needs --out PATH")
+        raise InvalidArgumentError("random-comb needs --out PATH")
     t0 = time.perf_counter()
-    try:
-        comb = random_comb(CombStructure.standard(dims), memory, args.seed)
-    except ValueError as e:
-        raise _CliInputError(str(e)) from None
+    comb = random_comb(CombStructure.standard(dims), memory, args.seed)
     params = {"dims": args.dims, "memory": args.memory or "", "seed": args.seed}
     report = _write_and_recheck(comb, {"task": "random-comb", **params}, args)
     wall = time.perf_counter() - t0
@@ -383,7 +369,7 @@ def main(argv=None) -> int:
     except _CliDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (_CliInputError, QCombsError) as e:
+    except QCombsError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

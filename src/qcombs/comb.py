@@ -32,6 +32,7 @@ from .errors import (
     DimOverflowError,
     DuplicateLabelError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidBranchSumError,
     LabelMismatchError,
     SlotArityMismatchError,
@@ -69,7 +70,7 @@ class CombStructure(_Wired):
 
     def __post_init__(self):
         if not self.teeth:
-            raise ValueError("a comb needs at least one tooth")
+            raise InvalidArgumentError("a comb needs at least one tooth")
         _check_wires(self.wires)
 
     @classmethod
@@ -80,7 +81,7 @@ class CombStructure(_Wired):
         (in_0, out_0, in_1, out_1, ...) and must have even length.
         """
         if len(dims) % 2 != 0 or not dims:
-            raise ValueError(f"need a nonempty even number of dims, got {len(dims)}")
+            raise InvalidArgumentError(f"need a nonempty even number of dims, got {len(dims)}")
         wires = [Wire(str(i), d) for i, d in enumerate(dims)]
         return cls(tuple((wires[2 * k], wires[2 * k + 1]) for k in range(len(dims) // 2)))
 
@@ -280,11 +281,9 @@ def random_comb(
     T = structure.n_teeth
     memory_dims = tuple(int(m) for m in memory_dims)
     if len(memory_dims) != T - 1:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"need {T - 1} memory dims for {T} teeth, got {len(memory_dims)}"
         )
-    if any(m < 1 for m in memory_dims):
-        raise ValueError(f"memory dims must be >= 1, got {memory_dims}")
     _check_dim(structure.dim, "random_comb")
 
     rng = np.random.default_rng(seed)
@@ -294,7 +293,7 @@ def random_comb(
         m_next = memory_dims[k] if k < T - 1 else m_prev * in_w.dim  # environment
         a, b = m_prev * in_w.dim, out_w.dim * m_next
         if b < a:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"tooth {k}: no isometry from dim {a} into dim {b}; "
                 f"increase memory_dims[{k}]"
             )

@@ -1,12 +1,17 @@
 """Exception types raised across the package.
 
-Everything derives from :class:`QCombsError` so callers can catch broadly;
-the CLI maps these onto exit codes.
+Every input the package refuses raises a :class:`QCombsError`, which the CLI
+maps onto exit codes in one place, except a TypeError for an argument of the
+wrong type and FileExistsError from ``OperatorFile.save`` without ``force``.
 """
 
 
 class QCombsError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidArgumentError(QCombsError, ValueError):
+    """An argument of the right type with a refused value; also a ValueError."""
 
 
 class DuplicateLabelError(QCombsError):

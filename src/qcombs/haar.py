@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Complex matrix with i.i.d. standard complex Gaussian entries."""
@@ -19,7 +21,7 @@ def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def haar_isometry(dim_out: int, dim_in: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random isometry of shape (dim_out, dim_in), dim_out >= dim_in."""
     if dim_out < dim_in:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"an isometry needs dim_out >= dim_in, got {dim_out} < {dim_in}"
         )
     g = ginibre(dim_out, dim_in, rng)

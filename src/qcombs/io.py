@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import OperatorFileError
+from .errors import InvalidArgumentError, OperatorFileError
 from .labeled import LabeledOperator, Wire, _total_dim
 
 OPERATOR_FORMAT_VERSION = 1
@@ -244,12 +244,12 @@ class ResultRecord:
 
     def __post_init__(self):
         if self.reference_source not in PROVENANCE_TAGS:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"reference_source must be one of {PROVENANCE_TAGS}, "
                 f"got {self.reference_source!r}"
             )
         if (self.reference_value is None) != (self.reference_source == "none"):
-            raise ValueError(
+            raise InvalidArgumentError(
                 "reference_value and reference_source must be absent together"
             )
 
@@ -262,21 +262,21 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
-        """The record in text; ValueError unless text is an object with
-        exactly the record's keys, parameters is an object, and to_json
+        """The record in text; InvalidArgumentError unless text is an object
+        with exactly the record's keys, parameters is an object, and to_json
         can write the record again."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ValueError(f"not valid JSON: {e}") from e
+            raise InvalidArgumentError(f"not valid JSON: {e}") from e
         keys = [f.name for f in fields(cls)]
         if not isinstance(doc, dict) or sorted(doc) != sorted(keys):
-            raise ValueError(f"a result record is an object with the keys {keys}")
+            raise InvalidArgumentError(f"a result record is an object with the keys {keys}")
         if not isinstance(doc["parameters"], dict):
-            raise ValueError("parameters must be an object")
+            raise InvalidArgumentError("parameters must be an object")
         record = cls(**doc)
         try:
             record.to_json()
         except OperatorFileError as e:
-            raise ValueError(f"the record cannot be written: {e}") from None
+            raise InvalidArgumentError(f"the record cannot be written: {e}") from None
         return record

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     DuplicateLabelError,
+    InvalidArgumentError,
     NotAPermutationError,
     NotHermitianError,
     TooManyWiresError,
@@ -53,9 +54,9 @@ class Wire:
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
-            raise ValueError(f"wire label must be a non-empty string, got {self.label!r}")
+            raise InvalidArgumentError(f"wire label must be a non-empty string, got {self.label!r}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"wire dimension must be a positive integer, got {self.dim!r}")
+            raise InvalidArgumentError(f"wire dimension must be a positive integer, got {self.dim!r}")
 
 
 def _check_wires(wires: Sequence[Wire]) -> tuple[Wire, ...]:
@@ -192,7 +193,7 @@ class LabeledOperator(_Wired):
         wires = _check_wires(wires)
         d = _total_dim(wires)
         if matrix.shape != (d, d):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"matrix shape {matrix.shape} does not match total dimension {d} "
                 f"of wires {[w.label for w in wires]}"
             )
@@ -227,8 +228,9 @@ class LabeledOperator(_Wired):
         return float(np.linalg.norm(self.matrix))
 
     def is_hermitian(self) -> bool:
+        scale = np.linalg.norm(self.matrix)
         n = np.linalg.norm(self.matrix - self.matrix.conj().T)
-        return n <= EPS_HERMITIAN * max(np.linalg.norm(self.matrix), 1e-300)
+        return np.isfinite(scale) and n <= EPS_HERMITIAN * max(scale, 1e-300)
 
     def __repr__(self):
         spec = ", ".join(f"{w.label}:{w.dim}" for w in self.wires)
@@ -428,7 +430,7 @@ class LabeledVector(_Wired):
         vector = _frozen(np.array(vector).reshape(-1))
         d = _total_dim(wires)
         if vector.shape != (d,):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"vector length {vector.shape[0]} does not match total dimension {d}"
             )
         object.__setattr__(self, "wires", wires)

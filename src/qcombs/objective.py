@@ -25,7 +25,7 @@ import numpy as np
 
 from .choi import max_entangled
 from .comb import CombStructure, _check_dim, _check_labels
-from .errors import NotHermitianError, UnsupportedError
+from .errors import InvalidArgumentError, NotHermitianError, UnsupportedError
 from .labeled import LabeledOperator, LabeledVector
 from .twirl import TwirlSpec, _coordinates
 
@@ -35,8 +35,8 @@ class PerformanceOperator:
     """Hermitian operator Omega with F(R) = Tr[R Omega], prefactors included,
     and, when produced for a concrete task, the comb wire layout it scores.
 
-    omega must be Hermitian to EPS_HERMITIAN and is stored as its Hermitian
-    part, so the stored Omega is exactly Hermitian.  twirl is not an
+    omega must be finite and Hermitian to EPS_HERMITIAN; it is stored as its
+    Hermitian part, so Omega is exactly Hermitian.  twirl is not an
     argument: haar_average and the task objectives set it to the twirl they
     averaged Omega with, which fixes Omega by construction, and the solver
     works in its coordinates (see _Coordinates).  dataclasses.replace drops
@@ -49,6 +49,8 @@ class PerformanceOperator:
     twirl: TwirlSpec | None = field(default=None, init=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.omega.norm()):
+            raise InvalidArgumentError("the objective's Frobenius norm is not finite")
         if not self.omega.is_hermitian():
             raise NotHermitianError("a performance operator must be Hermitian")
         object.__setattr__(self, "omega", self.omega.hermitized())
@@ -127,7 +129,7 @@ def cloning_objective(N: int, M: int, d: int) -> PerformanceOperator:
     achieves that maximum.
     """
     if N < 1 or M < 1:
-        raise ValueError(f"need N, M >= 1, got N={N}, M={M}")
+        raise InvalidArgumentError(f"need N, M >= 1, got N={N}, M={M}")
     slots = range(1, N + 1)
     dims = [d**M] + [d] * (2 * N) + [d**M]
     pairs = [(2 * N + 1, 0)] + [(2 * k, 2 * k - 1) for k in slots]
@@ -147,7 +149,7 @@ def learning_objective(N: int, d: int) -> PerformanceOperator:
     replay.
     """
     if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
+        raise InvalidArgumentError(f"need N >= 1, got N={N}")
     slots = range(1, N + 1)
     dims = [1] + [d] * (2 * N) + [1, d, d]
     pairs = [(0, 2 * N + 1), (2 * N + 3, 2 * N + 2)]

@@ -96,7 +96,7 @@ from .comb import (
     _register_split,
 )
 from .errors import BoundUnavailableError, InvalidBranchSumError
-from .errors import NoConvergenceError
+from .errors import InvalidArgumentError, NoConvergenceError
 from .labeled import LabeledOperator
 from .labeled import _psd_part as _clip
 from .objective import PerformanceOperator
@@ -122,12 +122,10 @@ class SdpProblem:
 
     def __post_init__(self):
         _check_labels(self.omega.omega, self.structure)
-        if not np.isfinite(self.omega.omega.norm()):
-            raise ValueError("the objective's Frobenius norm is not finite")
         if not self.tol_gap > 0:
-            raise ValueError("tolerances must be positive")
+            raise InvalidArgumentError("tolerances must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidArgumentError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LabelMismatchError
+from .errors import InvalidArgumentError, LabelMismatchError
 from .labeled import Wire, _marginals, _total_dim
 
 TAGS = ("U", "U*")
@@ -182,15 +182,15 @@ class TwirlSpec:
 
     def __post_init__(self):
         if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
+            raise InvalidArgumentError(f"dimension must be at least 2, got {self.d}")
         seen = set()
         for label, tag, copies in self.pattern:
             if tag not in TAGS:
-                raise ValueError(f"unknown tag {tag!r} on wire {label!r}")
+                raise InvalidArgumentError(f"unknown tag {tag!r} on wire {label!r}")
             if copies < 1:
-                raise ValueError(f"copies must be >= 1 on wire {label!r}")
+                raise InvalidArgumentError(f"copies must be >= 1 on wire {label!r}")
             if label in seen:
-                raise ValueError(f"wire {label!r} repeats in the pattern")
+                raise InvalidArgumentError(f"wire {label!r} repeats in the pattern")
             seen.add(label)
 
     def _factor(self, wires: Sequence[Wire]) -> tuple[list[str], int, tuple[int, ...]]:

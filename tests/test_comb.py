@@ -11,6 +11,7 @@ from qcombs import (
     DimOverflowError,
     DuplicateLabelError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     InvalidBranchSumError,
     KrausMap,
     LabeledOperator,
@@ -72,6 +73,8 @@ def test_standard_structure_layout():
     assert (slot[0].label, slot[1].label) == ("1", "2")
     with pytest.raises(ValueError):
         CombStructure.standard([2, 2, 2])
+    with pytest.raises(InvalidArgumentError, match="at least one tooth"):
+        CombStructure(())
     with pytest.raises(DuplicateLabelError):
         CombStructure(((Wire("x", 2), Wire("x", 2)),))
 
@@ -233,6 +236,9 @@ def test_random_comb_argument_errors():
     s3 = CombStructure.standard([2, 2, 2, 2, 2, 2])
     with pytest.raises(ValueError):
         random_comb(s3, [2, 1], 0)
+    # The per-tooth isometry check refuses a memory dim below 1, at its tooth.
+    with pytest.raises(InvalidArgumentError, match=r"increase memory_dims\[1\]"):
+        random_comb(s3, [2, 0], 0)
     big = CombStructure.standard([4, 4, 4, 4, 4, 4, 2, 2])
     with pytest.raises(DimOverflowError, match="random_comb needs dimension 16384"):
         random_comb(big, [4, 4, 4], 0)
@@ -331,6 +337,8 @@ def test_supermap_argument_errors():
         supermap_apply(comb, [op, op])
     with pytest.raises(LabelMismatchError):
         supermap_apply(comb, [op.relabeled({"1": "9"})])
+    with pytest.raises(TypeError):
+        supermap_apply(comb, [object()])
 
 
 def slot_channels(structure, rng):
@@ -501,6 +509,8 @@ def test_probabilistic_comb_validation():
     comb = two_tooth_comb(9)
     p = split_into_branches(comb, [0.25, 0.75])
     assert p.outcome_ids == ("w0", "w1")
+    with pytest.raises(IndexOutOfRangeError, match="'absent'"):
+        p.branch("absent")
     with pytest.raises(DuplicateLabelError):
         ProbabilisticComb(
             [("x", comb.op * 0.5), ("x", comb.op * 0.5)], comb.structure

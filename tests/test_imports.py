@@ -1,5 +1,7 @@
 """The package's import graph: every import at module level, no cycle, and
-the twirl's algebra at the bottom, below comb, choi and objective."""
+the twirl's algebra at the bottom, below comb, choi and objective.  And its
+error contract: no module raises a bare ValueError, and every exported error
+is a QCombsError."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -50,3 +52,12 @@ def test_the_module_graph_is_acyclic():
 def test_twirl_imports_only_labeled_and_errors():
     graph, _ = _package_imports()
     assert graph["twirl"] == {"labeled", "errors"}
+
+
+def test_every_refusal_is_a_qcombs_error():
+    # A bare ValueError escapes `except QCombsError`; the package raises
+    # InvalidArgumentError, a QCombsError that is also a ValueError.
+    bare = [p.name for p in sorted(SRC.glob("*.py")) if "raise ValueError" in p.read_text()]
+    assert bare == []
+    errors = [getattr(qcombs, name) for name in qcombs.__all__ if name.endswith("Error")]
+    assert all(issubclass(e, qcombs.QCombsError) for e in errors)

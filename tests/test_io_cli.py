@@ -9,9 +9,11 @@ from qcombs import (
     OPERATOR_FORMAT_VERSION,
     TOL_VERIFY,
     BoundUnavailableError,
+    CausalityReport,
     LabeledOperator,
     OperatorFile,
     OperatorFileError,
+    QCombsError,
     ResultRecord,
     SdpProblem,
     Wire,
@@ -205,6 +207,9 @@ def test_loads_rejects_metadata_its_writer_cannot_write(text, message):
         lambda d: _set_key(d, "wires", [{"label": 3, "dim": 2}]),
         lambda d: _set_key(d, "entries", [[0.0, 0.0]] * 7),
         lambda d: _set_entry(d, 0, [0.0, "x"]),
+        lambda d: _set_entry(d, 0, [float("nan"), 0]),
+        lambda d: _set_entry(d, 0, [float("inf"), 0]),
+        lambda d: _set_entry(d, 0, "X").replace('"X"', "[1e400, 0]"),
         lambda d: _set_key(d, "metadata", [1]),
         lambda d: _set_wire(d, 0, "dim", 0),
         lambda d: _set_wire(d, 0, "dim", -2),
@@ -283,6 +288,13 @@ def test_load_missing_file(tmp_path):
         OperatorFile.load(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_save_into_a_directory_is_refused(tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "op.json"
+    with pytest.raises(OperatorFileError, match="cannot write"):
+        sample_file().save(target, force=True)
+
+
 # ---------------------------------------------------------------------------
 # Result records
 
@@ -340,6 +352,11 @@ def test_record_from_json_rejects_what_it_cannot_write(mangle, message):
     doc = json.loads(make_record().to_json())
     with pytest.raises(ValueError, match=message):
         ResultRecord.from_json(json.dumps(mangle(doc)))
+
+
+def test_record_from_json_rejects_invalid_json():
+    with pytest.raises(QCombsError, match="not valid JSON"):
+        ResultRecord.from_json("{")
 
 
 GOLDEN_RECORD = """\
@@ -697,6 +714,16 @@ def test_unwritable_out_exits_2(monkeypatch, tmp_path, capsys, argv, where):
     assert where != "exists" or (tmp_path / "x.json").read_text() == "keep"
 
 
+def test_failed_reverification_exits_1(monkeypatch, tmp_path, capsys):
+    def fail(op, structure, tol=TOL_VERIFY, twirl=None):
+        return CausalityReport(False, (1.0,), 0.0, 0.0, tol)
+
+    monkeypatch.setattr(cli, "verify_causality", fail)
+    out = tmp_path / "comb.json"
+    assert main(["random-comb", "--dims", "2,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the written operator failed")
+
+
 def test_random_comb_requires_out(capsys):
     assert main(["random-comb", "--dims", "2,2"]) == 2
     capsys.readouterr()
@@ -711,6 +738,7 @@ def test_random_comb_requires_out(capsys):
         ("0,2", ""),  # zero dimension
         (",", ""),  # no dimension
         ("2,2,2,2", "0"),  # zero memory
+        ("2,x", ""),  # not an integer
     ],
 )
 def test_random_comb_argument_errors_exit_2(tmp_path, capsys, dims, memory):

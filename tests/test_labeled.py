@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from qcombs import (
     DimMismatchError,
     DuplicateLabelError,
+    InvalidArgumentError,
     LabeledOperator,
     LabeledVector,
     NotAPermutationError,
@@ -13,6 +14,7 @@ from qcombs import (
     UnknownLabelError,
     Wire,
     ginibre,
+    haar_isometry,
     link_product,
 )
 from conftest import rand_hermitian
@@ -76,6 +78,18 @@ def test_matmul_and_adjoint():
     h = x.hermitized()
     assert h.is_hermitian()
     assert_allclose(h.matrix, (x.matrix + x.matrix.conj().T) / 2)
+
+
+def test_is_hermitian_is_false_when_the_norm_overflows():
+    # ||M - M^dagger|| <= eps ||M|| would read inf <= inf and pass.
+    skew = np.array([[1.0, 1.0], [-1.0, 1.0]]) * 2.0**520
+    with np.errstate(over="ignore"):
+        assert not LabeledOperator((A,), skew).is_hermitian()
+
+
+def test_haar_isometry_needs_dim_out_at_least_dim_in():
+    with pytest.raises(InvalidArgumentError, match="dim_out >= dim_in"):
+        haar_isometry(1, 2, np.random.default_rng(0))
 
 
 def test_tensor_is_kron_in_order():

@@ -8,6 +8,7 @@ from qcombs import (
     CombStructure,
     DimMismatchError,
     DimOverflowError,
+    InvalidArgumentError,
     LabeledOperator,
     LabelMismatchError,
     NotHermitianError,
@@ -232,6 +233,13 @@ def test_task_objectives_refuse_a_dimension_below_2():
         learning_objective(1, 1)
 
 
+def test_task_objectives_refuse_zero_uses():
+    with pytest.raises(InvalidArgumentError, match="N, M >= 1"):
+        cloning_objective(0, 2, 2)
+    with pytest.raises(InvalidArgumentError, match="N >= 1"):
+        learning_objective(0, 2)
+
+
 def test_twirl_spec_must_match_the_wires():
     base = LabeledOperator.identity((Wire("a", 2), Wire("b", 4)))
     with pytest.raises(LabelMismatchError, match="not on the operator"):
@@ -255,6 +263,15 @@ def test_performance_operator_validation():
     wider = CombStructure.standard([2, 2, 2, 4])
     with pytest.raises(DimMismatchError):
         PerformanceOperator(po.omega, wider)
+    # ||Omega|| overflows: storing its Hermitian part would silently drop
+    # the anti-Hermitian half, so it is refused.
+    skew = np.array([[1.0, 1.0], [-1.0, 1.0]]) * 2.0**520
+    overflowed = LabeledOperator((Wire("a", 2),), skew)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            PerformanceOperator(overflowed)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            haar_average(TwirlSpec(2, (("a", "U", 1),)), overflowed)
 
 
 def test_performance_operator_is_exactly_hermitian():
