@@ -366,12 +366,9 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             _refuse_unwritable_out(args)
         return args.func(args)
-    except _CliDomainError as e:
+    except (_CliDomainError, QCombsError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except QCombsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DOMAIN if isinstance(e, _CliDomainError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -276,7 +276,7 @@ def random_comb(
     far with one column per index of the open memory, and the comb is
     Psi Psi^dagger.  The cap checks D, then each isometry's rows before it
     is drawn, so nothing larger than D x D or D x rows is built.
-    The draw is a deterministic function of the seed.
+    The draw is a deterministic function of the seed, an int >= 0.
     """
     T = structure.n_teeth
     memory_dims = tuple(int(m) for m in memory_dims)
@@ -284,6 +284,8 @@ def random_comb(
         raise InvalidArgumentError(
             f"need {T - 1} memory dims for {T} teeth, got {len(memory_dims)}"
         )
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
     _check_dim(structure.dim, "random_comb")
 
     rng = np.random.default_rng(seed)

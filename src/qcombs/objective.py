@@ -49,6 +49,7 @@ class PerformanceOperator:
     twirl: TwirlSpec | None = field(default=None, init=False)
 
     def __post_init__(self):
+        # is_hermitian is False on an overflowed norm too; this names the cause.
         if not np.isfinite(self.omega.norm()):
             raise InvalidArgumentError("the objective's Frobenius norm is not finite")
         if not self.omega.is_hermitian():

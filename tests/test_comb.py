@@ -239,6 +239,9 @@ def test_random_comb_argument_errors():
     # The per-tooth isometry check refuses a memory dim below 1, at its tooth.
     with pytest.raises(InvalidArgumentError, match=r"increase memory_dims\[1\]"):
         random_comb(s3, [2, 0], 0)
+    # numpy's own ValueError for a negative seed would escape QCombsError.
+    with pytest.raises(InvalidArgumentError, match="seed must be"):
+        random_comb(s3, [2, 2], -1)
     big = CombStructure.standard([4, 4, 4, 4, 4, 4, 2, 2])
     with pytest.raises(DimOverflowError, match="random_comb needs dimension 16384"):
         random_comb(big, [4, 4, 4], 0)

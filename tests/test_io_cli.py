@@ -749,6 +749,13 @@ def test_random_comb_argument_errors_exit_2(tmp_path, capsys, dims, memory):
     assert not out.exists()
 
 
+def test_random_comb_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "comb.json"
+    assert main(["random-comb", "--dims", "2,2", "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_scaled_comb(tmp_path, capsys):
     out = tmp_path / "comb.json"
     main(["random-comb", "--dims", "2,2", "--seed", "4", "--out", str(out)])
