@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatchError, InvalidArgumentError, LabelMismatchError, NotPSDError
 from .labeled import TOL_VERIFY, LabeledOperator, LabeledVector, Wire, _frozen, _total_dim
-from .labeled import _hermitian_part, _level_residuals
+from .labeled import _level_residuals
 from .link import link_product
 from .twirl import _Coordinates, _coordinates
 
@@ -187,12 +187,14 @@ def _feasibility(
     mat: np.ndarray, dims: Sequence[int], coords: _Coordinates, tol: float
 ) -> CausalityReport:
     """Judge the Choi matrix mat of a board whose wires have dims in comb
-    order: labeled._level_residuals, the labeled._hermitian_part defect and
-    coords.eigenvalue_floor of the Hermitian part must each be within tol.
-    It never raises; with dims = () only positivity is judged."""
+    order: labeled._level_residuals, the defect ||M - M^dagger|| / 2 and
+    coords.eigenvalue_floor of the Hermitian part, from one coords.read of
+    mat, must each be within tol.  The residuals and the defect stay dense;
+    no Hermitian part of mat is built.  It never raises; with dims = () only
+    positivity is judged."""
     residuals = tuple(_level_residuals(mat, dims))
-    hermiticity, h = _hermitian_part(mat)
-    lo = coords.eigenvalue_floor(h)
+    hermiticity = float(np.linalg.norm(mat - mat.conj().T)) / 2.0
+    lo = coords.eigenvalue_floor(mat)
     passed = all(r <= tol for r in (*residuals, -lo, hermiticity))
     return CausalityReport(passed, residuals, lo, hermiticity, tol)
 

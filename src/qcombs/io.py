@@ -105,7 +105,10 @@ def _entries_to_complex(entries: list) -> np.ndarray:
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
             raise OperatorFileError(f"entry {i} is not an [re, im] pair: {pair!r}")
-        flat[i] = pair[0] + 1j * pair[1]
+        try:
+            flat[i] = pair[0] + 1j * pair[1]
+        except OverflowError as e:
+            raise OperatorFileError(f"entry {i} overflows a float") from e
     return flat
 
 

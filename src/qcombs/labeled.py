@@ -101,14 +101,6 @@ def _psd_part(mat: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _hermitian_part(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """||D|| / 2 with D = M - M^dagger, and the Hermitian part M - D / 2:
-    the one rule of the positivity checks, which report a non-Hermitian M
-    through its defect and never raise on it."""
-    half = (mat - mat.conj().T) / 2.0
-    return float(np.linalg.norm(half)), mat - half
-
-
 def _marginals(k: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """M_w = Tr_{dims[w:]}[X], w = 0 .. len(dims), for each X of the stack k
     (s, D, D) whose last wires have the dims; each is a trace of the next."""

@@ -65,17 +65,19 @@ diagonalize one copy of each irrep block instead of the D x D matrix.
 Omega enters the coordinates once per solve, and R_star and the final
 certificate leave them once.  An objective with no twirl is the one-block
 case, whose coordinates are the matrix.  Soundness does not rest on the
-symmetry: the value is Tr[R Omega] of a polished comb, and positivity is
-certified on the dense operators, those of R_star for feas_residual (R_star
-carries the twirl, so R_star.verify() does the same) and P(T) - Omega in
-dual_bound, by _Coordinates.eigenvalue_floor.  That lower bound on the
-least eigenvalue reads the twirl's blocks and subtracts the distance of the
-dense operator from the algebra (Weyl's inequality) and allowances for the
-measured orthogonality defect of Q and for rounding, so it never exceeds
-the true least eigenvalue: a wrong decomposition would show as a failed
-check, never as a certified false number.  The level residuals, the range
-projection of dual_bound and the operators themselves stay D x D, so a
-solve takes the one cap comb.MAX_DIM on D, as every dense build does.
+symmetry: the value is Tr[R Omega] of a polished comb, and the checks read
+the dense operators once each (_Coordinates.read), R_star for feas_residual
+(R_star carries the twirl, so R_star.verify() does the same) and T and
+Omega in dual_bound, into coordinates and a bound on the distance from the
+algebra.  Every check runs on that pair and bounds the dense quantity it
+stands for from the failing side; positivity by
+_Coordinates.eigenvalue_floor, which subtracts the distance (Weyl's
+inequality) and allowances for the measured orthogonality defect of Q and
+for rounding.  A wrong decomposition would show as a failed check, never
+as a certified false number.  That read, the level residuals' marginal
+chain, the Hermitian defect of R_star and the operators themselves stay
+D x D, so a solve takes the one cap comb.MAX_DIM on D, as every dense
+build does.
 """
 
 from __future__ import annotations
@@ -408,16 +410,20 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
 
     Re-checks, independently of the solve run, that the stored certificate
     T is a finite D x D matrix, Hermitian and within tol = 1e-8 * (1 +
-    ||T||_F) of its projection P(T) onto the constraint range, and that
+    ||K_T||_F) of its projection P(T) onto the constraint range, and that
     lambda_lo >= -tol, where lambda_lo is the certified lower bound on
     lambda_min(P(T) - Omega) of _Coordinates.eigenvalue_floor, taken on the
     blocks of Omega's twirl (one dense block when Omega carries none).
     Raises BoundUnavailableError when no certificate is stored or a check
     fails.  The bound pays for the slack the checks accept: it is
     trace_value * (Tr[P(T)] / D + max(0, -lambda_lo)), with P(T) taken
-    Hermitian.  The Hermitian and range checks run on the dense D x D
-    matrices; a certificate off the twirl's algebra lowers lambda_lo by its
-    distance from it, so it can only fail.
+    Hermitian.  T and Omega are read once each (_Coordinates.read) into
+    coordinates K and a distance r from the algebra, and every check runs
+    on those, bounding its dense quantity from the failing side: ||T -
+    T^dagger|| <= ||K_T - K_T^dagger|| + 2 r_T and, as P is an orthogonal
+    projection that commutes with the twirl, ||T - P(T)|| <= ||K_T -
+    P(K_T)|| + r_T, and P(T) - Omega is within r_T + r_Omega of the
+    operator of P(K_T) - K_Omega.
     """
     cert = candidate.dual_certificate
     if cert is None:
@@ -426,28 +432,28 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     D = structure.dim
     if cert.shape != (D, D):
         raise BoundUnavailableError(f"the dual certificate has shape {cert.shape}, not {(D, D)}")
-    if not np.all(np.isfinite(cert)):
+    coords = _coordinates(p.omega.twirl, structure.wires)
+    with np.errstate(invalid="ignore", over="ignore"):
+        k, r = coords.read(cert)
+    if not (np.isfinite(r) and np.all(np.isfinite(k))):
         raise BoundUnavailableError("the dual certificate is not finite")
-    om = p.omega.omega.permuted(structure.labels).matrix
-    scale = 1.0 + float(np.linalg.norm(cert))
-    tol = 1e-8 * scale
-    if float(np.linalg.norm(cert - cert.conj().T)) > tol:
-        raise BoundUnavailableError("the dual certificate is not Hermitian")
-    dense = _coordinates(None, structure.wires)
-    proj = _dual_range_projection(cert[None], dense)
-    if float(np.linalg.norm(cert - proj[0])) > tol:
+    om, r_om = coords.read(p.omega.omega.permuted(structure.labels).matrix)
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(k)))
+    if 2.0 * (float(np.linalg.norm(k - coords.hermitian(k))) + r) > tol:
+        raise BoundUnavailableError("the dual certificate is not Hermitian, or off the algebra")
+    proj = _dual_range_projection(k, coords)
+    if float(np.linalg.norm(k - proj)) + r > tol:
         raise BoundUnavailableError(
             "the dual certificate leaves the constraint range, so it is not "
             "constant on the comb set"
         )
-    proj = dense.hermitian(proj)
-    lo = _coordinates(p.omega.twirl, structure.wires).eigenvalue_floor(proj[0] - om)
+    lo = coords.eigenvalue_floor(proj - om, r + r_om)
     if lo < -tol:
         raise BoundUnavailableError(
             f"the dual certificate does not dominate the objective "
             f"(min eigenvalue {lo:.3e})"
         )
-    return float(structure.trace_value * (dense.trace(proj) / D + max(0.0, -lo)))
+    return float(structure.trace_value * (coords.trace(proj) / D + max(0.0, -lo)))
 
 
 def solve_probabilistic(

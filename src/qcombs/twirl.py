@@ -21,8 +21,8 @@ this module alone knows their encoding; no twirl is the one-block case.
 That projection reads the marginal chain (labeled._marginals) that
 verify_causality, reduced_comb and is_channel check the constraints with.
 Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
-less the distance of the dense operator from the algebra, so an operator
-the twirl does not fix fails the check instead of passing it.
+less the distance from the algebra that one dense read (_Coordinates.read)
+bounds, so an operator the twirl does not fix fails the check instead.
 
 This module imports only labeled and errors, so comb, choi and objective
 all take the coordinates from it.
@@ -85,8 +85,8 @@ def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
 _EIG_GAP = 1e-8
 _BLOCK_TOL = 1e-10
 
-# Unit roundoff, and the number of entries eigenvalue_floor takes its
-# residual over at a time.
+# Unit roundoff, and the number of entries read takes its residual over
+# at a time.
 _U = np.finfo(float).eps / 2.0
 _CHUNK = 1 << 16
 
@@ -283,8 +283,10 @@ class _Coordinates:
             adjoint.append(row + np.arange(m * m).reshape(m, m).T.ravel())
             row += m * m
         self._adjoint = np.concatenate(adjoint)
-        # The a-priori rounding term of eigenvalue_floor per unit ||K||_F,
-        # c the most copies; none in the one-block case.
+        # The rounding of matrix(K) per unit ||K||_F, for read: gamma_s
+        # ||U||_F for the product with the scaled matrix units U (||U||_F^2
+        # = s) and (c + 3) u sqrt(c s) for the rounding of U itself, c the
+        # most copies; none in the one-block case.
         s, c = len(units), float(copies.max())
         self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) if labels else 0.0
         self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
@@ -341,7 +343,9 @@ class _Coordinates:
     def hermitian(self, k: np.ndarray) -> np.ndarray:
         """Coordinates of the Hermitian part: X^dagger has coordinates
         K_ji^dagger at the row of E_ij."""
-        return (k + k[self._adjoint].conj().transpose(0, 2, 1)) / 2.0
+        out = k + k[self._adjoint].conj().transpose(0, 2, 1)
+        out /= 2.0
+        return out
 
     def blocks(self, k: np.ndarray) -> list[np.ndarray]:
         """sqrt(copies) times one copy of each irrep block."""
@@ -368,56 +372,68 @@ class _Coordinates:
     def max_eigenvalue(self, k: np.ndarray) -> float:
         return -self.min_eigenvalue(-k)
 
-    def eigenvalue_floor(self, h: np.ndarray) -> float:
-        """A lower bound on the least eigenvalue of the Hermitian D x D
-        matrix h, in or out of the algebra, from the eigenvalues of the
-        twirl's blocks.
+    def read(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
+        """The coordinates K = of(mat) and a bound r >= ||mat - W||_F on the
+        distance of mat from the exact operator W of K, in one transposed
+        copy, one product and a residual summed in row chunks of that copy,
+        so no second D x D array is built: r is (1 + D^2 u) times the
+        computed ||mat - matrix(K)||_F plus self.rounding ||K||_F.  With no
+        twirled wire K is mat, uncopied, and r = 0; otherwise a non-finite
+        entry of mat makes r non-finite, as the residual subtracts from it.
+        """
+        if self._dr == self.dim:
+            return mat[None], 0.0
+        x = self._transposed(mat)
+        flat = self._units @ x
+        step = max(1, _CHUNK // x.shape[1])
+        squares = 0.0
+        for j in range(0, len(x), step):
+            y = self._units[:, j : j + step].T @ flat
+            np.subtract(x[j : j + step], y, out=y)
+            squares += float(np.vdot(y, y).real)
+        r = (1.0 + self.dim**2 * _U) * squares**0.5
+        r += self.rounding * float(np.linalg.norm(flat))
+        return flat.reshape(-1, self._dr, self._dr), r
 
-        With no twirled wire this is the one-block case: the computed
-        eigenvalues of h less the eigensolver allowance of
-        _eigenvalue_floor.  Otherwise let K be the Hermitian part of
-        the computed coordinates of h, B_b its blocks and W the exact
-        operator they stand for, W = S Z S^T with S = Q (x) I_rest and Z
-        block diagonal with eigenvalues those of the B_b / sqrt(c_b).  Then
+    def eigenvalue_floor(self, k: np.ndarray, r: float | None = None) -> float:
+        """A lower bound on the least eigenvalue of the Hermitian part of
+        any matrix within r of the operator of the coordinates k (see read);
+        a dense matrix given alone is read first.
+
+        With no twirled wire: the eigenvalues of the Hermitian part of k[0]
+        less the allowance of _eigenvalue_floor, less r.  Otherwise let B_b
+        be the blocks of the computed Hermitian part K_h of k and W the
+        exact operator they stand for, W = S Z S^T with S = Q (x) I_rest and
+        Z block diagonal with eigenvalues those of the B_b / sqrt(c_b).  Then
         lambda_min(Z) >= l = min_b _eigenvalue_floor(B_b) / sqrt(c_b), and
         by Ostrowski's theorem, with ||S^T S - I||_2 = ||Q^T Q - I||_2 <=
         delta (measured, and checked to 1e-10 by _commutant_blocks),
-        lambda_min(W) >= l - delta |l|.  By Weyl's inequality,
-        lambda_min(h) >= lambda_min(W) - ||h - W||_F, and ||h - W||_F is at
-        most the computed residual r = ||h - matrix(K)||_F plus the rounding
-        of matrix(K): gamma_s ||U||_F ||K||_F for the product with the
-        scaled matrix units U (||U||_F^2 = s), and (c + 3) u sqrt(c s)
-        ||K||_F for the rounding of U itself, c the largest number of
-        copies.  The bound returned is
+        lambda_min(W) >= l - delta |l|.  Taking the Hermitian part is a
+        contraction that commutes with the twirl, so the Hermitian part H
+        of the matrix lies within r of the operator of the exact Hermitian
+        part of k, and that within 2u ||K_h||_F of W, the rounding of K_h.
+        By Weyl's inequality the bound returned,
 
-            l - (delta + 2u) |l| - (1 + D^2 u) r - u sqrt(s) (s + (c + 3) sqrt(c)) ||K||_F,
+            l - (delta + 2u) |l| - r - 2u ||K_h||_F,
 
-        u = eps / 2, the extra terms covering the division by sqrt(c_b) and
-        the summation in r.  It never exceeds lambda_min(h): an h off the
-        algebra, or a twirl that is not its own, only makes it lower.  r is
-        summed in column chunks of the transposed copy that of makes, so no
-        second D x D array is built.
+        u = eps / 2, the extra terms covering the division by sqrt(c_b),
+        never exceeds lambda_min(H): a matrix off the algebra, or a twirl
+        that is not its own, only makes it lower.
         """
+        if r is None:
+            k, r = self.read(k)
+        k = self.hermitian(k)
         if self._dr == self.dim:
-            return _eigenvalue_floor(np.linalg.eigvalsh(h))
-        x = self._transposed(h)
-        k = self.hermitian((self._units @ x).reshape(-1, self._dr, self._dr))
+            return _eigenvalue_floor(np.linalg.eigvalsh(k[0])) - r
         low = min(
             _eigenvalue_floor(np.linalg.eigvalsh(b)) / sc
             for b, (_, _, sc) in zip(self.blocks(k), self._irreps)
         )
-        flat, back = k.reshape(len(k), -1), self._units.T
-        step = max(1, _CHUNK // len(x))
-        squares = 0.0
-        for j in range(0, x.shape[1], step):
-            y = back @ flat[:, j : j + step]
-            np.subtract(x[:, j : j + step], y, out=y)
-            squares += float(np.vdot(y, y).real)
         return (
             low
             - (self._q_defect + 2 * _U) * abs(low)
-            - (1.0 + self.dim**2 * _U) * squares**0.5
-            - self.rounding * float(np.linalg.norm(k))
+            - r
+            - 2 * _U * float(np.linalg.norm(k))
         )
 
 

@@ -210,6 +210,8 @@ def test_loads_rejects_metadata_its_writer_cannot_write(text, message):
         lambda d: _set_entry(d, 0, [float("nan"), 0]),
         lambda d: _set_entry(d, 0, [float("inf"), 0]),
         lambda d: _set_entry(d, 0, "X").replace('"X"', "[1e400, 0]"),
+        lambda d: _set_entry(d, 0, [10**400, 0]),
+        lambda d: _set_entry(d, 0, [0, -(10**400)]),
         lambda d: _set_key(d, "metadata", [1]),
         lambda d: _set_wire(d, 0, "dim", 0),
         lambda d: _set_wire(d, 0, "dim", -2),
@@ -802,6 +804,10 @@ def test_verify_input_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(zero_dim), "--teeth", "0:1"]) == 2
     assert "error: each wire needs" in capsys.readouterr().err
+    huge = tmp_path / "huge.json"
+    huge.write_text(_set_entry(json.loads(path.read_text()), 0, [10**400, 0]))
+    assert main(["verify", str(huge), "--teeth", "0:1"]) == 2
+    assert "entry 0 overflows a float" in capsys.readouterr().err
 
 
 def test_verify_json_record(tmp_path, capsys):

@@ -23,7 +23,7 @@ from qcombs import (
     solve_probabilistic,
 )
 from qcombs import comb, objective, solver, twirl
-from conftest import conjugation_operator
+from conftest import conjugation_operator, rand_hermitian
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
 
@@ -271,6 +271,21 @@ def test_budgeted_qutrit_certificate_takes_no_full_eigendecomposition(monkeypatc
     assert max(orders) < 729
 
 
+def test_budgeted_qutrit_dual_checks_take_no_dense_range_projection(monkeypatch):
+    shapes = []
+    project = solver._dual_range_projection
+
+    def recorded(k, coords):
+        shapes.append(k.shape)
+        return project(k, coords)
+
+    monkeypatch.setattr(solver, "_dual_range_projection", recorded)
+    p = problem_for(cloning_objective(1, 2, 3), max_iters=5)
+    dual_bound(p, solve(p))
+    assert len(shapes) == 2
+    assert (1, 729, 729) not in shapes
+
+
 def test_best_feasible_sequence_is_monotone():
     sol = solve(problem_for(cloning_objective(1, 2, 2)))
     values = [v for v, _ in sol.trace_log]
@@ -384,6 +399,103 @@ def test_dual_bound_pays_for_the_slack_it_accepts(build, optimum):
     bound = dual_bound(p, dataclasses.replace(sol, dual_certificate=shifted))
     assert type(bound) is float
     assert bound >= optimum
+
+
+def _dense_checks(p, cert):
+    """What the one-block checks of dual_bound read: the range defect
+    ||T - P(T)||_F, P(T) - Omega with P(T) taken Hermitian, and the
+    tolerance 1e-8 * (1 + ||T||_F)."""
+    s = p.structure
+    proj = solver._dual_range_projection(cert[None], twirl._Coordinates(None, s.wires))[0]
+    h = (proj + proj.conj().T) / 2 - p.omega.omega.permuted(s.labels).matrix
+    return float(np.linalg.norm(cert - proj)), h, 1e-8 * (1.0 + np.linalg.norm(cert))
+
+
+@pytest.mark.parametrize(
+    "build, optimum",
+    [
+        (lambda: cloning_objective(1, 2, 2), (2 + math.sqrt(3)) / 8),
+        (lambda: cloning_objective(1, 2, 3), (3 + math.sqrt(8)) / 27),
+    ],
+    ids=["clone12", "qutrit-clone"],
+)
+def test_coordinate_dual_bound_refuses_what_the_dense_checks_fail(build, optimum):
+    # Certificates moved by about the tolerance, off the range, off the
+    # algebra or down along the identity: every one that the one-block
+    # dense checks fail must be refused, and every one accepted must still
+    # bound the optimum.
+    po = build()
+    s = po.structure
+    p = problem_for(po)
+    sol = solve(p)
+    cert = sol.dual_certificate
+    coords = twirl._coordinates(po.twirl, s.wires)
+    dense = twirl._Coordinates(None, s.wires)
+    _, h, tol = _dense_checks(p, cert)
+
+    def in_range(g):
+        return solver._dual_range_projection(g[None], dense)[0]
+
+    def off_algebra(g):
+        return g - coords.matrix(coords.of(g))
+
+    def with_cert(t):
+        return dataclasses.replace(sol, dual_certificate=t)
+
+    g = rand_hermitian(s.dim, np.random.default_rng(5))
+    failed = set()
+    for move in (g, in_range(g), off_algebra(in_range(g)), -np.eye(s.dim)):
+        move = move / np.abs(np.linalg.eigvalsh((move + move.conj().T) / 2)).max()
+        for size in (0.5, 2.0, 10.0):
+            t = cert + size * tol * move
+            defect, t_h, t_tol = _dense_checks(p, t)
+            if defect > t_tol or np.linalg.eigvalsh(t_h)[0] < -t_tol:
+                failed |= {"range"} if defect > t_tol else {"dominance"}
+                with pytest.raises(BoundUnavailableError):
+                    dual_bound(p, with_cert(t))
+            else:
+                try:
+                    assert dual_bound(p, with_cert(t)) >= optimum
+                except BoundUnavailableError:
+                    pass
+    assert failed == {"range", "dominance"}
+
+    # A move inside the range and orthogonal to the algebra leaves the
+    # coordinates of T as they are; aimed at the least eigenvector of
+    # P(T) - Omega, it makes that operator indefinite, and only the
+    # distance from the algebra shows it.
+    v = np.linalg.eigh(h)[1][:, 0]
+    e = off_algebra(in_range(-np.outer(v, v.conj())))
+    e = e * (100 * tol / abs(v.conj() @ e @ v))
+    assert np.abs(coords.of(e)).max() <= 1e-12 * tol
+    t = cert + e
+    defect, t_h, t_tol = _dense_checks(p, t)
+    eigs = np.linalg.eigvalsh(t_h)
+    assert defect <= t_tol
+    assert eigs[0] < -t_tol < t_tol < eigs[-1]
+    with pytest.raises(BoundUnavailableError):
+        dual_bound(p, with_cert(t))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cloning_objective(1, 2, 2),
+        lambda: learning_objective(2, 2),
+        lambda: cloning_objective(1, 2, 3),
+    ],
+    ids=["clone12", "learn2", "qutrit-clone"],
+)
+def test_coordinate_dual_bound_matches_the_dense_route(build):
+    # dataclasses.replace drops the twirl, so the copy re-checks the same
+    # certificate on one dense block.
+    po = build()
+    p = problem_for(po)
+    sol = solve(p)
+    flat = dataclasses.replace(po)
+    assert flat.twirl is None
+    bound = dual_bound(p, sol)
+    assert abs(bound - dual_bound(problem_for(flat), sol)) <= 1e-12 * (1.0 + abs(bound))
 
 
 def test_probabilistic_single_branch_reduces_to_solve():
