@@ -8,7 +8,7 @@ the contraction match circuit composition) and keeps everything else.
 
 import numpy as np
 
-from qcombs import LabeledOperator, Network, Wire, assemble, link_product
+from qcombs import LabeledOperator, Wire, link_product
 
 rng = np.random.default_rng(7)
 
@@ -53,9 +53,10 @@ print(
     np.trace(x.matrix.T @ y.matrix),
 )
 
-# A Network assembles many fragments at once and refuses ambiguous wiring
-# (any label would have to appear on three parts for that).
-chain = Network([rand_op(a_wire, b_wire), rand_op(b_wire, c_wire), rand_op(c_wire, d_wire)])
-print("open wires of the chain:", chain.open_labels)
-result = assemble(chain)
-print("assembled onto:", result.labels)
+# A chain of fragments joins by repeated link products.  Each label sits on
+# at most two fragments, so the order of the products does not matter.
+ab, bc, cd = rand_op(a_wire, b_wire), rand_op(b_wire, c_wire), rand_op(c_wire, d_wire)
+forward = link_product(link_product(ab, bc), cd)
+backward = link_product(cd, link_product(bc, ab))
+print("chain lives on:", forward.labels)
+print("order gap:", (forward - backward).norm())

@@ -47,8 +47,8 @@ report = verify_causality(bad, structure)
 print("\nbackwards wiring:")
 print(report)
 
-# Nearby matrices can be repaired: alternating projections find the
-# closest causal board.
+# Nearby matrices can be repaired: alternating projections return a
+# causal board near the perturbed one (not in general the nearest).
 noisy = comb.op + LabeledOperator(comb.op.wires, 0.01 * np.eye(16))
 fixed = project_to_comb(noisy, structure)
 print("\nrepaired perturbed comb verifies:", fixed.verify().passed)
@@ -64,10 +64,13 @@ reg = register_comb(prob)
 print("\nwith outcome register:", reg, "verifies:", reg.verify().passed)
 
 last_out = reg.structure.teeth[-1][1]
-split = reg.op.split_wire(last_out.label, (Wire("o", 2), Wire("r", 3)))
+# The register view: the same matrix, its last wire read as the branch
+# output "o" (dim 2) followed by the register "r" (dim 3).
+split = LabeledOperator(reg.op.wires[:-1] + (Wire("o", 2), Wire("r", 3)), reg.op.matrix)
 for i, oid in enumerate(prob.outcome_ids):
     proj = np.zeros((3, 3))
     proj[i, i] = 1.0
     picked = link_product(split, LabeledOperator((Wire("r", 3),), proj))
-    gap = (picked - prob.branch(oid).relabeled({last_out.label: "o"})).norm()
+    branch = prob.branch(oid)
+    gap = (picked - LabeledOperator(branch.wires[:-1] + (Wire("o", 2),), branch.matrix)).norm()
     print(f"branch {oid} recovered, gap {gap:.2e}")

@@ -48,14 +48,13 @@ from .errors import (
     QCombsError,
     SlotArityMismatchError,
     TooManyWiresError,
-    TripleLabelError,
     UnknownLabelError,
     UnsupportedError,
 )
 from .haar import ginibre, haar_isometry, haar_unitary
 from .io import OPERATOR_FORMAT_VERSION, PROVENANCE_TAGS, OperatorFile, ResultRecord
 from .labeled import LabeledOperator, LabeledVector, Wire
-from .link import Network, assemble, link_product
+from .link import link_product
 from .objective import (
     PerformanceOperator,
     cloning_objective,
@@ -91,7 +90,6 @@ __all__ = [
     "LabeledOperator",
     "LabeledVector",
     "MAX_DIM",
-    "Network",
     "NoConvergenceError",
     "NotAPermutationError",
     "NotHermitianError",
@@ -110,13 +108,11 @@ __all__ = [
     "SlotArityMismatchError",
     "TOL_VERIFY",
     "TooManyWiresError",
-    "TripleLabelError",
     "TwirlSpec",
     "UnknownLabelError",
     "UnsupportedError",
     "Wire",
     "apply_choi",
-    "assemble",
     "choi_to_kraus",
     "cloning_objective",
     "dual_bound",

@@ -190,8 +190,11 @@ def _feasibility(
     order: labeled._level_residuals, the defect ||M - M^dagger|| / 2 and
     coords.eigenvalue_floor of the Hermitian part, from one coords.read of
     mat, must each be within tol.  The residuals and the defect stay dense;
-    no Hermitian part of mat is built.  It never raises; with dims = () only
-    positivity is judged."""
+    no Hermitian part of mat is built.  A board that fails never raises;
+    a tol that is not >= 0 (negative or nan) raises InvalidArgumentError.
+    With dims = () only positivity is judged."""
+    if not tol >= 0:
+        raise InvalidArgumentError(f"tol must be >= 0, got {tol}")
     residuals = tuple(_level_residuals(mat, dims))
     hermiticity = float(np.linalg.norm(mat - mat.conj().T)) / 2.0
     lo = coords.eigenvalue_floor(mat)
@@ -206,7 +209,8 @@ def is_channel(choi: ChoiOperator, tol: float = TOL_VERIFY) -> tuple[bool, float
         ``(ok, residual)``: _feasibility of the one-tooth comb (inputs,
         outputs) on one dense block, and its violation, the largest of the
         trace residual, the Hermitian defect and the magnitude of a lower
-        bound on the most negative eigenvalue; it never raises.
+        bound on the most negative eigenvalue.  A channel that fails never
+        raises; a tol that is not >= 0 raises InvalidArgumentError.
     """
     op = choi.op.permuted(choi.in_labels + choi.out_labels)
     dims = (choi.in_dim, choi.out_dim)

@@ -56,10 +56,16 @@ from .twirl import TwirlSpec, _coordinates
 MAX_DIM = 4096
 
 
-def _check_dim(dim: int, what: str) -> None:
-    """Refuse, before anything is built, a dimension over MAX_DIM."""
-    if dim > MAX_DIM:
-        raise DimOverflowError(f"{what} needs dimension {dim}, over the cap {MAX_DIM}")
+def _check_dim(dim: int, what: str, exponent: int = 1) -> None:
+    """Refuse, before anything is built, a dimension dim**exponent over
+    MAX_DIM.  When exponent * floor(log2 dim) exceeds 1024 the power is
+    never formed: the message names it by that power of 2, a lower bound,
+    so a message prints for any size."""
+    bits = exponent * (dim.bit_length() - 1)
+    if bits <= 1024 and dim**exponent <= MAX_DIM:
+        return
+    size = dim**exponent if bits <= 1024 else f"at least 2**{bits}"
+    raise DimOverflowError(f"{what} needs dimension {size}, over the cap {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -150,9 +156,6 @@ class QuantumComb:
     @property
     def n_teeth(self) -> int:
         return self.structure.n_teeth
-
-    def reduced(self, n: int) -> LabeledOperator:
-        return reduced_comb(self.op, self.structure, n)
 
     def verify(self, tol: float = TOL_VERIFY) -> CausalityReport:
         return verify_causality(self.op, self.structure, tol, self.twirl)
@@ -254,7 +257,8 @@ def verify_causality(
     R is put in comb order and judged by choi._feasibility: it passes iff
     every level residual, the hermiticity and minus a lower bound on the
     least eigenvalue of its Hermitian part are at most tol, and a
-    non-Hermitian R fails and never raises.  The bound is taken on the
+    non-Hermitian R fails and never raises; a tol that is not >= 0 raises
+    InvalidArgumentError.  The bound is taken on the
     blocks of twirl when one is given, and on the dense matrix otherwise;
     it never exceeds the least eigenvalue, so a twirl that does not fix R
     can only make the check fail.

@@ -43,10 +43,6 @@ class NotPSDError(QCombsError):
     eigenvalue beyond tolerance."""
 
 
-class TripleLabelError(QCombsError):
-    """A label occurs in more than two parts of a network."""
-
-
 class SlotArityMismatchError(QCombsError):
     """The number or placement of inserted circuits does not match the
     board's open slots."""

@@ -193,9 +193,10 @@ class OperatorFile:
         entries = doc["entries"]
         if not isinstance(entries, list) or len(entries) != d * d:
             n = len(entries) if isinstance(entries, list) else "non-list"
-            raise OperatorFileError(
-                f"entries has {n} pairs, expected {d * d} for total dimension {d}"
-            )
+            # str() refuses an int of more than 4300 digits.
+            bits = d.bit_length() - 1
+            want = f"{d * d} for total dimension {d}" if bits < 1024 else f"at least 2**{2 * bits}"
+            raise OperatorFileError(f"entries has {n} pairs, expected {want}")
         flat = _entries_to_complex(entries)
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):

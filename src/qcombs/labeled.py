@@ -9,7 +9,7 @@ wire tuple, stored as a 1x1 matrix.
 The data keep their field: bool, integer and float data are stored in
 float64 and complex data in complex128, and any other dtype raises
 TypeError.  numpy's type promotion carries the field through tensor,
-link_product, ptrace, sums and products.
+link_product, sums and products.
 
 All objects are immutable: every method returns a new instance, and each
 holds a write-protected copy of the data it was given, so the caller's
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     InvalidArgumentError,
     NotAPermutationError,
     NotHermitianError,
-    TooManyWiresError,
     UnknownLabelError,
 )
 
@@ -39,11 +38,6 @@ EPS_HERMITIAN = 1e-9
 
 #: Default verification tolerance.
 TOL_VERIFY = 1e-9
-
-#: Most wires one einsum contraction can index: numpy has 52 axis ids, and
-#: every wire takes two of them (its row and its column index).
-MAX_EINSUM_WIRES = 26
-
 
 @dataclass(frozen=True)
 class Wire:
@@ -84,14 +78,6 @@ def _check_order(order: Sequence[str], labels: tuple[str, ...]) -> tuple[str, ..
                 raise UnknownLabelError(f"no wire labeled {lbl!r}")
         raise NotAPermutationError(f"{order} is not a permutation of {labels}")
     return order
-
-
-def _check_einsum_wires(n: int) -> None:
-    if n > MAX_EINSUM_WIRES:
-        raise TooManyWiresError(
-            f"a contraction over {n} distinct wires exceeds the limit of "
-            f"{MAX_EINSUM_WIRES}"
-        )
 
 
 def _psd_part(mat: np.ndarray) -> np.ndarray:
@@ -201,19 +187,11 @@ class LabeledOperator(_Wired):
     def identity(cls, wires: Sequence[Wire]) -> "LabeledOperator":
         return cls._wrap(wires, np.eye(_total_dim(wires)))
 
-    @classmethod
-    def scalar(cls, value: complex) -> "LabeledOperator":
-        """The trivial operator on no wires (a number in operator clothing)."""
-        return cls((), np.array([[value]]))
-
     # -- basic queries ---------------------------------------------------------
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -252,16 +230,6 @@ class LabeledOperator(_Wired):
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "LabeledOperator") -> "LabeledOperator":
-        """Operator product, aligning the right factor's wire order first."""
-        return self._wrap(self.wires, self.matrix @ self._aligned(other).matrix)
-
-    def adjoint(self) -> "LabeledOperator":
-        return self._wrap(self.wires, self.matrix.conj().T)
-
-    def conj(self) -> "LabeledOperator":
-        return self._wrap(self.wires, self.matrix.conj())
-
     def hermitized(self) -> "LabeledOperator":
         return self._wrap(self.wires, 0.5 * (self.matrix + self.matrix.conj().T))
 
@@ -286,107 +254,7 @@ class LabeledOperator(_Wired):
         d = self.dim
         return self._wrap(new_wires, view.transpose(axes).reshape(d, d))
 
-    def ptrace(self, labels: Iterable[str]) -> "LabeledOperator":
-        """Partial trace over ``labels``.
-
-        Tracing every wire yields the scalar operator (empty wire tuple).
-        """
-        labels = list(labels)
-        traced = set()
-        for lbl in labels:
-            self.wire(lbl)
-            if lbl in traced:
-                raise DuplicateLabelError(f"label {lbl!r} listed twice")
-            traced.add(lbl)
-        if not traced:
-            return self
-        n = len(self.wires)
-        _check_einsum_wires(n)
-        dims = self.dims
-        view = self.matrix.reshape(dims + dims)
-        row_sub = list(range(n))
-        col_sub = [
-            i if self.wires[i].label in traced else n + i for i in range(n)
-        ]
-        keep = [i for i in range(n) if self.wires[i].label not in traced]
-        out_sub = keep + [n + i for i in keep]
-        res = np.einsum(view, row_sub + col_sub, out_sub)
-        new_wires = tuple(self.wires[i] for i in keep)
-        d = _total_dim(new_wires)
-        return self._wrap(new_wires, res.reshape(d, d))
-
-    def ptranspose(self, labels: Iterable[str]) -> "LabeledOperator":
-        """Partial transpose on ``labels`` (an involution)."""
-        labels = list(labels)
-        marked = set()
-        for lbl in labels:
-            self.wire(lbl)
-            marked.add(lbl)
-        if not marked:
-            return self
-        n = len(self.wires)
-        dims = self.dims
-        view = self.matrix.reshape(dims + dims)
-        axes = []
-        for i in range(n):
-            axes.append(n + i if self.wires[i].label in marked else i)
-        for i in range(n):
-            axes.append(i if self.wires[i].label in marked else n + i)
-        d = self.dim
-        return self._wrap(self.wires, view.transpose(axes).reshape(d, d))
-
-    def relabeled(self, mapping: Mapping[str, str]) -> "LabeledOperator":
-        """Rename wires; ``mapping`` sends old labels to new ones."""
-        for old in mapping:
-            self.wire(old)
-        new_wires = tuple(
-            Wire(mapping.get(w.label, w.label), w.dim) for w in self.wires
-        )
-        return self._wrap(_check_wires(new_wires), self.matrix)
-
-    def split_wire(self, label: str, parts: Sequence[Wire]) -> "LabeledOperator":
-        """Reinterpret one wire as a tensor product of ``parts`` (no data change).
-
-        The product of the part dimensions must equal the wire's dimension;
-        the parts inherit the Kronecker convention of the composite index.
-        """
-        i = self._position(label)
-        parts = tuple(parts)
-        if _total_dim(parts) != self.wires[i].dim:
-            raise DimMismatchError(
-                f"parts of total dimension {_total_dim(parts)} cannot replace "
-                f"wire {label!r} of dimension {self.wires[i].dim}"
-            )
-        new_wires = _check_wires(self.wires[:i] + parts + self.wires[i + 1 :])
-        return self._wrap(new_wires, self.matrix)
-
-    def merge_wires(self, labels: Sequence[str], merged: Wire) -> "LabeledOperator":
-        """Fuse consecutive wires (listed in their current order) into one."""
-        labels = list(labels)
-        positions = [self._position(lbl) for lbl in labels]
-        if positions != list(range(positions[0], positions[0] + len(labels))):
-            raise NotAPermutationError(
-                f"{labels} are not consecutive wires in order {self.labels}"
-            )
-        i = positions[0]
-        total = _total_dim(self.wires[p] for p in positions)
-        if merged.dim != total:
-            raise DimMismatchError(
-                f"merged wire dim {merged.dim} != product of parts {total}"
-            )
-        new_wires = _check_wires(
-            self.wires[:i] + (merged,) + self.wires[i + len(labels) :]
-        )
-        return self._wrap(new_wires, self.matrix)
-
     # -- spectral operations --------------------------------------------------
-
-    def _require_hermitian(self):
-        if not self.is_hermitian():
-            gap = np.linalg.norm(self.matrix - self.matrix.conj().T)
-            raise NotHermitianError(
-                f"operator is not Hermitian (defect {gap:.3e}, norm {self.norm():.3e})"
-            )
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of a Hermitian operator.
@@ -399,17 +267,12 @@ class LabeledOperator(_Wired):
             NotHermitianError: if the relative Hermiticity defect exceeds
                 the package tolerance.
         """
-        self._require_hermitian()
+        if not self.is_hermitian():
+            gap = np.linalg.norm(self.matrix - self.matrix.conj().T)
+            raise NotHermitianError(
+                f"operator is not Hermitian (defect {gap:.3e}, norm {self.norm():.3e})"
+            )
         return np.linalg.eigh(self.hermitized().matrix)
-
-    def psd_projection(self) -> "LabeledOperator":
-        """Frobenius-nearest positive semidefinite operator (eigenvalue clip)."""
-        self._require_hermitian()
-        return self._wrap(self.wires, _psd_part(self.matrix))
-
-    def min_eigenvalue(self) -> float:
-        self._require_hermitian()
-        return float(np.linalg.eigvalsh(self.hermitized().matrix)[0])
 
 
 class LabeledVector(_Wired):
@@ -430,12 +293,6 @@ class LabeledVector(_Wired):
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledVector is immutable")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-    def conj(self) -> "LabeledVector":
-        return LabeledVector(self.wires, self.vector.conj())
 
     def tensor(self, other: "LabeledVector") -> "LabeledVector":
         wires = _check_wires(self.wires + other.wires)

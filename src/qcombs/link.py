@@ -8,33 +8,21 @@ yields the fragment obtained by plugging them together.  The trace is taken
 by contracting the shared indices directly, so no operator on the union of
 both wire sets is ever formed.
 
-The contraction is symmetric (up to wire reordering) and associative over
-networks where every label occurs in at most two parts, so a network of
-fragments can be assembled pairwise in any order.
+The contraction is symmetric (up to wire reordering) and associative when
+every label occurs in at most two fragments, so a chain of link products
+over a board's fragments gives the same board in any order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DimMismatchError, TripleLabelError
-from .labeled import LabeledOperator, _check_einsum_wires, _total_dim
+from .errors import DimMismatchError, TooManyWiresError
+from .labeled import LabeledOperator, _total_dim
 
-
-def _shared_labels(a: LabeledOperator, b: LabeledOperator) -> list[str]:
-    b_labels = set(b.labels)
-    shared = [lbl for lbl in a.labels if lbl in b_labels]
-    for lbl in shared:
-        if a.wire(lbl).dim != b.wire(lbl).dim:
-            raise DimMismatchError(
-                f"shared wire {lbl!r} has dimension {a.wire(lbl).dim} on one "
-                f"side and {b.wire(lbl).dim} on the other"
-            )
-    return shared
+#: Most wires one einsum contraction can index: numpy has 52 axis ids, and
+#: every wire takes two of them (its row and its column index).
+MAX_EINSUM_WIRES = 26
 
 
 def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -51,14 +39,25 @@ def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     The result carries the surviving wires in the order: wires only on
     ``a``, then wires only on ``b``.
     """
-    shared = set(_shared_labels(a, b))
+    b_labels = set(b.labels)
+    shared = dict.fromkeys(lbl for lbl in a.labels if lbl in b_labels)
+    for lbl in shared:
+        if a.wire(lbl).dim != b.wire(lbl).dim:
+            raise DimMismatchError(
+                f"shared wire {lbl!r} has dimension {a.wire(lbl).dim} on one "
+                f"side and {b.wire(lbl).dim} on the other"
+            )
     a_only = [lbl for lbl in a.labels if lbl not in shared]
     b_only = [lbl for lbl in b.labels if lbl not in shared]
 
     # One (row, column) pair of einsum axis ids per label; a shared label
     # gets the same pair on both sides, so both of its indices contract.
     union = dict.fromkeys(a.labels + b.labels)
-    _check_einsum_wires(len(union))
+    if len(union) > MAX_EINSUM_WIRES:
+        raise TooManyWiresError(
+            f"a contraction over {len(union)} distinct wires exceeds the limit of "
+            f"{MAX_EINSUM_WIRES}"
+        )
     axis = {lbl: 2 * i for i, lbl in enumerate(union)}
 
     def subscripts(labels):
@@ -75,54 +74,3 @@ def link_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     wires = tuple(a.wire(lbl) for lbl in a_only) + tuple(b.wire(lbl) for lbl in b_only)
     d = _total_dim(wires)
     return LabeledOperator._wrap(wires, res.reshape(d, d))
-
-
-def _label_counts(parts: Sequence[LabeledOperator]) -> Counter[str]:
-    """How many parts carry each label, in order of first occurrence."""
-    return Counter(lbl for p in parts for lbl in p.labels)
-
-
-@dataclass(frozen=True)
-class Network:
-    """An unordered collection of labeled operators to be contracted.
-
-    Every label may occur in at most two parts; a label occurring twice is
-    an internal wire, a label occurring once stays open.
-    """
-
-    parts: tuple[LabeledOperator, ...]
-
-    def __init__(self, parts: Sequence[LabeledOperator]):
-        parts = tuple(parts)
-        counts = _label_counts(parts)
-        bad = sorted(lbl for lbl, c in counts.items() if c > 2)
-        if bad:
-            raise TripleLabelError(
-                f"labels {bad} occur in more than two parts"
-            )
-        # Dimensions of internal wires must agree; checked pairwise here so
-        # assembly cannot fail halfway through.
-        for i, p in enumerate(parts):
-            for q in parts[i + 1 :]:
-                _shared_labels(p, q)
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def open_labels(self) -> tuple[str, ...]:
-        counts = _label_counts(self.parts)
-        return tuple(lbl for lbl, c in counts.items() if c == 1)
-
-
-def assemble(net: Network) -> LabeledOperator:
-    """Contract all parts of a network into a single labeled operator.
-
-    Folds :func:`link_product` over the parts from the left; by
-    associativity and symmetry of the contraction the part order does not
-    change the result beyond wire ordering.
-    """
-    if not net.parts:
-        return LabeledOperator.scalar(1.0)
-    acc = net.parts[0]
-    for p in net.parts[1:]:
-        acc = link_product(acc, p)
-    return acc

@@ -98,6 +98,14 @@ def _averaged(spec: TwirlSpec, base: LabeledOperator) -> LabeledOperator:
 # Task objectives
 
 
+def _check_task_dim(d: int, exponent: int) -> None:
+    """Refuse d < 2 and a board dimension d**exponent over the cap before
+    any dims list or power is built."""
+    if d < 2:
+        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
+    _check_dim(int(d), "the objective", exponent)
+
+
 def _task_objective(
     d: int, dims: list[int], pairs: list[tuple[int, int]], pattern: list, norm: int
 ) -> PerformanceOperator:
@@ -108,7 +116,6 @@ def _task_objective(
     (position, tag, copies) of the twirled wires.
     """
     structure = CombStructure.standard(dims)
-    _check_dim(structure.dim, "the objective")
     w = structure.wires
     vec = LabeledVector((), np.array([norm**-0.5]))
     for i, j in pairs:
@@ -131,6 +138,7 @@ def cloning_objective(N: int, M: int, d: int) -> PerformanceOperator:
     """
     if N < 1 or M < 1:
         raise InvalidArgumentError(f"need N, M >= 1, got N={N}, M={M}")
+    _check_task_dim(d, 2 * (N + M))
     slots = range(1, N + 1)
     dims = [d**M] + [d] * (2 * N) + [d**M]
     pairs = [(2 * N + 1, 0)] + [(2 * k, 2 * k - 1) for k in slots]
@@ -151,6 +159,7 @@ def learning_objective(N: int, d: int) -> PerformanceOperator:
     """
     if N < 1:
         raise InvalidArgumentError(f"need N >= 1, got N={N}")
+    _check_task_dim(d, 2 * N + 2)
     slots = range(1, N + 1)
     dims = [1] + [d] * (2 * N) + [1, d, d]
     pairs = [(0, 2 * N + 1), (2 * N + 3, 2 * N + 2)]

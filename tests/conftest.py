@@ -8,8 +8,10 @@ Gram average solves the normal equations of the permutation operators
 (never through the commutant's block form), the alternating projections
 build the affine projection from its definition with Kronecker products
 (never through the coordinates' mixers), the comb conditions are
-re-evaluated by one partial trace per wire and level (never through the
-marginal chain), the brute-force channel search parameterizes
+re-evaluated by one partial trace per wire and level, and test_link's
+padded link product from its definition, with the partial_trace and
+partial_transpose written here on plain arrays (never through link_product
+or the marginal chain), the brute-force channel search parameterizes
 Stinespring isometries directly (never through the solver), and the
 random-comb oracle links one dense |V>><<V| per tooth with link_product,
 the last tooth summed over its Kraus operators (never through the
@@ -172,7 +174,7 @@ def clifford_twirl(base: LabeledOperator, pattern) -> LabeledOperator:
         w = conjugation_operator(
             base, {lbl: g if tag == "U" else g.conj() for lbl, tag, _ in pattern}
         )
-        term = w @ base @ w.adjoint()
+        term = conjugated(w, base)
         acc = term if acc is None else acc + term
     return acc * (1.0 / len(group))
 
@@ -257,20 +259,49 @@ def alternating_projections(mat, dims, trace_value, iters=20000, tol=1e-9):
     return None
 
 
+def _split(wires, mat, label):
+    """(i, view): the position i of the wire label in wires, and mat viewed
+    as (left, d, right, left, d, right) around that wire."""
+    dims = [w.dim for w in wires]
+    i = [w.label for w in wires].index(label)
+    left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1 :]))
+    return i, np.asarray(mat).reshape(left, dims[i], right, left, dims[i], right)
+
+
+def partial_trace(wires, mat, labels):
+    """(the kept wires, Tr_labels[mat]) of mat, a matrix on wires, one wire
+    at a time by numpy's trace of a reshaped view."""
+    wires = tuple(wires)
+    for label in labels:
+        i, view = _split(wires, mat, label)
+        mat = np.trace(view, axis1=1, axis2=4)
+        d = mat.shape[0] * mat.shape[1]
+        mat, wires = mat.reshape(d, d), wires[:i] + wires[i + 1 :]
+    return wires, mat
+
+
+def partial_transpose(wires, mat, labels):
+    """mat, a matrix on wires, transposed on the wires named in labels, one
+    wire at a time by swapping that wire's row and column axes."""
+    for label in labels:
+        _, view = _split(wires, mat, label)
+        mat = view.transpose(0, 4, 2, 3, 1, 5).reshape(np.shape(mat))
+    return mat
+
+
 def ptrace_level_residuals(R: LabeledOperator, structure: CombStructure) -> list[float]:
-    """The level residuals of verify_causality, one ptrace loop per level:
-    ||Tr_out_n[R^(n)] - I_in_n (x) R^(n-1)||_F with R^(n-1) =
+    """The level residuals of verify_causality, one partial_trace loop per
+    level: ||Tr_out_n[R^(n)] - I_in_n (x) R^(n-1)||_F with R^(n-1) =
     Tr_tooth_n[R^(n)] / dim(in_n), and ||Tr_out_0[R^(0)] - I_in_0||_F."""
-    cur = R.permuted(structure.labels)
+    wires, cur = structure.wires, R.permuted(structure.labels).matrix
     residuals = []
     for k in range(structure.n_teeth - 1, -1, -1):
         in_w, out_w = structure.teeth[k]
-        lhs = cur.ptrace([out_w.label])
-        nxt = cur.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
-        rhs = LabeledOperator.identity([in_w])
-        if k > 0:
-            rhs = nxt.tensor(rhs)
-        residuals.append((lhs - rhs).norm())
+        _, lhs = partial_trace(wires, cur, [out_w.label])
+        wires, nxt = partial_trace(wires, cur, [in_w.label, out_w.label])
+        nxt = nxt / in_w.dim
+        head = nxt if k > 0 else np.ones((1, 1))
+        residuals.append(float(np.linalg.norm(lhs - np.kron(head, np.eye(in_w.dim)))))
         cur = nxt
     return residuals[::-1]
 
@@ -278,16 +309,23 @@ def ptrace_level_residuals(R: LabeledOperator, structure: CombStructure) -> list
 def ptrace_reduced_comb(R: LabeledOperator, structure: CombStructure, n: int):
     """reduced_comb(R, structure, n) by tracing out teeth N..n+1 one at a
     time, dividing by each discarded input dimension."""
-    out = R.permuted(structure.labels)
+    wires, out = structure.wires, R.permuted(structure.labels).matrix
     for in_w, out_w in structure.teeth[n + 1 :][::-1]:
-        out = out.ptrace([in_w.label, out_w.label]) * (1.0 / in_w.dim)
-    return out
+        wires, out = partial_trace(wires, out, [in_w.label, out_w.label])
+        out = out / in_w.dim
+    return LabeledOperator(wires, out)
 
 
 def ptrace_trace_residual(choi) -> float:
-    """||Tr_out[C] - I_in||_F of a Choi operator, by one ptrace."""
-    marg = choi.op.ptrace(choi.out_labels)
-    return (marg - LabeledOperator.identity(marg.wires)).norm()
+    """||Tr_out[C] - I_in||_F of a Choi operator, by one partial_trace."""
+    _, marg = partial_trace(choi.op.wires, choi.op.matrix, choi.out_labels)
+    return float(np.linalg.norm(marg - np.eye(len(marg))))
+
+
+def conjugated(w: LabeledOperator, op: LabeledOperator) -> LabeledOperator:
+    """W op W^dagger, op's wires first put in W's order."""
+    mat = w.matrix @ op.permuted(w.labels).matrix @ w.matrix.conj().T
+    return LabeledOperator(w.wires, mat)
 
 
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

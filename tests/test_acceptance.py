@@ -9,6 +9,7 @@ channel search.  Run with -v to get one pass/fail line per guarantee.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from qcombs import (
     CombStructure,
     KrausMap,
     LabeledOperator,
-    Network,
     PerformanceOperator,
     ProbabilisticComb,
     SdpProblem,
     Wire,
     apply_choi,
-    assemble,
     choi_to_kraus,
     cloning_objective,
     dual_bound,
@@ -40,6 +39,7 @@ from qcombs import (
 from conftest import (
     brute_force_channel_value,
     cloning_conjugation,
+    conjugated,
     learning_conjugation,
     learning_memory,
     mc_gate_fidelity,
@@ -157,7 +157,7 @@ def test_network_assembly_order_independent():
         ]
         results = []
         for perm in itertools.permutations(ops):
-            out = assemble(Network(list(perm)))
+            out = reduce(link_product, perm)
             results.append(out.permuted(("p", "s")).matrix)
         for other in results[1:]:
             assert np.linalg.norm(other - results[0]) <= 1e-10
@@ -226,7 +226,7 @@ def test_objectives_are_twirl_invariant():
         worst = 0.0
         for _ in range(100):
             w = conj(haar_unitary(d, rng))
-            moved = w @ om @ w.adjoint()
+            moved = conjugated(w, om)
             worst = max(worst, (moved - om).norm())
         assert worst <= 1e-9, f"symmetry violated by {worst:.2e}"
 
@@ -264,8 +264,9 @@ def test_outcome_register_recovers_branches():
         reg = register_comb(prob)
         assert reg.verify().passed
         last_out = reg.structure.teeth[-1][1]
-        split = reg.op.split_wire(
-            last_out.label, (Wire("o", 2), Wire("r", len(weights)))
+        assert reg.op.wires[-1] == last_out
+        split = LabeledOperator(
+            reg.op.wires[:-1] + (Wire("o", 2), Wire("r", len(weights))), reg.op.matrix
         )
         for i, (oid, branch) in enumerate(prob.branches):
             proj = np.zeros((3, 3))
@@ -273,7 +274,8 @@ def test_outcome_register_recovers_branches():
             picked = link_product(
                 split, LabeledOperator((Wire("r", 3),), proj)
             )
-            expected = branch.relabeled({last_out.label: "o"})
+            assert branch.labels[-1] == last_out.label
+            expected = LabeledOperator(branch.wires[:-1] + (Wire("o", 2),), branch.matrix)
             assert (picked - expected).norm() <= 1e-12
 
 

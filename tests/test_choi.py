@@ -38,7 +38,7 @@ def random_state(d, seed):
 
 def test_max_entangled_norm_and_dim_check():
     v = max_entangled((Wire("x", 3), Wire("y", 3)))
-    assert v.norm() ** 2 == pytest.approx(3)
+    assert np.linalg.norm(v.vector) ** 2 == pytest.approx(3)
     with pytest.raises(DimMismatchError):
         max_entangled((Wire("x", 2), Wire("y", 3)))
 

@@ -1,7 +1,7 @@
 """The package's import graph: every import at module level, no cycle, and
 the twirl's algebra at the bottom, below comb, choi and objective.  And its
-error contract: no module raises a bare ValueError, and every exported error
-is a QCombsError."""
+error contract: no module raises a bare ValueError, every exported error
+is a QCombsError, and each one has a raise site."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -54,6 +54,19 @@ def test_twirl_imports_only_labeled_and_errors():
     assert graph["twirl"] == {"labeled", "errors"}
 
 
+def _raised_names():
+    """The names the package's raise statements raise, as `raise Name(...)`
+    or `raise Name`."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
 def test_every_refusal_is_a_qcombs_error():
     # A bare ValueError escapes `except QCombsError`; the package raises
     # InvalidArgumentError, a QCombsError that is also a ValueError.
@@ -61,3 +74,6 @@ def test_every_refusal_is_a_qcombs_error():
     assert bare == []
     errors = [getattr(qcombs, name) for name in qcombs.__all__ if name.endswith("Error")]
     assert all(issubclass(e, qcombs.QCombsError) for e in errors)
+    # An error type that nothing raises is a promise the package never keeps.
+    unraised = {e.__name__ for e in errors} - {"QCombsError"} - _raised_names()
+    assert unraised == set()

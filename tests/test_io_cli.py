@@ -63,9 +63,9 @@ def test_awkward_floats_survive_exactly():
 
 
 def test_scalar_file_roundtrip():
-    # The operator on no wires, as LabeledOperator.scalar and a closed
-    # network produce it, is written and read back like any other.
-    text = OperatorFile.from_operator(LabeledOperator.scalar(2.5)).dumps()
+    # The operator on no wires, as a fully contracted link product
+    # produces it, is written and read back like any other.
+    text = OperatorFile.from_operator(LabeledOperator((), [[2.5]])).dumps()
     back = OperatorFile.loads(text)
     assert back.wires == ()
     assert back.matrix.tolist() == [[2.5]]
@@ -583,7 +583,7 @@ def test_failed_bound_recheck_exits_1_without_a_file(monkeypatch, tmp_path, caps
     assert not out.exists()
 
 
-def test_invalid_parameters_exit_2(capsys):
+def test_invalid_parameters_exit_2(tmp_path, capsys):
     assert main(["clone", "--n", "0", "--m", "2"]) == 2
     assert main(["clone", "--n", "1", "--m", "2", "--dim", "1"]) == 2
     assert main(["learn", "--uses", "0"]) == 2
@@ -594,6 +594,15 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["learn", "--uses", "1", "--max-iters", "0"]) == 2
     assert main(["random-comb", "--dims", "2,2,2"]) == 2  # odd count
     capsys.readouterr()
+    # Dimensions of more than 4300 digits, which str() refuses, are refused
+    # by the cap with a message that prints, the tasks' before any power.
+    cap = "needs dimension at least 2**40002, over the cap 4096"
+    for argv in (["clone", "--n", "1", "--m", "20000"], ["learn", "--uses", "20000"]):
+        assert main(argv) == 2
+        assert cap in capsys.readouterr().err
+    wide = ["--dims", ",".join(["2"] * 14400), "--memory", ",".join(["2"] * 7199)]
+    assert main(["random-comb", *wide, "--out", str(tmp_path / "w.json")]) == 2
+    assert "needs dimension at least 2**14400" in capsys.readouterr().err
 
 
 COMMAND_OPTIONS = {
@@ -808,6 +817,17 @@ def test_verify_input_errors(tmp_path, capsys):
     huge.write_text(_set_entry(json.loads(path.read_text()), 0, [10**400, 0]))
     assert main(["verify", str(huge), "--teeth", "0:1"]) == 2
     assert "entry 0 overflows a float" in capsys.readouterr().err
+    # A total dimension of more than 4300 digits, which str() refuses.
+    wide = tmp_path / "wide.json"
+    doc = json.loads(path.read_text())
+    doc["wires"] = [{"label": f"w{i}", "dim": 2} for i in range(15000)]
+    doc["entries"] = []
+    wide.write_text(json.dumps(doc))
+    assert main(["verify", str(wide), "--teeth", "w0:w1"]) == 2
+    assert "entries has 0 pairs, expected at least 2**30000" in capsys.readouterr().err
+    for tol in ("-1", "nan"):
+        assert main(["verify", str(path), "--teeth", "0:1", "--tol", tol]) == 2
+        assert "tol must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_json_record(tmp_path, capsys):

@@ -3,21 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcombs import (
-    DimMismatchError,
     DuplicateLabelError,
     InvalidArgumentError,
     LabeledOperator,
     LabeledVector,
     NotAPermutationError,
     NotHermitianError,
-    TooManyWiresError,
-    UnknownLabelError,
     Wire,
     ginibre,
     haar_isometry,
     link_product,
 )
-from conftest import rand_hermitian
+from conftest import partial_trace, partial_transpose
 
 A = Wire("a", 2)
 B = Wire("b", 3)
@@ -51,11 +48,11 @@ def test_constructor_checks_shape_and_labels():
 def test_identity_scalar_trace():
     ident = LabeledOperator.identity((A, B))
     assert ident.dim == 6
-    assert ident.trace() == pytest.approx(6)
-    s = LabeledOperator.scalar(2.5)
+    assert np.trace(ident.matrix) == pytest.approx(6)
+    s = LabeledOperator((), [[2.5]])
     assert s.dim == 1
     assert s.labels == ()
-    assert s.trace() == pytest.approx(2.5)
+    assert np.trace(s.matrix) == pytest.approx(2.5)
 
 
 def test_arithmetic_aligns_wire_order():
@@ -69,12 +66,8 @@ def test_arithmetic_aligns_wire_order():
     assert_allclose((x * 2.0).matrix, 2.0 * x.matrix)
 
 
-def test_matmul_and_adjoint():
+def test_hermitized():
     x = rand_op((A, B), 3)
-    y = rand_op((A, B), 4)
-    assert_allclose((x @ y).matrix, x.matrix @ y.matrix)
-    assert_allclose(x.adjoint().matrix, x.matrix.conj().T)
-    assert_allclose(x.conj().matrix, x.matrix.conj())
     h = x.hermitized()
     assert h.is_hermitian()
     assert_allclose(h.matrix, (x.matrix + x.matrix.conj().T) / 2)
@@ -115,52 +108,29 @@ def test_permuted_matches_manual_kron():
 
 
 def test_ptrace():
+    # The tests' partial-trace oracle, on a product whose traces are known.
     x = rand_op((A,), 10)
     y = rand_op((B,), 11)
     t = x.tensor(y)
-    rx = t.ptrace(["b"])
-    assert rx.labels == ("a",)
-    assert_allclose(rx.matrix, x.matrix * y.trace(), atol=1e-13)
+    wires, rx = partial_trace(t.wires, t.matrix, ["b"])
+    assert wires == (A,)
+    assert_allclose(rx, x.matrix * np.trace(y.matrix), atol=1e-13)
     # tracing everything leaves a scalar
-    s = t.ptrace(["a", "b"])
-    assert s.labels == ()
-    assert s.trace() == pytest.approx(x.trace() * y.trace())
-    with pytest.raises(UnknownLabelError):
-        t.ptrace(["nope"])
-
-
-def test_ptrace_names_the_wire_limit():
-    # Every wire takes two of numpy's 52 einsum axis ids.
-    wide = LabeledOperator.identity([Wire(f"w{i}", 1) for i in range(30)])
-    with pytest.raises(TooManyWiresError, match="30 .* 26"):
-        wide.ptrace(["w0"])
-    edge = LabeledOperator.identity([Wire(f"w{i}", 1) for i in range(26)])
-    assert edge.ptrace(["w0"]).dim == 1
+    wires, s = partial_trace(t.wires, t.matrix, ["a", "b"])
+    assert wires == ()
+    assert np.trace(s) == pytest.approx(np.trace(x.matrix) * np.trace(y.matrix))
+    with pytest.raises(ValueError):
+        partial_trace(t.wires, t.matrix, ["nope"])
 
 
 def test_ptranspose_involution_and_spectrum():
+    # The tests' partial-transpose oracle: an involution, and the transpose
+    # when it covers every wire.
     x = rand_op((A, B), 12).hermitized()
-    pt = x.ptranspose(["a"])
-    assert_allclose(pt.ptranspose(["a"]).matrix, x.matrix, atol=1e-14)
-    full = x.ptranspose(["a", "b"])
-    assert_allclose(full.matrix, x.matrix.T, atol=1e-14)
-
-
-def test_relabel_split_merge_roundtrip():
-    x = rand_op((A, B), 13)
-    y = x.relabeled({"a": "left"})
-    assert y.labels == ("left", "b")
-    assert_allclose(y.matrix, x.matrix)
-
-    big = Wire("big", 6)
-    m = x.merge_wires(["a", "b"], big)
-    assert m.labels == ("big",)
-    assert_allclose(m.matrix, x.matrix)
-    back = m.split_wire("big", (Wire("a", 2), Wire("b", 3)))
-    assert back.labels == ("a", "b")
-    assert_allclose(back.matrix, x.matrix)
-    with pytest.raises(DimMismatchError):
-        x.merge_wires(["a", "b"], Wire("big", 5))
+    pt = partial_transpose(x.wires, x.matrix, ["a"])
+    assert_allclose(partial_transpose(x.wires, pt, ["a"]), x.matrix, atol=1e-14)
+    full = partial_transpose(x.wires, x.matrix, ["a", "b"])
+    assert_allclose(full, x.matrix.T, atol=1e-14)
 
 
 def test_eigh_requires_hermitian():
@@ -170,17 +140,6 @@ def test_eigh_requires_hermitian():
     h = x.hermitized()
     w, v = h.eigh()
     assert_allclose((v * w) @ v.conj().T, h.matrix, atol=1e-12)
-    assert h.min_eigenvalue() == pytest.approx(w.min())
-
-
-def test_psd_projection():
-    rng = np.random.default_rng(15)
-    h = LabeledOperator((A, B), rand_hermitian(6, rng))
-    p = h.psd_projection()
-    assert p.min_eigenvalue() >= -1e-12
-    # the projection residual is orthogonal to the result
-    diff = h.matrix - p.matrix
-    assert abs(np.trace(diff @ p.matrix)) < 1e-10
 
 
 def test_immutability():
@@ -197,10 +156,11 @@ def test_vector_outer_and_tensor():
     w = LabeledVector((B,), rng.standard_normal(3) + 1j * rng.standard_normal(3))
     t = v.tensor(w)
     assert t.labels == ("a", "b")
-    assert t.norm() == pytest.approx(v.norm() * w.norm())
+    norm = np.linalg.norm
+    assert norm(t.vector) == pytest.approx(norm(v.vector) * norm(w.vector))
     outer = t.outer()
     assert outer.is_hermitian()
-    assert outer.trace() == pytest.approx(t.norm() ** 2)
+    assert np.trace(outer.matrix) == pytest.approx(norm(t.vector) ** 2)
     perm = t.permuted(("b", "a"))
     assert_allclose(perm.outer().matrix, outer.permuted(("b", "a")).matrix, atol=1e-14)
 
@@ -245,7 +205,7 @@ def test_objects_copy_the_callers_array(dtype):
     assert_allclose(vecs[0].vector, [1, 0])
     assert_allclose(vecs[1].vector, [4, 5])
     assert mat.flags.writeable and vec.flags.writeable and big.flags.writeable
-    results = [ops[0] + ops[1], ops[1].adjoint(), ops[0].relabeled({"a": "z"})]
+    results = [ops[0] + ops[1], ops[1].hermitized(), ops[0] * 2.0]
     results.append(vecs[1].outer())
     assert not any(r.matrix.flags.writeable for r in results)
 
@@ -265,9 +225,10 @@ def test_promotion_carries_the_field():
     real_bc = LabeledOperator((B, C), np.eye(6))
     cplx_bc = real_bc * 1j
     assert real_ab.tensor(LabeledOperator.identity((C,))).matrix.dtype == np.float64
-    assert real_ab.tensor(cplx_bc.ptrace(["b"])).matrix.dtype == np.complex128
+    cplx_c = LabeledOperator.identity((C,)) * 1j
+    assert real_ab.tensor(cplx_c).matrix.dtype == np.complex128
     assert link_product(real_ab, real_bc).matrix.dtype == np.float64
     assert link_product(real_ab, cplx_bc).matrix.dtype == np.complex128
-    assert real_ab.ptrace(["a"]).matrix.dtype == np.float64
+    assert link_product(real_ab, LabeledOperator.identity((A,))).matrix.dtype == np.float64
     assert (real_bc + cplx_bc).matrix.dtype == np.complex128
-    assert (real_bc @ real_bc).matrix.dtype == np.float64
+    assert (real_bc * 2.0).matrix.dtype == np.float64

@@ -36,6 +36,7 @@ from qcombs.twirl import (
 from conftest import (
     clifford_twirl,
     cloning_conjugation,
+    conjugated,
     depolarize_each_tail,
     gram_average,
     learning_conjugation,
@@ -67,7 +68,7 @@ def test_single_wire_twirl_depolarizes():
         base = LabeledOperator((Wire("a", d),), rand_hermitian(d, rng))
         avg = haar_average(TwirlSpec(d, (("a", "U", 1),)), base).omega
         assert_allclose(
-            avg.matrix, np.eye(d) * base.trace().real / d, atol=1e-12
+            avg.matrix, np.eye(d) * np.trace(base.matrix).real / d, atol=1e-12
         )
 
 
@@ -93,7 +94,7 @@ def test_mixed_twirl_fixed_points():
     x, y = np.linalg.solve(gram, rhs)
     assert np.linalg.norm(avg.matrix - x * ident - y * proj) < 1e-10
     assert np.trace(avg.matrix).real == pytest.approx(
-        base.trace().real, abs=1e-10
+        np.trace(base.matrix).real, abs=1e-10
     )
     assert np.trace(proj @ avg.matrix).real == pytest.approx(
         np.trace(proj @ base.matrix).real, abs=1e-10
@@ -280,11 +281,11 @@ def test_performance_operator_is_exactly_hermitian():
     nearly = rand_hermitian(4, rng) + 1e-12 * (skew - skew.T)
     assert not np.array_equal(nearly, nearly.conj().T)
     po = PerformanceOperator(LabeledOperator((Wire("a", 2), Wire("b", 2)), nearly))
-    assert np.array_equal(po.omega.matrix, po.omega.adjoint().matrix)
+    assert np.array_equal(po.omega.matrix, po.omega.matrix.conj().T)
     assert np.array_equal(po.omega.matrix, (nearly + nearly.conj().T) / 2)
     omega = cloning_objective(1, 2, 3).omega
     assert omega.matrix.dtype == np.float64
-    assert np.array_equal(omega.matrix, omega.adjoint().matrix)
+    assert np.array_equal(omega.matrix, omega.matrix.conj().T)
 
 
 def test_twirl_is_not_a_constructor_argument():
@@ -329,7 +330,7 @@ def test_cloning_objective_shape_and_trace():
         po = cloning_objective(n, m, d)
         assert po.omega.is_hermitian()
         assert po.structure.n_teeth == n + 1
-        assert po.omega.trace().real == pytest.approx(
+        assert np.trace(po.omega.matrix).real == pytest.approx(
             float(d) ** (n - m), rel=1e-12
         )
     with pytest.raises(DimOverflowError):
@@ -354,10 +355,10 @@ def test_value_matches_link_contraction():
     po = cloning_objective(1, 2, 2)
     comb = random_comb(po.structure, [4], 99)
     direct = po.value(comb.op)
-    transposed = comb.op.ptranspose(comb.op.labels)
+    transposed = LabeledOperator(comb.op.wires, comb.op.matrix.T)
     linked = link_product(transposed, po.omega)
     assert linked.labels == ()
-    assert abs(direct - linked.trace().real) < 1e-11
+    assert abs(direct - np.trace(linked.matrix).real) < 1e-11
 
 
 def test_cloning_invariance_under_symmetry():
@@ -367,7 +368,7 @@ def test_cloning_invariance_under_symmetry():
         for _ in range(10):
             u = haar_unitary(d, rng)
             w = cloning_conjugation(po.omega, u, n, m)
-            rotated = w @ po.omega @ w.adjoint()
+            rotated = conjugated(w, po.omega)
             assert (rotated - po.omega).norm() < 1e-9
 
 
@@ -378,7 +379,7 @@ def test_learning_invariance_under_symmetry():
         for _ in range(10):
             u = haar_unitary(2, rng)
             w = learning_conjugation(po.omega, u, n)
-            rotated = w @ po.omega @ w.adjoint()
+            rotated = conjugated(w, po.omega)
             assert (rotated - po.omega).norm() < 1e-9
 
 

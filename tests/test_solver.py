@@ -23,7 +23,7 @@ from qcombs import (
     solve_probabilistic,
 )
 from qcombs import comb, objective, solver, twirl
-from conftest import conjugation_operator, rand_hermitian
+from conftest import conjugated, conjugation_operator, rand_hermitian
 
 S2222 = CombStructure.standard([2, 2, 2, 2])
 
@@ -555,7 +555,7 @@ def test_real_objective_matches_its_complex_twin():
     po = learning_objective(1, 2)
     assert not po.omega.matrix.imag.any()
     w = conjugation_operator(po.omega, {"2": np.diag([1.0, 1j])})
-    twin = PerformanceOperator(w @ po.omega @ w.adjoint(), po.structure)
+    twin = PerformanceOperator(conjugated(w, po.omega), po.structure)
     assert twin.omega.matrix.imag.any()
     sols = []
     for q in (po, twin):
