@@ -62,27 +62,31 @@ an orthonormal basis of that algebra, so norms, inner products and the
 ADMM updates act on those small arrays unchanged; the affine projection
 mixes the coordinates once per level, and the clip and every eigenvalue
 diagonalize one copy of each irrep block instead of the D x D matrix.
-Omega enters the coordinates once per solve, and R_star and the final
-certificate leave them once.  An objective with no twirl is the one-block
-case, whose coordinates are the matrix.  Soundness does not rest on the
-symmetry: the value is Tr[R Omega] of a polished comb, and the checks read
-the dense operators once each (_Coordinates.read), R_star for feas_residual
-(R_star carries the twirl, so R_star.verify() does the same) and T and
-Omega in dual_bound, into coordinates and a bound on the distance from the
-algebra.  Every check runs on that pair and bounds the dense quantity it
-stands for from the failing side; positivity by
-_Coordinates.eigenvalue_floor, which subtracts the distance (Weyl's
-inequality) and allowances for the measured orthogonality defect of Q and
-for rounding.  A wrong decomposition would show as a failed check, never
-as a certified false number.  That read, the level residuals' marginal
-chain, the Hermitian defect of R_star and the operators themselves stay
-D x D, so a solve takes the one cap comb.MAX_DIM on D, as every dense
-build does.
+Omega enters the coordinates once per problem: SdpProblem reads it on
+first use (_Coordinates.read) and solve and dual_bound share that read,
+and R_star and the final certificate leave them once.  An objective with
+no twirl is the one-block case, whose coordinates are the matrix.
+Soundness does not rest on the symmetry: the value is Tr[R Omega] of a
+polished comb, and the checks read the dense operators once each
+(_Coordinates.read), R_star for feas_residual (R_star carries the twirl,
+so R_star.verify() does the same) and T and Omega in dual_bound, into
+coordinates and a bound on the distance from the algebra.  Every check
+runs on that pair and bounds the dense quantity it stands for from the
+failing side; positivity by _Coordinates.eigenvalue_floor, which
+subtracts the distance (Weyl's inequality) and allowances for the
+measured orthogonality defect of Q and for rounding.  A wrong
+decomposition would show as a failed check, never as a certified false
+number.  Every move between a dense operator and the coordinates streams
+it in slabs of rows, and the Hermitian defect of R_star is summed in
+strips, so none makes a D x D temporary; the operators themselves and
+the level residuals' marginal chain stay D x D, so a solve takes the one
+cap comb.MAX_DIM on D, as every dense build does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +132,17 @@ class SdpProblem:
             raise InvalidArgumentError("tolerances must be positive")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be at least 1")
+
+    @cached_property
+    def _omega(self) -> tuple[_Coordinates, np.ndarray, float]:
+        """The coordinates of Omega's twirl on the structure's wires, and
+        (K, r) of their one read of Omega (_Coordinates.read), made on first
+        use and shared by solve and dual_bound.  Omega is write-protected,
+        and so is K, so the read cannot go stale."""
+        coords = _coordinates(self.omega.twirl, self.structure.wires)
+        k, r = coords.read(self.omega.omega.permuted(self.structure.labels).matrix)
+        k.flags.writeable = False
+        return coords, k, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,8 +302,7 @@ def solve(p: SdpProblem) -> SdpSolution:
     D = structure.dim
     _check_dim(D, "solve")
     tv = float(structure.trace_value)
-    coords = _coordinates(p.omega.twirl, structure.wires)
-    om = coords.of(p.omega.omega.permuted(structure.labels).matrix)
+    coords, om, _ = p._omega
 
     floor = tv / D
     mixed = floor * coords.identity
@@ -409,35 +423,38 @@ def dual_bound(p: SdpProblem, candidate: SdpSolution) -> float:
     """Verified upper bound on the optimum of p from a solved candidate.
 
     Re-checks, independently of the solve run, that the stored certificate
-    T is a finite D x D matrix, Hermitian and within tol = 1e-8 * (1 +
-    ||K_T||_F) of its projection P(T) onto the constraint range, and that
-    lambda_lo >= -tol, where lambda_lo is the certified lower bound on
+    T is a finite D x D array of numbers, Hermitian and within tol = 1e-8 *
+    (1 + ||K_T||_F) of its projection P(T) onto the constraint range, and
+    that lambda_lo >= -tol, where lambda_lo is the certified lower bound on
     lambda_min(P(T) - Omega) of _Coordinates.eigenvalue_floor, taken on the
     blocks of Omega's twirl (one dense block when Omega carries none).
     Raises BoundUnavailableError when no certificate is stored or a check
-    fails.  The bound pays for the slack the checks accept: it is
-    trace_value * (Tr[P(T)] / D + max(0, -lambda_lo)), with P(T) taken
-    Hermitian.  T and Omega are read once each (_Coordinates.read) into
-    coordinates K and a distance r from the algebra, and every check runs
-    on those, bounding its dense quantity from the failing side: ||T -
-    T^dagger|| <= ||K_T - K_T^dagger|| + 2 r_T and, as P is an orthogonal
-    projection that commutes with the twirl, ||T - P(T)|| <= ||K_T -
-    P(K_T)|| + r_T, and P(T) - Omega is within r_T + r_Omega of the
-    operator of P(K_T) - K_Omega.
+    fails; a certificate that is not a numeric ndarray of shape (D, D) is
+    refused before it is read.  The bound pays for the slack the checks
+    accept: it is trace_value * (Tr[P(T)] / D + max(0, -lambda_lo)), with
+    P(T) taken Hermitian.  T is read once (_Coordinates.read) into
+    coordinates K and a distance r from the algebra, and Omega's one read
+    is p's (SdpProblem._omega); every check runs on those, bounding its
+    dense quantity from the failing side: ||T - T^dagger|| <= ||K_T -
+    K_T^dagger|| + 2 r_T and, as P is an orthogonal projection that
+    commutes with the twirl, ||T - P(T)|| <= ||K_T - P(K_T)|| + r_T, and
+    P(T) - Omega is within r_T + r_Omega of the operator of P(K_T) -
+    K_Omega.
     """
     cert = candidate.dual_certificate
     if cert is None:
         raise BoundUnavailableError("the candidate carries no dual certificate")
+    if not isinstance(cert, np.ndarray) or not np.issubdtype(cert.dtype, np.number):
+        raise BoundUnavailableError("the dual certificate is not an array of numbers")
     structure = p.structure
     D = structure.dim
     if cert.shape != (D, D):
         raise BoundUnavailableError(f"the dual certificate has shape {cert.shape}, not {(D, D)}")
-    coords = _coordinates(p.omega.twirl, structure.wires)
+    coords, om, r_om = p._omega
     with np.errstate(invalid="ignore", over="ignore"):
-        k, r = coords.read(cert)
+        k, r = coords.read(cert.astype(np.result_type(cert, float), copy=False))
     if not (np.isfinite(r) and np.all(np.isfinite(k))):
         raise BoundUnavailableError("the dual certificate is not finite")
-    om, r_om = coords.read(p.omega.omega.permuted(structure.labels).matrix)
     tol = 1e-8 * (1.0 + float(np.linalg.norm(k)))
     if 2.0 * (float(np.linalg.norm(k - coords.hermitian(k))) + r) > tol:
         raise BoundUnavailableError("the dual certificate is not Hermitian, or off the algebra")

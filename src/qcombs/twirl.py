@@ -9,8 +9,9 @@ real orthogonal change of basis on the twirled factor splits every
 operator it fixes into small blocks, one per irrep, each repeated once
 per dimension of that irrep.  Its matrix units, scaled to unit norm,
 form an orthonormal basis of the algebra (_Coordinates): of(X) reads the
-coordinates of the twirl of X in one product with them, and the average
-Omega of a base operator X is matrix(of(X)).  A real base operator, which
+coordinates of the twirl of X by products with them, streamed over X in
+slabs of rows so that no D x D temporary is made, and the average Omega
+of a base operator X is matrix(of(X)).  A real base operator, which
 every task objective is, therefore averages to an exactly real Omega.
 The change of basis is found numerically and checked in
 _commutant_blocks against the spanning permutation operators, so an
@@ -21,8 +22,9 @@ this module alone knows their encoding; no twirl is the one-block case.
 That projection reads the marginal chain (labeled._marginals) that
 verify_causality, reduced_comb and is_channel check the constraints with.
 Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
-less the distance from the algebra that one dense read (_Coordinates.read)
-bounds, so an operator the twirl does not fix fails the check instead.
+less the distance from the algebra that one streamed dense read
+(_Coordinates.read) bounds, so an operator the twirl does not fix fails
+the check instead.
 
 This module imports only labeled and errors, so comb, choi and objective
 all take the coordinates from it.
@@ -85,8 +87,9 @@ def _commutant_basis(d: int, t: int, conj_positions: tuple[int, ...]):
 _EIG_GAP = 1e-8
 _BLOCK_TOL = 1e-10
 
-# Unit roundoff, and the number of entries read takes its residual over
-# at a time.
+# Unit roundoff, and the number of entries of a dense operator that one
+# slab of the coordinate transforms, or one strip of choi's Hermitian
+# defect, holds: 512 kB of float64, so that it stays in cache while used.
 _U = np.finfo(float).eps / 2.0
 _CHUNK = 1 << 16
 
@@ -244,13 +247,14 @@ class _Coordinates:
     K of shape (s, d_rest, d_rest), s = sum m^2, holds the coordinates.  The
     basis is orthonormal, so norms, inner products and linear combinations
     of coordinates are those of the operators, and of(X) followed by
-    matrix(K) is the twirl of X; each costs one product with the matrix
-    units and one transpose.  The identity has coordinates tau (x) I with
-    tau_a = Tr E_a.  The rows of one irrep, reshaped, form sqrt(copies)
-    times its (m * d_rest)-square block, so the eigenvalues of X are those
-    of the blocks divided by sqrt(copies).  With no twirl, or no twirled
-    wire, s = 1, E = [[1]] and K is X with a leading axis of length one.
-    Every array is write-protected, so _coordinates can share one object.
+    matrix(K) is the twirl of X; both stream the dense operator in slabs
+    of rows (_slabs), so neither makes a D x D temporary.  The identity has
+    coordinates tau (x) I with tau_a = Tr E_a.  The rows of one irrep,
+    reshaped, form sqrt(copies) times its (m * d_rest)-square block, so the
+    eigenvalues of X are those of the blocks divided by sqrt(copies).  With
+    no twirl, or no twirled wire, s = 1, E = [[1]] and K is X with a
+    leading axis of length one.  Every array is write-protected, so
+    _coordinates can share one object.
     """
 
     def __init__(self, twirl: TwirlSpec | None, wires: Sequence[Wire]):
@@ -270,13 +274,10 @@ class _Coordinates:
         position = {w.label: i for i, w in enumerate(wires)}
         front = [position[lbl] for lbl in labels]
         back = [i for i in range(n) if i not in front]
-        self._axes = front + [n + i for i in front] + back + [n + i for i in back]
-        self._inverse = list(np.argsort(self._axes))
-        self._tensor = tuple(w.dim for w in wires) * 2
         self.dim = _total_dim(wires)
         self.dims = tuple(wires[i].dim for i in back)
         self._dr = _total_dim(wires[i] for i in back)
-        self._units = units / np.sqrt(copies)[:, None]
+        units = units / np.sqrt(copies)[:, None]
         self._irreps, adjoint, row = [], [], 0
         for _, m, c in irreps:
             self._irreps.append((row, m, c**0.5))
@@ -289,7 +290,7 @@ class _Coordinates:
         # most copies; none in the one-block case.
         s, c = len(units), float(copies.max())
         self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5) if labels else 0.0
-        self.tau = self._units @ np.eye(self.dim // self._dr).reshape(-1)
+        self.tau = units @ np.eye(self.dim // self._dr).reshape(-1)
 
         # Depolarizing the wires from position w on maps E_a (x) K_a to
         # sum_b C_ba E_b (x) (the marginal of K_a on the other wires before
@@ -304,14 +305,33 @@ class _Coordinates:
             f += copies_of[lbl]
         tails = np.cumprod((1,) + self.dims[::-1])[::-1]
         self.mixers = [np.zeros((len(units), len(units))) for _ in tails]
-        moved, k = self._units, len(back)
+        moved, k = units, len(back)
         for w in range(n, -1, -1):
             if w in factors:
                 moved = _depolarized(moved, d, t, factors[w])
             elif w < n:
                 k -= 1
-            self.mixers[k] += ((-1) ** w / tails[k]) * (self._units @ moved.T)
+            self.mixers[k] += ((-1) ** w / tails[k]) * (units @ moved.T)
         self.mixers = tuple(self.mixers)
+
+        # The one layout of the dense transforms: the rows, then the columns
+        # of the other wires, then the columns, then the rows of the twirled
+        # wires, each in their order on the operator; wires of dimension 1
+        # are left out.  The matrix units are stored with their unit factors
+        # in that order.  Of the orders that keep the twirled wires last,
+        # columns before rows gathered fastest for cloning and learning.
+        order = [f for i in sorted(factors) for f in factors[i]]
+        self._units = np.ascontiguousarray(
+            units.reshape((s,) + (d,) * (2 * t))
+            .transpose([0] + [1 + t + f for f in order] + [1 + f for f in order])
+            .reshape(s, -1)
+        )
+        kept = [i for i in range(n) if wires[i].dim > 1]
+        self._tensor = tuple(wires[i].dim for i in kept) * 2
+        rest = [kept.index(i) for i in back if i in kept]
+        twirled = [kept.index(i) for i in sorted(front)]
+        self._layout = [a + b for b in (0, len(kept)) for a in rest]
+        self._layout += [a + b for b in (len(kept), 0) for a in twirled]
         for arr in (self._units, self._adjoint, self.tau, *self.mixers):
             arr.flags.writeable = False
 
@@ -321,21 +341,60 @@ class _Coordinates:
         they are the D x D identity, which a shared object should not hold."""
         return self.tau[:, None, None] * np.eye(self._dr)
 
-    def _transposed(self, mat: np.ndarray) -> np.ndarray:
-        """mat with the twirled factor's row and column indices first, as
-        one (d_twirled^2, d_rest^2) array; of reads the coordinates off it."""
-        dr = self._dr
-        return mat.reshape(self._tensor).transpose(self._axes).reshape(-1, dr * dr)
+    def _slabs(self, mat: np.ndarray):
+        """Yield (rows, view) over slabs of mat: view, in the layout, holds
+        the entries of mat whose row on the leading other wire (of
+        dimension above 1) lies in the slab, and rows is the slice of the
+        rows of K it determines.  A slab holds about _CHUNK entries, at
+        least one row of that wire; with no other wire it is all of mat."""
+        view = mat.reshape(self._tensor).transpose(self._layout)
+        if self._dr == 1:
+            view = view[None]
+        lead = view.shape[0]
+        h = self._dr // lead
+        step = max(1, _CHUNK * lead // self.dim**2)
+        for a in range(0, lead, step):
+            b = min(a + step, lead)
+            yield slice(a * h, b * h), view[a:b]
+
+    def _read(self, mat: np.ndarray, residual: bool) -> tuple[np.ndarray, float]:
+        """K = of(mat) and, if residual, the squared Frobenius norm of the
+        computed mat - matrix(K), slab by slab: each slab, gathered once,
+        gives its rows of K by one product with the matrix units and then
+        its part of the residual, in column chunks of about _CHUNK entries."""
+        units = self._units
+        k = np.empty((len(units), self._dr, self._dr), np.result_type(units, mat))
+        squares = 0.0
+        for rows, view in self._slabs(mat):
+            x = view.reshape(-1, units.shape[1])
+            part = k[:, rows].reshape(len(units), -1)
+            np.matmul(units, x.T, out=part)
+            if residual:
+                step = max(1, _CHUNK // len(x))
+                for j in range(0, units.shape[1], step):
+                    y = part.T @ units[:, j : j + step]
+                    np.subtract(x[:, j : j + step], y, out=y)
+                    squares += float(np.vdot(y, y).real)
+        return k, squares
 
     def of(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of the twirl of mat."""
-        return (self._units @ self._transposed(mat)).reshape(-1, self._dr, self._dr)
+        """Coordinates of the twirl of mat: read without the residual.  With
+        no twirled wire they are mat itself, uncopied."""
+        if self._dr == self.dim:
+            return mat[None]
+        return self._read(mat, residual=False)[0]
 
     def matrix(self, k: np.ndarray) -> np.ndarray:
-        """The operator on the wires with coordinates k."""
-        y = self._units.T @ k.reshape(len(k), -1)
-        shape = [self._tensor[a] for a in self._axes]
-        return y.reshape(shape).transpose(self._inverse).reshape(self.dim, self.dim)
+        """The operator on the wires with coordinates k, written slab by
+        slab (see _slabs) from one product of each slab's rows of k with the
+        matrix units, so only the D x D result is made."""
+        if self._dr == self.dim:
+            return k[0].copy()
+        out = np.empty((self.dim, self.dim), np.result_type(k, self._units))
+        for rows, view in self._slabs(out):
+            part = k[:, rows].reshape(len(k), -1)
+            view[...] = (part.T @ self._units).reshape(view.shape)
+        return out
 
     def trace(self, k: np.ndarray) -> float:
         return float(self.tau @ np.einsum("sii->s", k).real)
@@ -374,26 +433,20 @@ class _Coordinates:
 
     def read(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
         """The coordinates K = of(mat) and a bound r >= ||mat - W||_F on the
-        distance of mat from the exact operator W of K, in one transposed
-        copy, one product and a residual summed in row chunks of that copy,
-        so no second D x D array is built: r is (1 + D^2 u) times the
-        computed ||mat - matrix(K)||_F plus self.rounding ||K||_F.  With no
-        twirled wire K is mat, uncopied, and r = 0; otherwise a non-finite
-        entry of mat makes r non-finite, as the residual subtracts from it.
+        distance of mat from the exact operator W of K, in one pass over
+        mat in slabs (_slabs), each gathered once into the layout: its rows
+        of K and its part of the residual depend on that slab alone, so no
+        D x D array is built.  r is (1 + D^2 u) times the computed ||mat -
+        matrix(K)||_F plus self.rounding ||K||_F.  With no twirled wire K
+        is mat, uncopied, and r = 0; otherwise a non-finite entry of mat
+        makes r non-finite, as the residual subtracts from it.
         """
         if self._dr == self.dim:
             return mat[None], 0.0
-        x = self._transposed(mat)
-        flat = self._units @ x
-        step = max(1, _CHUNK // x.shape[1])
-        squares = 0.0
-        for j in range(0, len(x), step):
-            y = self._units[:, j : j + step].T @ flat
-            np.subtract(x[j : j + step], y, out=y)
-            squares += float(np.vdot(y, y).real)
+        k, squares = self._read(mat, residual=True)
         r = (1.0 + self.dim**2 * _U) * squares**0.5
-        r += self.rounding * float(np.linalg.norm(flat))
-        return flat.reshape(-1, self._dr, self._dr), r
+        r += self.rounding * float(np.linalg.norm(k))
+        return k, r
 
     def eigenvalue_floor(self, k: np.ndarray, r: float | None = None) -> float:
         """A lower bound on the least eigenvalue of the Hermitian part of

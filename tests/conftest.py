@@ -12,10 +12,12 @@ re-evaluated by one partial trace per wire and level, and test_link's
 padded link product from its definition, with the partial_trace and
 partial_transpose written here on plain arrays (never through link_product
 or the marginal chain), the brute-force channel search parameterizes
-Stinespring isometries directly (never through the solver), and the
+Stinespring isometries directly (never through the solver), the
 random-comb oracle links one dense |V>><<V| per tooth with link_product,
 the last tooth summed over its Kraus operators (never through the
-contracted Choi vector).
+contracted Choi vector), and the twirl's coordinates are read and written
+by one transposed copy of the whole operator with the matrix units in the
+pattern's order (never through the slabs of twirl._Coordinates).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from qcombs import (
     link_product,
     random_comb,
 )
+from qcombs.twirl import _U, _commutant_blocks, _matrix_units
 
 
 def rand_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -397,27 +400,101 @@ def linked_gate_fidelity(comb: QuantumComb, u: np.ndarray, n_uses: int, d: int) 
     return float(sandwich.real) / d**2
 
 
+class TransposedCoordinates:
+    """of, matrix and read of twirl._Coordinates on a twirl with a twirled
+    wire, by one transposed copy of the whole operator: its twirled wires
+    first, in the pattern's order, rows before columns, then the other
+    wires, and one product with the matrix units of that order.  The
+    basis is _Coordinates', so the coordinates must agree; read's bound is
+    (1 + D^2 u) ||mat - matrix(K)||_F, the residual taken on the copy, plus
+    the same allowance rounding ||K||_F."""
+
+    def __init__(self, twirl: TwirlSpec, wires):
+        labels, t, conj = twirl._factor(wires)
+        units, copies = _matrix_units(*_commutant_blocks(twirl.d, t, conj))
+        self.units = units / np.sqrt(copies)[:, None]
+        n = len(wires)
+        position = {w.label: i for i, w in enumerate(wires)}
+        front = [position[lbl] for lbl in labels]
+        back = [i for i in range(n) if i not in front]
+        self.axes = front + [n + i for i in front] + back + [n + i for i in back]
+        self.tensor = tuple(w.dim for w in wires) * 2
+        self.dim = int(np.prod([w.dim for w in wires]))
+        self.dr = int(np.prod([wires[i].dim for i in back]))
+        s, c = len(units), float(copies.max())
+        self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5)
+
+    def transposed(self, mat: np.ndarray) -> np.ndarray:
+        x = np.asarray(mat).reshape(self.tensor).transpose(self.axes)
+        return x.reshape(-1, self.dr * self.dr)
+
+    def of(self, mat: np.ndarray) -> np.ndarray:
+        return (self.units @ self.transposed(mat)).reshape(-1, self.dr, self.dr)
+
+    def matrix(self, k: np.ndarray) -> np.ndarray:
+        y = self.units.T @ k.reshape(len(k), -1)
+        shape = [self.tensor[a] for a in self.axes]
+        inverse = np.argsort(self.axes)
+        return y.reshape(shape).transpose(inverse).reshape(self.dim, self.dim)
+
+    def read(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
+        x = self.transposed(mat)
+        flat = self.units @ x
+        r = (1.0 + self.dim**2 * _U) * float(np.linalg.norm(x - self.units.T @ flat))
+        r += self.rounding * float(np.linalg.norm(flat))
+        return flat.reshape(-1, self.dr, self.dr), r
+
+
+def stinespring_value(om: np.ndarray, d: int):
+    """x -> (Tr[R om], its gradient in x) for the channel Choi R on (in,
+    out) of the isometry Q of the QR factorization A = QR, A the complex
+    (d * d, d) matrix whose real and imaginary parts are the halves of x;
+    the rows of Q are (Kraus index e, output a), its columns the input i.
+
+    With v_e = Q_e flattened and S the swap of the in and out factors, Tr[R
+    om] = sum_e v_e^dagger (S om S) v_e, so dF = Re<G, dQ> with G = 2 S om
+    S v_e.  It reaches A through dQ = (I - Q Q^dagger) dA R^-1 + Q Omega,
+    Omega = Q^dagger dQ, whose strictly upper part is minus the adjoint of
+    its lower part and whose diagonal is imaginary, as LAPACK's R has a
+    real diagonal: with B = Q^dagger G and M the lower triangle of B -
+    B^dagger, its diagonal halved, the gradient is ((I - Q Q^dagger) G + Q
+    M) R^-dagger, split into real and imaginary parts."""
+    half = d**3
+    swapped = om.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        q, r = np.linalg.qr((x[:half] + 1j * x[half:]).reshape(d * d, d))
+        v = q.reshape(d, d * d).T
+        g = 2.0 * swapped @ v
+        value = float(np.vdot(v, g).real) / 2.0
+        g = g.T.reshape(d * d, d)
+        b = q.conj().T @ g
+        m = np.tril(b - b.conj().T)
+        m[np.diag_indices(d)] /= 2.0
+        grad = np.linalg.solve(r, (g - q @ b + q @ m).conj().T).conj().T
+        return value, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+    return value_and_grad
+
+
 def brute_force_channel_value(
     om: np.ndarray, d: int, seed: int, n_starts: int = 16
 ) -> float:
     """Best Tr[R om] over channel Chois on (in, out), via multistart search
     over Stinespring isometries of Kraus rank d (extreme points of the
     channel set have Kraus rank at most d, and a linear objective is
-    maximized at an extreme point)."""
-    rank = d
-    half = rank * d * d
+    maximized at an extreme point), by L-BFGS-B on the analytic gradient
+    of stinespring_value."""
+    value_and_grad = stinespring_value(om, d)
     rng = np.random.default_rng(seed)
 
-    def value(x: np.ndarray) -> float:
-        a = (x[:half] + 1j * x[half:]).reshape(rank * d, d)
-        q, _ = np.linalg.qr(a)
-        k = q.reshape(rank, d, d)
-        choi = np.einsum("eai,ebj->iajb", k, k.conj()).reshape(d * d, d * d)
-        return float(np.einsum("ij,ji->", choi, om).real)
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = value_and_grad(x)
+        return -value, -grad
 
     best = -np.inf
     for _ in range(n_starts):
-        x0 = rng.standard_normal(2 * half)
-        res = minimize(lambda x: -value(x), x0, method="L-BFGS-B")
+        x0 = rng.standard_normal(2 * d**3)
+        res = minimize(negated, x0, jac=True, method="L-BFGS-B")
         best = max(best, -res.fun)
     return best

@@ -46,6 +46,7 @@ from conftest import (
     rand_hermitian,
     rand_kraus,
     sample_sequential_network,
+    stinespring_value,
 )
 
 from qcombs.haar import haar_unitary
@@ -277,6 +278,28 @@ def test_outcome_register_recovers_branches():
             assert branch.labels[-1] == last_out.label
             expected = LabeledOperator(branch.wires[:-1] + (Wire("o", 2),), branch.matrix)
             assert (picked - expected).norm() <= 1e-12
+
+
+def test_brute_force_gradient_matches_finite_differences():
+    # The search's value is Tr[R om] of the Choi R = sum_e |K_e>><<K_e| of
+    # the isometry's Kraus operators, and its gradient matches central
+    # differences.
+    rng = np.random.default_rng(27)
+    om = rand_hermitian(4, rng)
+    value_and_grad = stinespring_value(om, 2)
+    step = 1e-6
+    for _ in range(3):
+        x = rng.standard_normal(16)
+        value, grad = value_and_grad(x)
+        q, _ = np.linalg.qr((x[:8] + 1j * x[8:]).reshape(4, 2))
+        k = q.reshape(2, 2, 2)
+        choi = np.einsum("eai,ebj->iajb", k, k.conj()).reshape(4, 4)
+        assert value == pytest.approx(np.trace(choi @ om).real, abs=1e-12)
+        diffs = [
+            (value_and_grad(x + step * e)[0] - value_and_grad(x - step * e)[0]) / (2 * step)
+            for e in np.eye(16)
+        ]
+        assert np.abs(grad - diffs).max() < 1e-7 * (1.0 + np.abs(grad).max())
 
 
 def test_single_slot_optimum_matches_brute_force():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -34,6 +35,7 @@ from qcombs.twirl import (
     _Coordinates,
 )
 from conftest import (
+    TransposedCoordinates,
     clifford_twirl,
     cloning_conjugation,
     conjugated,
@@ -468,9 +470,95 @@ def test_coordinates_are_built_once_and_read_only():
     po = learning_objective(3, 2)
     coords = _coordinates(po.twirl, po.structure.wires)
     assert _coordinates(po.twirl, po.structure.wires) is coords
-    for arr in (coords.tau, *coords.mixers):
+    arrays = [a for a in vars(coords).values() if isinstance(a, np.ndarray)]
+    for arr in (*arrays, *coords.mixers):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+# The streamed transforms' checks: the twirled wires trail the others
+# (cloning), alternate with them (learning) or are all there is, next to a
+# wire of dimension 1.
+STREAMED = {
+    "clone12": lambda: cloning_objective(1, 2, 2),
+    "qutrit-clone": lambda: cloning_objective(1, 2, 3),
+    "learn3": lambda: learning_objective(3, 2),
+    "single-wire": None,
+}
+
+
+def _streamed(name):
+    """(twirl, structure) of the check called name."""
+    if STREAMED[name] is None:
+        return TwirlSpec(2, (("1", "U", 2),)), CombStructure.standard([1, 4])
+    po = STREAMED[name]()
+    return po.twirl, po.structure
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_coordinates_match_the_transposed_copy(name):
+    # The slabs of _Coordinates against one transposed copy of the whole
+    # operator, on a Hermitian, a complex non-Hermitian and two
+    # non-contiguous inputs.
+    twirl, s = _streamed(name)
+    D = s.dim
+    coords = _Coordinates(twirl, s.wires)
+    oracle = TransposedCoordinates(twirl, s.wires)
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    big = rng.standard_normal((2 * D, 2 * D))
+    for mat in (rand_hermitian(D, rng).real, c, c.T, big[::2, 1::2]):
+        k_ref, r_ref = oracle.read(mat)
+        k, r = coords.read(mat)
+        assert np.linalg.norm(k - k_ref) <= 1e-14 * np.linalg.norm(k_ref)
+        assert np.linalg.norm(coords.of(mat) - k_ref) <= 1e-14 * np.linalg.norm(k_ref)
+        dense, dense_ref = coords.matrix(k), oracle.matrix(k)
+        assert np.linalg.norm(dense - dense_ref) <= 1e-14 * np.linalg.norm(dense_ref)
+        assert r >= np.linalg.norm(mat - dense)
+        assert r == pytest.approx(r_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_read_refuses_a_push_off_the_algebra(name):
+    # A causal direction orthogonal to the algebra leaves the coordinates of
+    # the maximally mixed comb as they are; pushed along it until indefinite,
+    # the comb is refused under the twirl, by the distance read bounds.
+    twirl, s = _streamed(name)
+    D, tv = s.dim, float(s.trace_value)
+    oracle = TransposedCoordinates(twirl, s.wires)
+    flat = _Coordinates(None, s.wires)
+    rng = np.random.default_rng(19)
+    y = _affine_projection(flat.of(rand_hermitian(D, rng)), flat, 0.0)[0]
+    y = y - oracle.matrix(oracle.of(y))
+    y = (y + y.conj().T) / 2
+    x = np.eye(D) * (tv / D) - (1.1 * tv / D / np.linalg.eigvalsh(y)[-1]) * y
+    assert np.linalg.eigvalsh(x)[0] < -0.05 * tv / D
+    report = verify_causality(LabeledOperator(s.wires, x), s, twirl=twirl)
+    assert max(report.residuals) < 1e-12
+    assert not report.passed
+
+
+def _peak(f, *args):
+    """f(*args) and the most memory traced at once during the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_transforms_make_no_dense_temporary():
+    # Besides what they return, read and matrix hold less than half a
+    # D x D array at once (D = 729).
+    po = cloning_objective(1, 2, 3)
+    s = po.structure
+    coords = _Coordinates(po.twirl, s.wires)
+    mat = rand_hermitian(s.dim, np.random.default_rng(23))
+    (k, _), peak = _peak(coords.read, mat)
+    assert peak - k.nbytes < mat.nbytes / 2
+    dense, peak = _peak(coords.matrix, k)
+    assert peak - dense.nbytes < mat.nbytes / 2
+
 
 
 @pytest.mark.parametrize(

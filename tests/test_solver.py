@@ -348,11 +348,42 @@ def test_every_dense_entry_checks_the_one_cap(monkeypatch):
         random_comb(S2222, [2], 0)
 
 
-def test_dual_bound_requires_valid_certificate():
+def test_omega_is_read_once_per_problem(monkeypatch):
+    # Two 5-iteration solves and a dual_bound of one problem move Omega
+    # into the coordinates once, by the problem's own read.
+    po = cloning_objective(1, 2, 3)
+    p = SdpProblem(po, po.structure, max_iters=5)
+    omega = po.omega.permuted(po.structure.labels).matrix
+    reads = []
+
+    def counted(name):
+        original = getattr(twirl._Coordinates, name)
+
+        def wrapper(self, mat):
+            reads.append(np.array_equal(mat, omega))
+            return original(self, mat)
+
+        monkeypatch.setattr(twirl._Coordinates, name, wrapper)
+
+    counted("of")
+    counted("read")
+    sol = solve(p)
+    assert solve(p).value == sol.value
+    dual_bound(p, sol)
+    assert sum(reads) == 1
+
+
+def test_dual_bound_requires_valid_certificate(monkeypatch):
     p = problem_for(cloning_objective(1, 1, 2))
     sol = solve(p)
     with pytest.raises(BoundUnavailableError):
         dual_bound(p, dataclasses.replace(sol, dual_certificate=None))
+    # an integer certificate is read as numbers, also on one dense block
+    dense = SdpProblem(PerformanceOperator(p.omega.omega, p.structure), p.structure)
+    top = math.ceil(np.linalg.eigvalsh(p.omega.omega.matrix)[-1])
+    flat = dataclasses.replace(sol, dual_certificate=top * np.eye(16, dtype=int))
+    for q in (p, dense):
+        assert dual_bound(q, flat) == pytest.approx(top * p.structure.trace_value)
     # a certificate that fails to dominate the objective is rejected
     broken = sol.dual_certificate - 10.0 * np.eye(sol.dual_certificate.shape[0])
     with pytest.raises(BoundUnavailableError):
@@ -371,11 +402,17 @@ def test_dual_bound_requires_valid_certificate():
     skew[0, 1], skew[1, 0] = 0.1, -0.1
     with pytest.raises(BoundUnavailableError, match="not Hermitian"):
         dual_bound(p, dataclasses.replace(sol, dual_certificate=sol.dual_certificate + skew))
-    # one of the wrong shape (D = 16) is refused before any arithmetic
+    # one of the wrong shape (D = 16) is refused before any arithmetic, and
+    # one that is not an array of numbers before any read
     for shape in [(8, 8), (16,), (16, 8), (32, 32)]:
         bad = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
         with pytest.raises(BoundUnavailableError, match="shape"):
             dual_bound(p, dataclasses.replace(sol, dual_certificate=bad))
+    monkeypatch.setattr(twirl._Coordinates, "read", None)
+    fresh = dataclasses.replace(p)
+    for bad in ([[1.0]], sol.dual_certificate.tolist(), np.full((16, 16), "1")):
+        with pytest.raises(BoundUnavailableError, match="not an array of numbers"):
+            dual_bound(fresh, dataclasses.replace(sol, dual_certificate=bad))
 
 
 @pytest.mark.parametrize(
