@@ -10,6 +10,7 @@ so _feasibility here judges channels, combs and instrument branches alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,7 +160,11 @@ class CausalityReport:
     residuals[n] is the Frobenius norm of Tr_out_n[R^(n)] - I_in_n (x) R^(n-1),
     the violation of the constraint cutting the comb after tooth n.
     min_eigenvalue is a certified lower bound on the least eigenvalue of
-    the Hermitian part of R, never above it (_Coordinates.eigenvalue_floor).
+    the Hermitian part of R, never above it (_Coordinates.eigenvalue_floor),
+    and hermiticity is ||R - R^dagger||_F / 2.  On a board passed from the
+    coordinates K of its twirl, residuals and hermiticity are those of the
+    operator of K, and the pass allowed for R's distance from it (see
+    _feasibility); on every other board they are R's own.
     """
 
     passed: bool
@@ -199,19 +204,64 @@ def _feasibility(
     mat: np.ndarray, dims: Sequence[int], coords: _Coordinates, tol: float
 ) -> CausalityReport:
     """Judge the Choi matrix mat of a board whose wires have dims in comb
-    order: labeled._level_residuals, the defect ||M - M^dagger|| / 2
-    (_hermitian_defect) and coords.eigenvalue_floor of the Hermitian part,
-    from one coords.read of mat, must each be within tol.  The residuals
-    stay dense; no Hermitian part of mat and no D x D difference is built.
-    A board that fails never raises; a tol that is not >= 0 (negative or
-    nan) raises InvalidArgumentError.  With dims = () only positivity is
-    judged."""
+    order: its level residuals (labeled._level_residuals), the defect
+    ||M - M^dagger|| / 2 and coords.eigenvalue_floor of the Hermitian part
+    must each be within tol.  mat is read once, (K, r) = coords.read(mat),
+    and the floor comes from that read.  A board that fails never raises;
+    a tol that is not >= 0 (negative or nan) raises InvalidArgumentError.
+    With dims = () only positivity is judged.
+
+    Under a twirl (coords has a twirled wire) the residuals and the defect
+    are first taken on K, and a board whose floor passes also passes if
+    each of them still passes with failing-side allowances added; it then
+    reports those of the operator W of K (coords.level_residuals and ||K -
+    hermitian(K)||_F).  G_n = Delta_{2n+1} - Delta_{2n} (see
+    level_residuals) and the anti-Hermitian part A(X) = (X - X^dagger) / 2
+    are orthogonal projections that commute with the twirl, and level 0 is
+    sqrt(t_1) / c_0 times the distance of Delta_1 X, a projection too, from
+    (c_0 / t_1) I.  As ||mat - W||_F <= r, level n of mat exceeds that of W
+    by at most sqrt(t_{2n+1}) r / c_n, and ||A(mat)||_F exceeds ||A(W)||_F
+    by at most r.  The computed values stand for those of W up to
+    coords.residual_error = (a, b): b ||K||_F covers the distance of the
+    stored units from the exact ones, the defect of each depolarizer C_w
+    as a map on them and the rounding of the marginal chain, the trace and
+    the products with C (A(W) has coordinates K - hermitian(K) exactly, as
+    E_ji = E_ij^T); a covers the rounding of the final norms and the Gram
+    defect 2 delta + delta^2 of the exact units, delta >= ||Q^T Q - I||_2,
+    so that ||sum_a E_a (x) Y_a||_F <= (1 + 2 delta + delta^2) ||Y||_F.
+    Each computed x therefore bounds its quantity on mat by
+
+        (1 + a) x + scale (r + b ||K||_F),
+
+    scale sqrt(t_{2n+1}) / c_n for level n and 1 for the defect, and the
+    board passes when each such bound is at most tol.  Every other board,
+    and every board without a twirl, is judged and reported on the dense
+    residuals and defect (_hermitian_defect: no Hermitian part of mat and
+    no D x D difference built), so an allowance that is too large only
+    sends a board to the dense route.
+    """
     if not tol >= 0:
         raise InvalidArgumentError(f"tol must be >= 0, got {tol}")
+    k, r = coords.read(mat)
+    lo = coords.eigenvalue_floor(k, r)
+    if coords._dr < coords.dim and -lo <= tol:
+        residuals = tuple(coords.level_residuals(k, dims))
+        hermiticity = float(np.linalg.norm(k - coords.hermitian(k)))
+        rel, per_k = coords.residual_error
+        slack = r + per_k * float(np.linalg.norm(k))
+        ins = dims[::2]
+        scales = [
+            math.prod(dims[2 * n + 1 :]) ** 0.5 / math.prod(ins[n + 1 :])
+            for n in range(len(ins))
+        ]
+        if all(
+            (1 + rel) * x + sc * slack <= tol
+            for x, sc in zip((*residuals, hermiticity), (*scales, 1.0))
+        ):
+            return CausalityReport(True, residuals, lo, hermiticity, tol)
     residuals = tuple(_level_residuals(mat, dims))
     hermiticity = _hermitian_defect(mat)
-    lo = coords.eigenvalue_floor(mat)
-    passed = all(r <= tol for r in (*residuals, -lo, hermiticity))
+    passed = all(x <= tol for x in (*residuals, -lo, hermiticity))
     return CausalityReport(passed, residuals, lo, hermiticity, tol)
 
 

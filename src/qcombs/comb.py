@@ -261,7 +261,11 @@ def verify_causality(
     InvalidArgumentError.  The bound is taken on the
     blocks of twirl when one is given, and on the dense matrix otherwise;
     it never exceeds the least eigenvalue, so a twirl that does not fix R
-    can only make the check fail.
+    can only make the check fail.  Under a twirl, R passes from the
+    coordinates K of that one read when the residuals and hermiticity of
+    the operator of K pass with allowances for R's distance from it added,
+    and the report then gives those of the operator of K; any other R is
+    judged and reported on its own dense residuals and hermiticity.
     """
     _check_labels(R, structure)
     mat = R.permuted(structure.labels).matrix

@@ -48,6 +48,12 @@ def _scalar(v) -> str:
     raise OperatorFileError(f"values must be scalars, got {type(v).__name__}")
 
 
+def _parse_int(token: str):
+    """A JSON integer token as an int, but the writer's -0, the float -0.0
+    printed by _FLOAT, as -0.0, so that reading keeps its sign."""
+    return -0.0 if token == "-0" else int(token)
+
+
 def _render(v, depth: int = 0) -> str:
     """Canonical JSON text of v.
 
@@ -91,10 +97,10 @@ def _entries_to_complex(entries: list) -> np.ndarray:
         and pairs.shape == (len(entries), 2)
         and pairs.dtype.kind in "biuf"
     ):
-        # Same arithmetic as the scan below, so both give identical bits;
-        # non-finite entries are rejected by the OperatorFile constructor.
-        with np.errstate(invalid="ignore"):
-            return pairs[:, 0] + 1j * pairs[:, 1]
+        # Each pair's two floats as they are, signed zeros included, as in
+        # the scan below; non-finite entries are rejected by the
+        # OperatorFile constructor.
+        return np.ascontiguousarray(pairs, dtype=float).view(np.complex128).ravel()
     # Some entry is malformed (or an integer too large for int64, which numpy
     # keeps as an object): scan for it and name its index.
     flat = np.empty(len(entries), dtype=np.complex128)
@@ -106,7 +112,7 @@ def _entries_to_complex(entries: list) -> np.ndarray:
         ):
             raise OperatorFileError(f"entry {i} is not an [re, im] pair: {pair!r}")
         try:
-            flat[i] = pair[0] + 1j * pair[1]
+            flat[i] = complex(pair[0], pair[1])
         except OverflowError as e:
             raise OperatorFileError(f"entry {i} overflows a float") from e
     return flat
@@ -161,7 +167,7 @@ class OperatorFile:
     @classmethod
     def loads(cls, text: str) -> "OperatorFile":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=_parse_int)
         except json.JSONDecodeError as e:
             raise OperatorFileError(f"not valid JSON: {e}") from e
         if not isinstance(doc, dict):
@@ -270,7 +276,7 @@ class ResultRecord:
         with exactly the record's keys, parameters is an object, and to_json
         can write the record again."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=_parse_int)
         except json.JSONDecodeError as e:
             raise InvalidArgumentError(f"not valid JSON: {e}") from e
         keys = [f.name for f in fields(cls)]

@@ -74,13 +74,16 @@ coordinates and a bound on the distance from the algebra.  Every check
 runs on that pair and bounds the dense quantity it stands for from the
 failing side; positivity by _Coordinates.eigenvalue_floor, which
 subtracts the distance (Weyl's inequality) and allowances for the
-measured orthogonality defect of Q and for rounding.  A wrong
-decomposition would show as a failed check, never as a certified false
-number.  Every move between a dense operator and the coordinates streams
-it in slabs of rows, and the Hermitian defect of R_star is summed in
-strips, so none makes a D x D temporary; the operators themselves and
-the level residuals' marginal chain stay D x D, so a solve takes the one
-cap comb.MAX_DIM on D, as every dense build does.
+measured orthogonality defect of Q and for rounding, and the level
+residuals and Hermitian defect of R_star by their values on the
+coordinates (_Coordinates.level_residuals) plus the distance and
+rounding (choi._feasibility).  A wrong decomposition would show as a
+failed check, never as a certified false number.  Every move between a
+dense operator and the coordinates streams it in slabs of rows, so none
+makes a D x D temporary; a board those bounds do not pass is judged on
+its dense residuals and its defect summed in strips.  The operators
+themselves stay D x D, so a solve takes the one cap comb.MAX_DIM on D,
+as every dense build does.
 """
 
 from __future__ import annotations

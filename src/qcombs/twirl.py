@@ -20,11 +20,13 @@ same coordinates, where each block is a reshaped slice, and so does the
 affine projection onto the causality constraints (_affine_projection), so
 this module alone knows their encoding; no twirl is the one-block case.
 That projection reads the marginal chain (labeled._marginals) that
-verify_causality, reduced_comb and is_channel check the constraints with.
-Positivity is certified on the same blocks (_Coordinates.eigenvalue_floor),
-less the distance from the algebra that one streamed dense read
-(_Coordinates.read) bounds, so an operator the twirl does not fix fails
-the check instead.
+reduced_comb and the dense level residuals read too, and the same chain
+on the coordinates gives every level residual of an operator the twirl
+fixes (_Coordinates.level_residuals).  Positivity is certified on the
+same blocks (_Coordinates.eigenvalue_floor), less the distance from the
+algebra that one streamed dense read (_Coordinates.read) bounds, so an
+operator the twirl does not fix fails the check instead; choi._feasibility
+judges a twirled board from that read in the same way.
 
 This module imports only labeled and errors, so comb, choi and objective
 all take the coordinates from it.
@@ -32,6 +34,7 @@ all take the coordinates from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -303,16 +306,45 @@ class _Coordinates:
         for i, lbl in zip(front, labels):
             factors[i] = range(f, f + copies_of[lbl])
             f += copies_of[lbl]
+        # _depolarizers[w] is (k, C) for that w (see level_residuals);
+        # defect, the largest ||C^T U - D_w(U)||_F over w, with D_w(U) the
+        # depolarized units, measures how far each C is from representing
+        # its depolarizing on the stored units U.
         tails = np.cumprod((1,) + self.dims[::-1])[::-1]
         self.mixers = [np.zeros((len(units), len(units))) for _ in tails]
-        moved, k = units, len(back)
+        depolarizers, moved, k, defect, c_norm = [], units, len(back), 0.0, 0.0
         for w in range(n, -1, -1):
             if w in factors:
                 moved = _depolarized(moved, d, t, factors[w])
             elif w < n:
                 k -= 1
-            self.mixers[k] += ((-1) ** w / tails[k]) * (units @ moved.T)
+            mix = units @ moved.T
+            mix.flags.writeable = False
+            depolarizers.append((k, mix))
+            defect = max(defect, float(np.linalg.norm(mix.T @ units - moved)))
+            c_norm = max(c_norm, float(np.linalg.norm(mix)))
+            self.mixers[k] += ((-1) ** w / tails[k]) * mix
         self.mixers = tuple(self.mixers)
+        self._depolarizers = tuple(depolarizers[::-1])
+        # The failing-side allowances of level_residuals and of the Hermitian
+        # defect ||K - hermitian(K)||_F (see choi._feasibility).  Relative to
+        # a computed value: the Gram defect 2 delta + delta^2 of the exact
+        # scaled units (delta = _q_defect), the distance rho of the stored
+        # units from them (read's (c + 3) u sqrt(c s)) and the rounding of a
+        # norm of at most s d_rest^2 entries.  Per unit ||K||_F: rho, the
+        # defect eta of each of the two C a level uses (the measured one,
+        # plus the rounding of that measurement, u sqrt(s) (s ||C||_F + 2),
+        # and of D_w(U), u sqrt(s) t (d + 2)), and the rounding of the
+        # marginal chain, the trace and the products with C, at most u (D +
+        # s + 2 s ||C||_F + 4).  Each rounding term is doubled, as gamma_n
+        # = n u / (1 - n u) <= 2 n u.
+        rho = _U * (c + 3.0) * (c * s) ** 0.5 if labels else 0.0
+        eta = 1.01 * defect + 2 * _U * s**0.5 * (t * (d + 2) + s * c_norm + 2)
+        q = self._q_defect
+        self.residual_error = (
+            2 * q + q * q + rho + 2 * _U * (s * self._dr**2 + 4),
+            rho + 2 * eta + 2 * _U * (self.dim + s + 2 * s * c_norm + 4),
+        )
 
         # The one layout of the dense transforms: the rows, then the columns
         # of the other wires, then the columns, then the rows of the twirled
@@ -330,6 +362,7 @@ class _Coordinates:
         self._tensor = tuple(wires[i].dim for i in kept) * 2
         rest = [kept.index(i) for i in back if i in kept]
         twirled = [kept.index(i) for i in sorted(front)]
+        self._lead = tuple(self._tensor[a] for a in rest) or (1,)
         self._layout = [a + b for b in (0, len(kept)) for a in rest]
         self._layout += [a + b for b in (len(kept), 0) for a in twirled]
         for arr in (self._units, self._adjoint, self.tau, *self.mixers):
@@ -343,19 +376,27 @@ class _Coordinates:
 
     def _slabs(self, mat: np.ndarray):
         """Yield (rows, view) over slabs of mat: view, in the layout, holds
-        the entries of mat whose row on the leading other wire (of
-        dimension above 1) lies in the slab, and rows is the slice of the
-        rows of K it determines.  A slab holds about _CHUNK entries, at
-        least one row of that wire; with no other wire it is all of mat."""
+        the entries of mat whose rows on the other wires (of dimension above
+        1) lie in the slab, and rows is the slice of the rows of K it
+        determines.  A slab fixes the rows of a prefix of those wires and
+        takes a range on the next one, so that it holds about _CHUNK
+        entries, at least one row of the last; with no other wire it is
+        all of mat."""
         view = mat.reshape(self._tensor).transpose(self._layout)
         if self._dr == 1:
             view = view[None]
-        lead = view.shape[0]
-        h = self._dr // lead
-        step = max(1, _CHUNK * lead // self.dim**2)
-        for a in range(0, lead, step):
-            b = min(a + step, lead)
-            yield slice(a * h, b * h), view[a:b]
+        lead = self._lead
+        p, rows = 0, lead[0]
+        while _CHUNK * rows < self.dim**2 and p + 1 < len(lead):
+            p += 1
+            rows *= lead[p]
+        h = self._dr // rows
+        step = max(1, _CHUNK * rows // self.dim**2)
+        for i, prefix in enumerate(np.ndindex(*lead[:p])):
+            sub, base = view[prefix], i * lead[p] * h
+            for a in range(0, lead[p], step):
+                b = min(a + step, lead[p])
+                yield slice(base + a * h, base + b * h), sub[a:b]
 
     def _read(self, mat: np.ndarray, residual: bool) -> tuple[np.ndarray, float]:
         """K = of(mat) and, if residual, the squared Frobenius norm of the
@@ -394,6 +435,43 @@ class _Coordinates:
         for rows, view in self._slabs(out):
             part = k[:, rows].reshape(len(k), -1)
             view[...] = (part.T @ self._units).reshape(view.shape)
+        return out
+
+    def level_residuals(self, k: np.ndarray, dims: Sequence[int]) -> list[float]:
+        """labeled._level_residuals of the operator W of the coordinates k,
+        whose wires have dims in comb order, from the coordinates alone.
+
+        Level n there is sqrt(t_{2n+1}) ||G_n W||_F / c_n, with G_n =
+        Delta_{2n+1} - Delta_{2n}, Delta_w the depolarizing of the wires from
+        position w on, t_w their dimension and c_n the product of the input
+        dims after tooth n; level 0 adds sqrt(d_0) |Tr W / (c_0 d_0) - 1|
+        in quadrature, d_0 the first input dim.  Delta_w W has coordinates
+        C_w (M_k (x) I / t'), M_k the marginal of k on the first k other
+        wires (labeled._marginals) and (k, C_w) = _depolarizers[w], and the
+        basis is orthonormal, so ||G_n W||_F is the norm of coordinates of
+        size s d_rest^2 at most.  Between w = 2n and 2n + 1 only input n is
+        depolarized: an untwirled one moves M and keeps C, a twirled one
+        moves C and keeps M.
+        """
+        marg, ins, out = _marginals(k, self.dims), dims[::2], []
+        for n, d in enumerate(ins):
+            (i, a), (j, b) = self._depolarizers[2 * n : 2 * n + 2]
+            m = marg[j]
+            if j > i:
+                m = m.copy()
+                h = m.shape[1] // d
+                blocks = m.reshape(-1, h, d, h, d)
+                for x in range(d):
+                    blocks[:, :, x, :, x] -= marg[i] / d
+            else:
+                b = b - a
+            gap = float(np.linalg.norm(b @ m.reshape(len(b), -1)))
+            twirled = math.prod(dims[2 * n + 1 :]) / math.prod(self.dims[j:])
+            res = twirled**0.5 * gap / math.prod(ins[n + 1 :])
+            if n == 0:
+                tr = self.tau @ np.einsum("sii->s", k)
+                res = math.hypot(res, d**0.5 * abs(tr / math.prod(ins) - 1.0))
+            out.append(res)
         return out
 
     def trace(self, k: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ def test_operator_file_golden_bytes():
     assert OperatorFile((Wire("ψ", 2),), mat, meta).dumps() == GOLDEN_FILE
     wires = (Wire("a", 1), Wire("b", 1))
     assert OperatorFile(wires, np.array([[1e22]])).dumps() == GOLDEN_FILE_NO_METADATA
+
+
+def test_golden_file_survives_a_round_trip():
+    # The writer prints -0.0 as -0, which JSON reads as an integer; the
+    # reader keeps it -0.0, in the entries and in the metadata.
+    again = OperatorFile.loads(GOLDEN_FILE)
+    assert again.dumps() == GOLDEN_FILE
+    assert math.copysign(1.0, again.metadata["z"]) == -1.0
+    assert math.copysign(1.0, again.matrix[0, 1].real) == -1.0
+    assert math.copysign(1.0, again.matrix[1, 1].imag) == -1.0
+    assert OperatorFile.loads(GOLDEN_FILE_NO_METADATA).dumps() == GOLDEN_FILE_NO_METADATA
 
 
 def test_metadata_rejects_non_scalars():
@@ -427,6 +439,14 @@ def test_result_record_golden_bytes():
         converged=False,
     )
     assert nulls.to_json() == GOLDEN_RECORD_NULLS
+
+
+def test_golden_record_survives_a_round_trip():
+    again = ResultRecord.from_json(GOLDEN_RECORD)
+    assert again.to_json() == GOLDEN_RECORD
+    assert math.copysign(1.0, again.reference_value) == -1.0
+    assert isinstance(again.iterations, int)
+    assert ResultRecord.from_json(GOLDEN_RECORD_NULLS).to_json() == GOLDEN_RECORD_NULLS
 
 
 @pytest.mark.parametrize(

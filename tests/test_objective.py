@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qcombs import (
     LabelMismatchError,
     NotHermitianError,
     PerformanceOperator,
+    SdpProblem,
     TwirlSpec,
     UnsupportedError,
     Wire,
@@ -24,9 +26,12 @@ from qcombs import (
     learning_objective,
     link_product,
     random_comb,
+    solve,
     verify_causality,
 )
-from qcombs import objective
+from qcombs import choi, objective
+from qcombs.choi import _hermitian_defect
+from qcombs.labeled import _level_residuals
 from qcombs.twirl import (
     _affine_projection,
     _commutant_basis,
@@ -44,6 +49,7 @@ from conftest import (
     learning_conjugation,
     learning_memory,
     mc_gate_fidelity,
+    ptrace_level_residuals,
     rand_hermitian,
 )
 
@@ -549,15 +555,17 @@ def _peak(f, *args):
 
 def test_streamed_transforms_make_no_dense_temporary():
     # Besides what they return, read and matrix hold less than half a
-    # D x D array at once (D = 729).
-    po = cloning_objective(1, 2, 3)
-    s = po.structure
-    coords = _Coordinates(po.twirl, s.wires)
-    mat = rand_hermitian(s.dim, np.random.default_rng(23))
-    (k, _), peak = _peak(coords.read, mat)
-    assert peak - k.nbytes < mat.nbytes / 2
-    dense, peak = _peak(coords.matrix, k)
-    assert peak - dense.nbytes < mat.nbytes / 2
+    # D x D array at once: qutrit cloning (D = 729), whose slabs are rows
+    # of the leading untwirled wire, and four-use learning (D = 1024),
+    # whose slabs each fix one row of four 2-dimensional untwirled wires.
+    for po in (cloning_objective(1, 2, 3), learning_objective(4, 2)):
+        s = po.structure
+        coords = _Coordinates(po.twirl, s.wires)
+        mat = rand_hermitian(s.dim, np.random.default_rng(23))
+        (k, _), peak = _peak(coords.read, mat)
+        assert peak - k.nbytes < mat.nbytes / 2
+        dense, peak = _peak(coords.matrix, k)
+        assert peak - dense.nbytes < mat.nbytes / 2
 
 
 
@@ -603,3 +611,137 @@ def test_block_eigenvalue_floor_never_exceeds_the_dense_minimum(build):
     assert max(report.residuals) < 1e-12
     assert report.min_eigenvalue <= dense
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# Judging a twirled board from its coordinates
+
+SOLVED = {
+    "clone12": lambda: cloning_objective(1, 2, 2),
+    "learn2": lambda: learning_objective(2, 2),
+    "learn3": lambda: learning_objective(3, 2),
+    "qutrit-clone": lambda: cloning_objective(1, 2, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def _solved(name):
+    """(twirl, structure, R_star) of the solved problem; R_star carries
+    the twirl."""
+    po = SOLVED[name]()
+    return po.twirl, po.structure, solve(SdpProblem(po, po.structure)).R_star
+
+
+@pytest.mark.parametrize("name", list(SOLVED))
+def test_coordinate_level_residuals_match_the_partial_trace_oracle(name):
+    twirl, s, comb = _solved(name)
+    r_star = comb.op.permuted(s.labels)
+    coords = _coordinates(twirl, s.wires)
+    rng = np.random.default_rng(29)
+    noise = rng.standard_normal((s.dim, s.dim)) + 1j * rng.standard_normal((s.dim, s.dim))
+    boards = [r_star.matrix]
+    boards += [coords.matrix(coords.of(m)) for m in (rand_hermitian(s.dim, rng), noise)]
+    for mat in boards:
+        got = coords.level_residuals(coords.of(mat), s.dims)
+        want = ptrace_level_residuals(LabeledOperator(s.wires, mat), s)
+        scale = max(np.linalg.norm(mat), *want)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    # The oracle's values are not all at rounding: the noise breaks the
+    # comb conditions.
+    assert max(want) > 1e-3
+
+
+def _push(y, coords, inside):
+    """y made Hermitian and, unless inside, taken off the algebra, then
+    scaled to unit Frobenius norm."""
+    y = (y + y.conj().T) / 2
+    if not inside:
+        y = y - coords.matrix(coords.of(y))
+    return y / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("name", ["clone12", "qutrit-clone"])
+def test_twirled_verdicts_match_the_dense_judgement(name):
+    # A board passed from its coordinates passes the dense checks, and a
+    # board that is not is judged and reported by them as at the parent:
+    # dense residuals and defect, with the floor of the same read.
+    twirl, s, comb = _solved(name)
+    r_star = comb.op.permuted(s.labels)
+    coords = _coordinates(twirl, s.wires)
+    flat = _Coordinates(None, s.wires)
+    rng = np.random.default_rng(31)
+    tol = 1e-9
+    causal = _affine_projection(flat.of(rand_hermitian(s.dim, rng)), flat, 0.0)[0]
+    # (Delta_1 - Delta_0) z violates level 0 alone, by its whole norm.
+    d0, rest = s.dims[0], s.dim // s.dims[0]
+    z = rand_hermitian(s.dim, rng)
+    level0 = np.kron(np.trace(z.reshape(d0, rest, d0, rest), axis1=1, axis2=3), np.eye(rest))
+    level0 = level0 / rest - np.trace(z) / s.dim * np.eye(s.dim)
+    w = rng.standard_normal((s.dim, 3))
+    directions = {
+        # off the algebra: causal, violating level 0, arbitrary, and
+        # anti-Hermitian
+        "off-causal": _push(causal, coords, inside=False),
+        "off-level-0": _push(level0, coords, inside=False),
+        "off": _push(rand_hermitian(s.dim, rng), coords, inside=False),
+        "anti": 1j * _push(rand_hermitian(s.dim, rng), coords, inside=False),
+        # causal violations inside the algebra that keep the board positive
+        "in-positive": _push(coords.matrix(coords.of(w @ w.T)), coords, inside=True),
+        "in-trace": r_star.matrix / np.linalg.norm(r_star.matrix),
+    }
+    # The same comb mixed toward I / prod(outs), the maximally mixed comb,
+    # so that its least eigenvalue, 30 tol, leaves the floor passing a push
+    # of norm up to 10 tol off the algebra: the verdict on those rests on
+    # the allowances for r in the residuals and the defect.
+    outs = np.prod(s.dims[1::2])
+    eps = 30 * tol * outs
+    margin = (1 - eps) * r_star.matrix + eps / outs * np.eye(s.dim)
+    fast = 0
+    for (key, y), base in product(directions.items(), (r_star.matrix, margin)):
+        for size in (0.5, 0.7, 2.0, 10.0):
+            mat = base + size * tol * y
+            report = verify_causality(LabeledOperator(s.wires, mat), s, tol, twirl)
+            residuals = tuple(_level_residuals(mat, s.dims))
+            defect = _hermitian_defect(mat)
+            floor = coords.eigenvalue_floor(mat)
+            assert report.min_eigenvalue == floor
+            assert report.passed == all(x <= tol for x in (*residuals, defect, -floor))
+            if key.startswith("in"):
+                flat_report = verify_causality(LabeledOperator(s.wires, mat), s, tol)
+                assert report.passed == flat_report.passed
+            if not report.passed:
+                assert report.residuals == residuals
+                assert report.hermiticity == defect
+            elif report.residuals != residuals:
+                fast += 1
+    assert fast >= 2
+    # A causal anti-Hermitian part on the algebra just within tol, plus one
+    # off it that the residuals' allowances still pass: only the allowance
+    # r in the defect keeps this board from passing on its coordinates.
+    spin = 1j * _push(coords.matrix(coords.of(causal)), coords, inside=True)
+    mat = margin + tol * (0.97 * spin + 0.3 * directions["anti"])
+    report = verify_causality(LabeledOperator(s.wires, mat), s, tol, twirl)
+    assert report.hermiticity == _hermitian_defect(mat) > tol
+    assert not report.passed
+
+
+def test_passing_twirled_verify_reads_no_dense_residual(monkeypatch):
+    twirl, s, comb = _solved("qutrit-clone")
+    assert comb.twirl == twirl
+    calls = {"_level_residuals": 0, "_hermitian_defect": 0}
+
+    def counted(name):
+        real = getattr(choi, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(choi, name, counted(name))
+    assert comb.verify().passed
+    assert calls == {"_level_residuals": 0, "_hermitian_defect": 0}
+    assert verify_causality(comb.op, s).passed
+    assert calls == {"_level_residuals": 1, "_hermitian_defect": 1}
