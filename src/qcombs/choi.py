@@ -224,11 +224,12 @@ def _feasibility(
     by at most r.  The computed values stand for those of W up to
     coords.residual_error = (a, b): b ||K||_F covers the distance of the
     stored units from the exact ones, the defect of each depolarizer C_w
-    as a map on them and the rounding of the marginal chain, the trace and
-    the products with C (A(W) has coordinates K - hermitian(K) exactly, as
-    E_ji = E_ij^T); a covers the rounding of the final norms and the Gram
-    defect 2 delta + delta^2 of the exact units, delta >= ||Q^T Q - I||_2,
-    so that ||sum_a E_a (x) Y_a||_F <= (1 + 2 delta + delta^2) ||Y||_F.
+    (C_U (x) C_V under a second unitary) as a map on them and the rounding
+    of the marginal chain, the trace and the products with C (A(W) has
+    coordinates K - hermitian(K) exactly, as E_ji = E_ij^T); a covers the
+    rounding of the final norms and the Gram defect 2 delta + delta^2 of
+    the exact units, delta >= ||S^T S - I||_2 for S = Q_U (x) Q_V, so that
+    ||sum_a E_a (x) Y_a||_F <= (1 + 2 delta + delta^2) ||Y||_F.
     Each computed x therefore bounds its quantity on mat by
 
         (1 + a) x + scale (r + b ||K||_F),

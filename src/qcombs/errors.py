@@ -11,7 +11,9 @@ class QCombsError(Exception):
 
 
 class InvalidArgumentError(QCombsError, ValueError):
-    """An argument of the right type with a refused value; also a ValueError."""
+    """An argument with a refused value, or a count or tolerance that is not
+    an integer or a real number (an iteration count of 10.0, a tolerance of
+    "1e-6"); also a ValueError."""
 
 
 class DuplicateLabelError(QCombsError):

@@ -11,9 +11,12 @@ is a linear objective over a convex set.
 
 The average is computed exactly, never by Monte-Carlo: it is the
 projection onto the fixed-point algebra of the twirl, taken in that
-algebra's coordinates (twirl._Coordinates).  A PerformanceOperator
-carries a twirl only when this averaging made its Omega, so the twirl
-fixes Omega by construction and is never re-checked.
+algebra's coordinates (twirl._Coordinates).  A task objective averages
+over U and over a second Haar unitary V on the partner wires of U's,
+which fixes the same Omega (see _task_objective), so its twirl is that of
+U x V, whose blocks are much smaller than those of U alone.  A
+PerformanceOperator carries a twirl only when this averaging made its
+Omega, so the twirl fixes Omega by construction and is never re-checked.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .choi import max_entangled
 from .comb import CombStructure, _check_dim, _check_labels
 from .errors import InvalidArgumentError, NotHermitianError, UnsupportedError
 from .labeled import LabeledOperator, LabeledVector
-from .twirl import TwirlSpec, _coordinates
+from .twirl import TAGS, TwirlSpec, _coordinates
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,14 @@ class PerformanceOperator:
 
 
 def haar_average(spec: TwirlSpec, base: LabeledOperator) -> PerformanceOperator:
-    """E_U[ W(U) base W(U)^dagger ] with W(U) the per-wire action of spec.
+    """E_U[ W(U) base W(U)^dagger ] with W(U) the per-wire action of spec,
+    averaged over the second unitary V as well when spec has one.
 
     The average is the exact projection onto the commutant of the twirl,
     spanned by the partially transposed permutation operators on the unit
-    factors, so it fixes precisely the operators commuting with every
-    W(U); in particular it is idempotent and Hermiticity-preserving, and a
+    factors (the tensor product of U's and V's), so it fixes precisely the
+    operators commuting with every W(U) (and W(V)); in particular it is
+    idempotent and Hermiticity-preserving, and a
     base whose average is not Hermitian raises NotHermitianError.  The
     result carries spec as its twirl.
     """
@@ -112,15 +117,28 @@ def _task_objective(
     """Haar average of the product of maximally entangled pairs, over norm.
 
     dims are the comb wire dimensions in standard order; pairs lists the
-    (i, j) wire positions joined by sum_n |n>|n>; pattern lists the
-    (position, tag, copies) of the twirled wires.
+    (i, j) wire positions joined by |I>> = sum_n |n>|n>, i the twirled one
+    if either is; pattern lists the (position, tag, copies) of U's wires.
+
+    The average is over U and a second Haar unitary V, independent of it,
+    on the partners j of U's wires: V on the partner of a U* wire and V*,
+    once per copy, on that of a U wire.  As (1 (x) Y)|I>> = (Y^T (x) 1)|I>>,
+    V so placed acts on the base as U = V^dagger does, so the U average
+    already fixes it and the U x V average is the same Omega; V's pattern
+    lists the partners in the order of U's, so it is the complement of
+    U's and shares its commutant (_commutant_blocks).
     """
     structure = CombStructure.standard(dims)
     w = structure.wires
     vec = LabeledVector((), np.array([norm**-0.5]))
     for i, j in pairs:
         vec = vec.tensor(max_entangled((w[i], w[j])))
-    spec = TwirlSpec(d, tuple((w[i].label, tag, c) for i, tag, c in pattern))
+    partner = dict(pairs)
+    spec = TwirlSpec(
+        d,
+        tuple((w[i].label, tag, c) for i, tag, c in pattern),
+        tuple((w[partner[i]].label, TAGS[tag == "U"], c) for i, tag, c in pattern),
+    )
     return _twirled(spec, vec.permuted(structure.labels).outer(), structure)
 
 

@@ -61,7 +61,13 @@ variable and the certificate candidate are stored by their coordinates in
 an orthonormal basis of that algebra, so norms, inner products and the
 ADMM updates act on those small arrays unchanged; the affine projection
 mixes the coordinates once per level, and the clip and every eigenvalue
-diagonalize one copy of each irrep block instead of the D x D matrix.
+diagonalize one copy of each irrep block instead of the D x D matrix.  A
+task objective is averaged over U and a second, independent unitary V
+on the partner wires of U's (objective._task_objective), so U x V fixes
+its Omega by construction, and with it the mixed start, the affine
+projection and the clip: the iterate path is the one of U alone, but the
+blocks are one per pair of irreps of U and V, of order m_U m_V (at most 9
+for three-use qubit learning, 48 with U alone).
 Omega enters the coordinates once per problem: SdpProblem reads it on
 first use (_Coordinates.read) and solve and dual_bound share that read,
 and R_star and the final certificate leave them once.  An objective with
@@ -88,8 +94,10 @@ as every dense build does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -120,8 +128,10 @@ _POLISH_EVERY = 10
 class SdpProblem:
     """A linear objective over the combs of a fixed structure.
 
-    tol_gap is the stopping tolerance of solve.  Feasibility needs none:
-    every value solve reports comes from an exactly feasible comb.
+    tol_gap is the stopping tolerance of solve, a finite number > 0, and
+    max_iters its budget, an integer >= 1; anything else, a bool included,
+    raises InvalidArgumentError.  Feasibility needs no tolerance: every
+    value solve reports comes from an exactly feasible comb.
     """
 
     omega: PerformanceOperator
@@ -131,10 +141,10 @@ class SdpProblem:
 
     def __post_init__(self):
         _check_labels(self.omega.omega, self.structure)
-        if not self.tol_gap > 0:
-            raise InvalidArgumentError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be at least 1")
+        tol = self.tol_gap
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+            raise InvalidArgumentError(f"tol_gap must be a finite number > 0, got {tol!r}")
+        _check_count(self.max_iters, "max_iters")
 
     @cached_property
     def _omega(self) -> tuple[_Coordinates, np.ndarray, float]:
@@ -180,6 +190,13 @@ class SdpSolution:
             f"SdpSolution(value={self.value:.9f}, gap_bound={self.gap_bound:.2e}, "
             f"iters={self.iterations}, {tag})"
         )
+
+
+def _check_count(n, what: str) -> None:
+    """Refuse an iteration count that is not an integer >= 1; a bool is not
+    one."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise InvalidArgumentError(f"{what} must be an integer >= 1, got {n!r}")
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
@@ -393,9 +410,11 @@ def project_to_comb(
     they agree to TOL_VERIFY in Frobenius norm, then polish the last affine
     projection as solve does, mixing it toward the maximally mixed comb
     until positive.  The result meets the causality constraints and
-    positivity up to rounding, so it passes its own verify().
+    positivity up to rounding, so it passes its own verify().  iters, the
+    most alternations, is an integer >= 1.
     """
     _check_labels(X, structure)
+    _check_count(iters, "iters")
     _check_dim(structure.dim, "project_to_comb")
     coords = _coordinates(None, structure.wires)
     z = coords.of(X.permuted(structure.labels).hermitized().matrix)

@@ -15,9 +15,12 @@ or the marginal chain), the brute-force channel search parameterizes
 Stinespring isometries directly (never through the solver), the
 random-comb oracle links one dense |V>><<V| per tooth with link_product,
 the last tooth summed over its Kraus operators (never through the
-contracted Choi vector), and the twirl's coordinates are read and written
+contracted Choi vector), the twirl's coordinates are read and written
 by one transposed copy of the whole operator with the matrix units in the
-pattern's order (never through the slabs of twirl._Coordinates).
+pattern's order, and V's from one transposed copy of U's (never through
+the slabs of twirl._Coordinates), and wire_conjugated applies a wire-local
+symmetry one wire at a time on the operator's tensor (never through the
+twirl).
 """
 
 from __future__ import annotations
@@ -113,6 +116,20 @@ def conjugation_operator(base: LabeledOperator, mats: dict) -> LabeledOperator:
         mats.get(w.label, np.eye(w.dim)) for w in base.wires
     ]
     return LabeledOperator(base.wires, reduce(np.kron, factors))
+
+
+def wire_conjugated(op: LabeledOperator, mats: dict) -> LabeledOperator:
+    """G op G^dagger for G the kron of per-wire unitaries mats (label ->
+    matrix, the identity elsewhere), one wire at a time on op's tensor, so
+    no D x D G is built."""
+    n, dims = len(op.wires), [w.dim for w in op.wires]
+    x = op.matrix.reshape(dims * 2)
+    for i, w in enumerate(op.wires):
+        if w.label in mats:
+            g = mats[w.label]
+            x = np.moveaxis(np.tensordot(g, x, axes=(1, i)), 0, i)
+            x = np.moveaxis(np.tensordot(x, g.conj(), axes=(n + i, 1)), -1, n + i)
+    return LabeledOperator(op.wires, x.reshape(op.matrix.shape))
 
 
 def cloning_conjugation(base: LabeledOperator, U: np.ndarray, n: int, m: int):
@@ -400,49 +417,81 @@ def linked_gate_fidelity(comb: QuantumComb, u: np.ndarray, n_uses: int, d: int) 
     return float(sandwich.real) / d**2
 
 
-class TransposedCoordinates:
-    """of, matrix and read of twirl._Coordinates on a twirl with a twirled
-    wire, by one transposed copy of the whole operator: its twirled wires
-    first, in the pattern's order, rows before columns, then the other
-    wires, and one product with the matrix units of that order.  The
-    basis is _Coordinates', so the coordinates must agree; read's bound is
-    (1 + D^2 u) ||mat - matrix(K)||_F, the residual taken on the copy, plus
-    the same allowance rounding ||K||_F."""
+class _TransposedStage:
+    """One unitary's stage of twirl._Coordinates on a stack of operators on
+    wires, by one transposed copy of the stack: the unitary's wires first,
+    in the pattern's order, rows before columns, then the other wires, and
+    one product with the matrix units of that order.  q_defect and
+    rounding are the measured defect of its Q and the allowance
+    _Coordinates.read takes for the rounding of matrix(K) per unit
+    ||K||_F."""
 
-    def __init__(self, twirl: TwirlSpec, wires):
-        labels, t, conj = twirl._factor(wires)
-        units, copies = _matrix_units(*_commutant_blocks(twirl.d, t, conj))
+    def __init__(self, twirl: TwirlSpec, wires, second: bool):
+        self.labels, t, conj = twirl._factor(wires, second)
+        q, blocks = _commutant_blocks(twirl.d, t, conj)
+        units, copies = _matrix_units(q, blocks)
         self.units = units / np.sqrt(copies)[:, None]
         n = len(wires)
         position = {w.label: i for i, w in enumerate(wires)}
-        front = [position[lbl] for lbl in labels]
+        front = [position[lbl] for lbl in self.labels]
         back = [i for i in range(n) if i not in front]
         self.axes = front + [n + i for i in front] + back + [n + i for i in back]
         self.tensor = tuple(w.dim for w in wires) * 2
         self.dim = int(np.prod([w.dim for w in wires]))
         self.dr = int(np.prod([wires[i].dim for i in back]))
         s, c = len(units), float(copies.max())
+        self.q_defect = float(np.linalg.norm(q.T @ q - np.eye(len(q)))) + 2 * len(q) ** 2 * _U
         self.rounding = _U * s**0.5 * (s + (c + 3.0) * c**0.5)
 
-    def transposed(self, mat: np.ndarray) -> np.ndarray:
-        x = np.asarray(mat).reshape(self.tensor).transpose(self.axes)
-        return x.reshape(-1, self.dr * self.dr)
-
-    def of(self, mat: np.ndarray) -> np.ndarray:
-        return (self.units @ self.transposed(mat)).reshape(-1, self.dr, self.dr)
+    def of(self, stack: np.ndarray) -> np.ndarray:
+        """(b, D, D) -> (b s, d_rest, d_rest), row a of item i at i s + a."""
+        x = np.asarray(stack).reshape((len(stack),) + self.tensor)
+        x = x.transpose([0] + [1 + a for a in self.axes]).reshape(len(stack), -1, self.dr**2)
+        return np.einsum("sj,bjx->bsx", self.units, x).reshape(-1, self.dr, self.dr)
 
     def matrix(self, k: np.ndarray) -> np.ndarray:
-        y = self.units.T @ k.reshape(len(k), -1)
-        shape = [self.tensor[a] for a in self.axes]
-        inverse = np.argsort(self.axes)
-        return y.reshape(shape).transpose(inverse).reshape(self.dim, self.dim)
+        y = np.einsum("sj,bsx->bjx", self.units, k.reshape(-1, len(self.units), self.dr**2))
+        shape = [len(y)] + [self.tensor[a] for a in self.axes]
+        inverse = [0] + [1 + a for a in np.argsort(self.axes)]
+        return y.reshape(shape).transpose(inverse).reshape(-1, self.dim, self.dim)
+
+
+class TransposedCoordinates:
+    """of, matrix and read of twirl._Coordinates on a twirl with a twirled
+    wire, stage by stage by _TransposedStage: U's on the whole operator,
+    then, with a second unitary, V's on U's coordinates, a stack of
+    operators on the wires U leaves alone.  The basis is _Coordinates', so
+    the coordinates must agree; read's bound is U's, (1 + D^2 u) ||mat -
+    matrix_U(K_U)||_F + rounding_U ||K_U||_F with the residual taken on the
+    copy, plus with V (1 + q_U) times V's, the computed ||K_U -
+    matrix_V(K)||_F with its rounding plus rounding_V ||K||_F."""
+
+    def __init__(self, twirl: TwirlSpec, wires):
+        self.u = _TransposedStage(twirl, wires, False)
+        rest = [w for w in wires if w.label not in self.u.labels]
+        self.v = _TransposedStage(twirl, rest, True) if twirl.second else None
+        self.dim = self.u.dim
+
+    def of(self, mat: np.ndarray) -> np.ndarray:
+        k = self.u.of(np.asarray(mat)[None])
+        return k if self.v is None else self.v.of(k)
+
+    def matrix(self, k: np.ndarray) -> np.ndarray:
+        if self.v is not None:
+            k = self.v.matrix(k)
+        return self.u.matrix(k)[0]
 
     def read(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
-        x = self.transposed(mat)
-        flat = self.units @ x
-        r = (1.0 + self.dim**2 * _U) * float(np.linalg.norm(x - self.units.T @ flat))
-        r += self.rounding * float(np.linalg.norm(flat))
-        return flat.reshape(-1, self.dr, self.dr), r
+        ku = self.u.of(np.asarray(mat)[None])
+        r = (1.0 + self.dim**2 * _U) * float(np.linalg.norm(mat - self.u.matrix(ku)[0]))
+        r += self.u.rounding * float(np.linalg.norm(ku))
+        if self.v is None:
+            return ku, r
+        k = self.v.of(ku)
+        gap = ku - self.v.matrix(k)
+        gap = (1.0 + 2 * gap.size * _U) * float(np.linalg.norm(gap))
+        r += (1.0 + self.u.q_defect) * (gap + self.v.rounding * float(np.linalg.norm(k)))
+        return k, r
 
 
 def stinespring_value(om: np.ndarray, d: int):

@@ -1,5 +1,5 @@
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -29,7 +29,7 @@ from qcombs import (
     solve,
     verify_causality,
 )
-from qcombs import choi, objective
+from qcombs import choi, objective, twirl
 from qcombs.choi import _hermitian_defect
 from qcombs.labeled import _level_residuals
 from qcombs.twirl import (
@@ -51,6 +51,7 @@ from conftest import (
     mc_gate_fidelity,
     ptrace_level_residuals,
     rand_hermitian,
+    wire_conjugated,
 )
 
 
@@ -204,6 +205,35 @@ def test_commutant_blocks(name):
     assert sum(m * m for _, m, _ in blocks) == np.linalg.matrix_rank(flat @ flat.T)
     d_rest = po.structure.dim // d**t
     assert sorted(m * d_rest for _, m, _ in blocks) == sizes
+
+
+@pytest.mark.parametrize(
+    "d, t, conj", [(2, 3, (2,)), (3, 3, (2,)), (2, 4, (0, 1, 2)), (2, 4, (0, 2)), (2, 5, (4,))]
+)
+def test_complementary_patterns_share_one_change_of_basis(d, t, conj):
+    # The complement spans the transposes of the same algebra's elements:
+    # built on its own it gives a bitwise equal Q, so one cache entry
+    # serves both.
+    comp = tuple(i for i in range(t) if i not in conj)
+    assert _commutant_blocks(d, t, conj) is _commutant_blocks(d, t, comp)
+    own = [twirl._blocks_of.__wrapped__(d, t, c) for c in (conj, comp)]
+    assert np.array_equal(own[0][0], own[1][0])
+    assert own[0][1] == own[1][1]
+
+
+def test_the_second_unitary_reuses_the_commutant_of_the_first(monkeypatch):
+    calls = []
+    basis = twirl._commutant_basis
+
+    def counted(*args):
+        calls.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(twirl, "_commutant_basis", counted)
+    monkeypatch.setattr(twirl, "_blocks_of", lru_cache(twirl._blocks_of.__wrapped__))
+    for po in (learning_objective(3, 2), cloning_objective(1, 2, 3)):
+        _Coordinates(po.twirl, po.structure.wires)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", list(OBJECTIVES))
@@ -391,6 +421,57 @@ def test_learning_invariance_under_symmetry():
             assert (rotated - po.omega).norm() < 1e-9
 
 
+# The partner wires of each task, label -> (tag, copies): V* on the partner
+# of a U wire, once per copy, and V on that of a U* wire.
+PARTNERS = {
+    **{
+        f"clone{n}{m}-d{d}": (
+            lambda n=n, m=m, d=d: cloning_objective(n, m, d),
+            {"0": ("U*", m)} | {str(2 * k - 1): ("U", 1) for k in range(1, n + 1)},
+        )
+        for n, m, d in [(1, 2, 2), (1, 2, 3), (2, 1, 2), (1, 3, 2)]
+    },
+    **{
+        f"learn{n}": (
+            lambda n=n: learning_objective(n, 2),
+            {str(2 * n + 2): ("U*", 1)} | {str(2 * k - 1): ("U", 1) for k in range(1, n + 1)},
+        )
+        for n in (1, 2, 3, 4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PARTNERS))
+def test_objectives_are_invariant_under_the_second_unitary(name):
+    # A Haar V, independent of U, on the partner wires fixes Omega, so the
+    # twirl declares it.  With V and V* swapped on one partner wire it does
+    # not; swapping them on every partner would conjugate the whole action
+    # entrywise, which fixes any real Omega.
+    build, partners = PARTNERS[name]
+    po = build()
+    assert {label: (tag, c) for label, tag, c in po.twirl.second} == partners
+    d, norm = po.twirl.d, po.omega.norm()
+    rng = np.random.default_rng(37)
+    for _ in range(2):
+        v = haar_unitary(d, rng)
+        for swapped in (None, *partners):
+            mats = {
+                label: reduce(np.kron, [v.conj() if (tag == "U*") != (label == swapped) else v] * c)
+                for label, (tag, c) in partners.items()
+            }
+            moved = (wire_conjugated(po.omega, mats) - po.omega).norm() / norm
+            assert moved > 0.1 if swapped else moved <= 1e-12
+
+
+def test_a_wire_cannot_carry_both_unitaries():
+    with pytest.raises(InvalidArgumentError, match="repeats"):
+        TwirlSpec(2, (("a", "U", 1),), (("a", "U*", 1),))
+    with pytest.raises(InvalidArgumentError, match="unknown tag"):
+        TwirlSpec(2, (("a", "U", 1),), (("b", "V", 1),))
+    with pytest.raises(InvalidArgumentError, match="needs a pattern"):
+        TwirlSpec(2, (), (("b", "U", 1),))
+
+
 def test_learning_objective_matches_monte_carlo_fidelity():
     for n_uses, seed in [(1, 21), (2, 22)]:
         po = learning_objective(n_uses, 2)
@@ -477,7 +558,9 @@ def test_coordinates_are_built_once_and_read_only():
     coords = _coordinates(po.twirl, po.structure.wires)
     assert _coordinates(po.twirl, po.structure.wires) is coords
     arrays = [a for a in vars(coords).values() if isinstance(a, np.ndarray)]
-    for arr in (*arrays, *coords.mixers):
+    # each level of the mixers is a sum of pairs (A, B), for A (x) B
+    mixers = [arr for level in coords.mixers for pair in level for arr in pair]
+    for arr in (*arrays, *mixers):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 

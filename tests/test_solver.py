@@ -8,6 +8,7 @@ from qcombs import (
     BoundUnavailableError,
     CombStructure,
     DimOverflowError,
+    InvalidArgumentError,
     InvalidBranchSumError,
     LabeledOperator,
     LabelMismatchError,
@@ -43,6 +44,43 @@ def test_problem_validation():
     # ||Omega||_F = inf would make rho inf and the certificate NaN.
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
         SdpProblem(PerformanceOperator(po.omega * 2.0**520, po.structure), po.structure)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"max_iters": 10.0},
+        {"max_iters": True},
+        {"max_iters": "10"},
+        {"max_iters": -1},
+        {"tol_gap": "1e-6"},
+        {"tol_gap": math.inf},
+        {"tol_gap": math.nan},
+        {"tol_gap": -1e-6},
+        {"tol_gap": True},
+        {"tol_gap": 1e-6 + 0j},
+    ],
+    ids=repr,
+)
+def test_problem_refuses_a_bad_budget_or_tolerance(kw):
+    # Each of these used to construct and then fail in solve with a bare
+    # TypeError, run one iteration, or call any gap converged.
+    po = cloning_objective(1, 1, 2)
+    with pytest.raises(InvalidArgumentError, match="max_iters|tol_gap"):
+        SdpProblem(po, po.structure, **kw)
+
+
+def test_problem_takes_numpy_numbers():
+    po = cloning_objective(1, 1, 2)
+    p = SdpProblem(po, po.structure, tol_gap=np.float64(1e-3), max_iters=np.int64(5))
+    assert solve(p).iterations == 5
+
+
+@pytest.mark.parametrize("iters", [1.0, True, "5", 0])
+def test_project_to_comb_refuses_a_bad_iteration_count(iters):
+    x = cloning_objective(1, 1, 2).omega
+    with pytest.raises(InvalidArgumentError, match="iters must be an integer >= 1"):
+        project_to_comb(x, S2222, iters=iters)
 
 
 def test_constant_objective():
@@ -103,6 +141,20 @@ def test_four_use_learning_certified():
     assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
 
 
+def test_five_use_learning_certified():
+    # Qubit learning from five uses is D = 4096, the cap; the optimum
+    # cos^2(pi/8) (Bisio et al., arXiv:0903.0543) lies in the certified
+    # interval.  __wrapped__ skips the objective cache, so the D x D
+    # operator does not outlive the test.
+    po = learning_objective.__wrapped__(5, 2)
+    assert po.structure.dim == comb.MAX_DIM
+    p = problem_for(po)
+    sol = solve(p)
+    assert sol.converged
+    target = math.cos(math.pi / 8) ** 2
+    assert sol.value - 1e-12 <= target <= dual_bound(p, sol) + 1e-12
+
+
 def test_qutrit_cloning_certified():
     # Qutrit 1 -> 2 cloning is D = 729; the optimum (d + sqrt(d^2 - 1))/d^3
     # at d = 3 (Chiribella, D'Ariano & Perinotti, arXiv:0804.0129) lies in
@@ -151,6 +203,52 @@ def test_blocked_solve_matches_one_block_solve(build):
     for sol in sols[1:]:
         assert sol.iterations == sols[0].iterations
         assert sol.value == pytest.approx(sols[0].value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build, iters, order",
+    [
+        (lambda: cloning_objective(1, 2, 2), 30, 4),
+        (lambda: learning_objective(1, 2), 10, 1),
+        (lambda: learning_objective(2, 2), 20, 4),
+        (lambda: learning_objective(3, 2), 40, 9),
+        (lambda: cloning_objective(1, 2, 3), 50, 4),
+    ],
+    ids=["clone12", "learn1", "learn2", "learn3", "qutrit-clone"],
+)
+def test_product_twirl_solve_matches_one_unitary_and_one_block(build, iters, order, monkeypatch):
+    # The task twirls carry U and the second unitary V; solving in the
+    # coordinates of U x V changes what is stored and diagonalized, not the
+    # iterate path.  The solve on U's twirl alone and the one-block solve
+    # take as many iterations to the same value and bound; the one-block
+    # qutrit solve, one 729 x 729 eigh per iteration, runs a budget of 10.
+    po = build()
+    assert po.twirl.second
+    one = haar_average(twirl.TwirlSpec(po.twirl.d, po.twirl.pattern), po.omega)
+    flat = PerformanceOperator(po.omega, po.structure)
+    orders = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, original=original, **kwargs):
+            orders.append(a.shape[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    p = problem_for(po)
+    sol = solve(p)
+    monkeypatch.undo()
+    assert sol.iterations == iters
+    assert max(orders) == order
+    budget = {"max_iters": 10} if po.structure.dim > 256 else {}
+    for other, kw in ((one, {}), (flat, budget)):
+        ref, ref_p = (sol, p) if not kw else (solve(problem_for(po, **kw)), problem_for(po, **kw))
+        q = SdpProblem(other, po.structure, **kw)
+        got = solve(q)
+        assert got.iterations == ref.iterations
+        assert got.value == pytest.approx(ref.value, abs=1e-9)
+        bound = dual_bound(ref_p, ref)
+        assert abs(dual_bound(q, got) - bound) <= 1e-12 * (1.0 + abs(bound))
 
 
 def test_learning_two_uses_qutrits():
